@@ -14,7 +14,6 @@ from .grpo import (Adam, ClipConfig, GrpoDiagnostics, Group, compute_advantages,
                    grpo_loss_and_grad, make_group, update_policy)
 from .harness import (RunConfig, Trace, bootstrap_nearest, build_task, default_config,
                       emit_trace, run_any, run_baseline, run_search, sweep)
-from .kernels import USING_NUMBA
 from .policy import (TASK_CONTEXT, ContextId, ContextKind, PolicyParams, Vocabulary,
                      encode_features, init_params, load_params, logprobs,
                      neighborhood_context, sample_completion, save_params,
@@ -30,7 +29,6 @@ __all__ = [
     "compute_advantages", "grpo_loss_and_grad", "make_group", "update_policy",
     "RunConfig", "Trace", "bootstrap_nearest", "build_task", "default_config",
     "emit_trace", "run_any", "run_baseline", "run_search", "sweep",
-    "USING_NUMBA",
     "TASK_CONTEXT", "ContextId", "ContextKind", "PolicyParams", "Vocabulary",
     "encode_features", "init_params", "load_params", "logprobs",
     "neighborhood_context", "sample_completion", "save_params", "token_distribution",

@@ -6,10 +6,15 @@ partitioned into islands that are visited cyclically; a per-step selection
 mixes exploitation (island members that are also globally top-k) with
 exploration (island elites outside the global top-k), and elites migrate
 periodically to the next island along a ring.
+
+Entries stay ranked as they arrive: a sorted list of keys
+``(-score, born_iteration, index)`` is kept for the whole archive and for
+each island, so top-k reads never re-sort.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -51,6 +56,10 @@ class Archive:
         self.cursor = 0
         self._island_of: list[int] = []
         self._best_index: int | None = None
+        self._rank: list[tuple[float, int, int]] = []
+        count = islands.count if islands else 0
+        self._members: list[list[int]] = [[] for _ in range(count)]
+        self._island_rank: list[list[tuple[float, int, int]]] = [[] for _ in range(count)]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -69,7 +78,19 @@ class Archive:
         return self._island_of[index] if self.islands else None
 
     def island_members(self, island: int) -> list[int]:
-        return [i for i, isl in enumerate(self._island_of) if isl == island]
+        return list(self._members[island]) if self.islands else []
+
+    def _append(self, entry: Completion, island: int) -> None:
+        index = len(self.entries)
+        self.entries.append(entry)
+        key = (-entry.score, entry.born_iteration, index)
+        bisect.insort(self._rank, key)
+        if self.islands:
+            self._island_of.append(island)
+            self._members[island].append(index)
+            bisect.insort(self._island_rank[island], key)
+        if self._best_index is None or entry.score > self.entries[self._best_index].score:
+            self._best_index = index
 
     def insert(self, completions: list[Completion], *, island: int | None = None) -> None:
         """Add newly evaluated completions, charging them to the budget.
@@ -85,23 +106,15 @@ class Archive:
                 raise ArchiveError("cannot insert an unscored completion")
         target = self.cursor if island is None else island
         for c in completions:
-            self.entries.append(c)
-            if self.islands:
-                self._island_of.append(target)
-            if self._best_index is None or c.score > self.entries[self._best_index].score:
-                self._best_index = len(self.entries) - 1
+            self._append(c, target)
         self.evaluated_count += len(completions)
-
-    def _ranked(self, indices: list[int] | None = None) -> list[int]:
-        idx = range(len(self.entries)) if indices is None else indices
-        return sorted(idx, key=lambda i: (-self.entries[i].score, self.entries[i].born_iteration, i))
 
     def topk(self, k: int) -> list[Completion]:
         """Best k entries, score descending; ties go to the earlier
         born_iteration, then earlier insertion."""
         if k < 1:
             raise ArchiveError("k must be >= 1")
-        return [self.entries[i] for i in self._ranked()[:k]]
+        return [self.entries[i] for _, _, i in self._rank[:k]]
 
     def island_select(self, rng: np.random.Generator, k: int) -> Completion:
         """Advance to the next non-empty island and pick an exemplar from it.
@@ -119,14 +132,12 @@ class Archive:
         n = self.islands.count
         for step in range(1, n + 1):
             candidate = (self.cursor + step) % n
-            if self.island_members(candidate):
+            if self._members[candidate]:
                 self.cursor = candidate
                 break
-        members = self.island_members(self.cursor)
-        global_top = set(self._ranked()[:k])
-        island_top = self._ranked(members)[: min(k, len(members))]
-        exploit_pool = [i for i in members if i in global_top]
-        explore_pool = [i for i in island_top if i not in global_top]
+        global_top = {i for _, _, i in self._rank[:k]}
+        exploit_pool = sorted(i for i in global_top if self._island_of[i] == self.cursor)
+        explore_pool = [i for _, _, i in self._island_rank[self.cursor][:k] if i not in global_top]
         exploit = rng.random() < self.islands.exploit_prob
         if exploit:
             pool = exploit_pool or explore_pool
@@ -143,17 +154,12 @@ class Archive:
         n = self.islands.count
         moves: list[tuple[Completion, int]] = []
         for island in range(n):
-            members = self.island_members(island)
-            if not members:
-                continue
-            take = int(np.ceil(self.islands.migration_fraction * len(members)))
-            for i in self._ranked(members)[:take]:
+            ranked = self._island_rank[island]
+            take = int(np.ceil(self.islands.migration_fraction * len(ranked)))
+            for _, _, i in ranked[:take]:
                 moves.append((replace(self.entries[i]), (island + 1) % n))
         for entry, dest in moves:
-            self.entries.append(entry)
-            self._island_of.append(dest)
-            if entry.score > self.entries[self._best_index].score:
-                self._best_index = len(self.entries) - 1
+            self._append(entry, dest)
 
     def dump_jsonl(self, path: str | Path) -> None:
         """One record per entry: {text, score, provenance, iteration, island}."""

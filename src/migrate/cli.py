@@ -15,8 +15,10 @@ from .tasks import compute_metrics, load_grid_task
 
 
 def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--task", choices=("words", "molecules", "grids"), default="words")
-    parser.add_argument("--method", choices=METHODS, default="migrate")
+    # No argparse defaults: only flags the user passed override --config.
+    parser.add_argument("--task", choices=("words", "molecules", "grids"),
+                        help="default: words")
+    parser.add_argument("--method", choices=METHODS, help="default: migrate")
     parser.add_argument("--budget", type=int)
     parser.add_argument("--alpha", type=int)
     parser.add_argument("--beta", type=int)
@@ -31,7 +33,7 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mutation-rate", type=float, dest="mutation_rate")
     parser.add_argument("--stop-threshold", type=float, dest="stop_threshold")
     parser.add_argument("--warmstart", type=int, dest="warmstart_count")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, help="default: 0")
     parser.add_argument("--islands", action="store_true", default=None)
     parser.add_argument("--island-count", type=int, dest="island_count")
     parser.add_argument("--exploit-prob", type=float, dest="exploit_prob")
@@ -40,10 +42,10 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file mirroring RunConfig; flags override it")
 
 
-_OVERRIDE_FIELDS = ("budget", "alpha", "beta", "gamma", "group_size", "top_k", "mu",
-                    "eps_low", "eps_high", "learning_rate", "temperature", "mutation_rate",
-                    "stop_threshold", "warmstart_count", "islands", "island_count",
-                    "exploit_prob", "task_file", "bootstrap_params")
+_OVERRIDE_FIELDS = ("task", "method", "seed", "budget", "alpha", "beta", "gamma",
+                    "group_size", "top_k", "mu", "eps_low", "eps_high", "learning_rate",
+                    "temperature", "mutation_rate", "stop_threshold", "warmstart_count",
+                    "islands", "island_count", "exploit_prob", "task_file", "bootstrap_params")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -51,10 +53,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                  if getattr(args, name, None) is not None}
     if args.config:
         base = RunConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-        merged = {**base.__dict__, **overrides,
-                  "method": args.method, "task": args.task, "seed": args.seed}
-        return RunConfig(**merged)
-    return default_config(args.task, args.method, seed=args.seed, **overrides)
+        return RunConfig(**{**base.__dict__, **overrides})
+    return default_config(overrides.pop("task", "words"), overrides.pop("method", "migrate"),
+                          **overrides)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -9,13 +9,14 @@ always taken under the task context regardless of how a member was sampled.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .completion import Completion
-from .policy import TASK_CONTEXT, PolicyParams, logprobs
+from .policy import TASK_CONTEXT, PolicyParams, logprobs, position_bucket
 
 
 class DegenerateGroupError(ValueError):
@@ -107,49 +108,116 @@ def make_group(params: PolicyParams, completions: list[Completion], iteration: i
                  freeze_logprobs(params, completions), iteration)
 
 
-def _flatten(group: Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _Layout:
+    """A group flattened to its T tokens in order; nothing here depends on W."""
+
+    tokens: np.ndarray  # (T,)
+    prev: np.ndarray  # (T,) previous token, the end token at each start
+    buckets: np.ndarray  # (T,) position buckets
+    advantages: np.ndarray  # (T,) each completion's advantage, on its tokens
+    old: np.ndarray  # (T,) frozen old log-probs
+    # (T, 3, V + 1) flat indices into W of each token's gradient terms: per
+    # active row (context, previous token, bucket) its V entries, then the
+    # entry of the token itself.
+    grad_index: np.ndarray
+
+
+def _layout(params: PolicyParams, group: Group) -> _Layout:
+    end = params.vocab.end_token
+    tokens: list[int] = []
+    prev: list[int] = []
+    positions: list[int] = []
+    for c in group.completions:
+        tokens += c.tokens
+        prev += ((end,) + c.tokens)[:-1]
+        positions += range(len(c.tokens))
     lengths = [len(c.tokens) for c in group.completions]
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    tokens_flat = np.concatenate(
-        [np.asarray(c.tokens, dtype=np.int64) for c in group.completions]
-    ) if offsets[-1] else np.zeros(0, dtype=np.int64)
-    old_flat = np.concatenate(group.old_logprobs) if offsets[-1] else np.zeros(0)
-    return tokens_flat, offsets, old_flat
+    V = params.vocab.size
+    token_arr = np.array(tokens, dtype=np.intp)
+    prev_arr = np.array(prev, dtype=np.intp)
+    buckets = position_bucket(np.array(positions, dtype=np.intp),
+                              params.position_buckets, params.max_len)
+    rows = np.empty((token_arr.size, 3), dtype=np.intp)
+    rows[:, 0] = int(TASK_CONTEXT.kind)
+    rows[:, 1] = 2 + prev_arr
+    rows[:, 2] = 2 + V + buckets
+    rows *= V
+    grad_index = np.empty((token_arr.size, 3, V + 1), dtype=np.intp)
+    grad_index[:, :, :V] = rows[:, :, None] + np.arange(V)
+    grad_index[:, :, V] = rows + token_arr[:, None]
+    return _Layout(token_arr, prev_arr, buckets, np.repeat(group.advantages, lengths),
+                   np.concatenate(group.old_logprobs) if tokens else np.zeros(0), grad_index)
 
 
-def _terms(W: np.ndarray, params: PolicyParams, group: Group, clip: ClipConfig):
-    v = params.vocab
-    tokens_flat, offsets, old_flat = _flatten(group)
-    out = kernels.grpo_token_terms(W, v.size, params.position_buckets, params.max_len,
-                                   v.end_token, tokens_flat, offsets,
-                                   group.advantages, old_flat, clip.eps_low, clip.eps_high)
-    return tokens_flat, out
+@dataclass(frozen=True)
+class _TokenTerms:
+    """Per-token pieces of the clipped surrogate over the flattened group.
+
+    For completion i with advantage A and token ratio rho = exp(new - old),
+    the objective term is min(rho*A, clip(rho, 1-eps_low, 1+eps_high)*A); its
+    gradient flows only when the unclipped branch is selected (ties included).
+    """
+
+    probs: np.ndarray  # (T, V) task-context step distributions
+    coeffs: np.ndarray  # (T,) A * rho where the gradient is live, else 0
+    ratios: np.ndarray  # (T,)
+    low_clipped: np.ndarray  # (T,) the low-side clip suppressed the gradient
+    high_clipped: np.ndarray  # (T,) the high-side clip suppressed the gradient
+    obj_sum: float  # sum of objective terms (unnormalized, unnegated)
 
 
-def _diagnostics(obj_sum, ratios, low, high, total_len) -> GrpoDiagnostics:
+def _terms(params: PolicyParams, layout: _Layout, clip: ClipConfig) -> _TokenTerms:
+    probs = params.step_table(1.0).probs[int(TASK_CONTEXT.kind), layout.prev, layout.buckets]
+    ratios = np.exp(np.log(probs[np.arange(layout.tokens.size), layout.tokens]) - layout.old)
+    low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
+    unclipped = ratios * layout.advantages
+    clipped = np.clip(ratios, low_edge, high_edge) * layout.advantages
+    live = unclipped <= clipped
+    below = ratios < low_edge
+    # A running total in token order, not numpy's pairwise sum.
+    obj_sum = functools.reduce(operator.add, np.where(live, unclipped, clipped).tolist(), 0.0)
+    return _TokenTerms(probs, np.where(live, unclipped, 0.0), ratios,
+                       ~live & below, ~live & ~below, obj_sum)
+
+
+def _gradient(layout: _Layout, terms: _TokenTerms, F: int, V: int) -> np.ndarray:
+    """Dense loss gradient w.r.t. W: each live token adds
+    (coeff / total_len) * (p - onehot(token)) to each of its three rows.
+
+    One ``np.add.at`` over ``layout.grad_index`` of the live tokens: ordered
+    by token, then row, then the V entries of ``+scale * p``, then the
+    token's ``-scale``, so each element accumulates in token order,
+    bit-reproducibly.
+    """
+    live = np.flatnonzero(terms.coeffs)
+    scale = terms.coeffs[live, None] / float(layout.tokens.size)
+    values = np.concatenate([scale * terms.probs[live], -scale], axis=1)
+    grad = np.zeros(F * V)
+    np.add.at(grad, layout.grad_index[live].ravel(),
+              np.broadcast_to(values[:, None, :], (live.size, 3, V + 1)).ravel())
+    return grad.reshape(F, V)
+
+
+def _loss_and_grad(params: PolicyParams, layout: _Layout,
+                   clip: ClipConfig) -> tuple[float, np.ndarray, GrpoDiagnostics]:
+    total_len = layout.tokens.size
     if total_len == 0:
-        return GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)
-    return GrpoDiagnostics(loss=float(-obj_sum / total_len),
-                           mean_ratio=float(ratios.mean()),
-                           clip_low_frac=float(low.sum()) / total_len,
-                           clip_high_frac=float(high.sum()) / total_len)
+        return 0.0, np.zeros_like(params.W), GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)
+    terms = _terms(params, layout, clip)
+    diag = GrpoDiagnostics(loss=float(-terms.obj_sum / total_len),
+                           mean_ratio=float(terms.ratios.mean()),
+                           clip_low_frac=float(terms.low_clipped.sum()) / total_len,
+                           clip_high_frac=float(terms.high_clipped.sum()) / total_len)
+    if not np.isfinite(terms.obj_sum) or not np.all(np.isfinite(terms.ratios)):
+        raise NonFiniteLossError("non-finite ratio or loss in group", diag)
+    return diag.loss, _gradient(layout, terms, params.feature_dim, params.vocab.size), diag
 
 
 def grpo_loss_and_grad(params: PolicyParams, group: Group,
                        clip: ClipConfig) -> tuple[float, np.ndarray, GrpoDiagnostics]:
     """Loss, exact dense gradient w.r.t. W, and step diagnostics."""
-    tokens_flat, (obj_sum, slots, coeffs, probs, ratios, low, high) = _terms(
-        params.W, params, group, clip)
-    total_len = int(tokens_flat.size)
-    diag = _diagnostics(obj_sum, ratios, low, high, total_len)
-    if total_len == 0:
-        return 0.0, np.zeros_like(params.W), diag
-    if not np.isfinite(obj_sum) or not np.all(np.isfinite(ratios)):
-        raise NonFiniteLossError("non-finite ratio or loss in group", diag)
-    grad = kernels.grpo_dense_grad(slots, coeffs, probs, tokens_flat,
-                                   params.feature_dim, params.vocab.size, float(total_len))
-    return diag.loss, grad, diag
+    return _loss_and_grad(params, _layout(params, group), clip)
 
 
 @dataclass
@@ -178,33 +246,20 @@ def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: floa
                   mu: int, optimizer: Adam | None = None) -> tuple[PolicyParams, list[GrpoDiagnostics]]:
     """Run ``mu`` gradient steps against the group's frozen old log-probs.
 
-    The default SGD path updates only the weight rows the group touches and
-    is bit-identical to materializing the dense gradient. An all-equal
-    reward group returns the input params unchanged (silent no-op).
+    Each step is plain SGD, ``W - lr * grad``, unless an ``optimizer`` is
+    given. An all-equal reward group returns the input params unchanged
+    (silent no-op).
     """
     if mu < 1:
         raise ValueError("mu must be >= 1")
     if np.all(group.advantages == 0.0):
         return params, [GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)]
+    layout = _layout(params, group)
     diags: list[GrpoDiagnostics] = []
-    if optimizer is not None:
-        current = params
-        for _ in range(mu):
-            loss, grad, diag = grpo_loss_and_grad(current, group, clip)
-            diags.append(diag)
-            current = current.with_weights(optimizer.apply(current.W, grad))
-        return current, diags
-    W = params.W.copy()
-    v = params.vocab
+    current = params
     for _ in range(mu):
-        tokens_flat, (obj_sum, slots, coeffs, probs, ratios, low, high) = _terms(
-            W, params, group, clip)
-        total_len = int(tokens_flat.size)
-        diag = _diagnostics(obj_sum, ratios, low, high, total_len)
+        _, grad, diag = _loss_and_grad(current, layout, clip)
         diags.append(diag)
-        if total_len == 0:
-            break
-        if not np.isfinite(obj_sum) or not np.all(np.isfinite(ratios)):
-            raise NonFiniteLossError("non-finite ratio or loss in group", diag)
-        kernels.grpo_apply_sgd(W, slots, coeffs, probs, tokens_flat, lr, float(total_len))
-    return params.with_weights(W), diags
+        W = current.W - lr * grad if optimizer is None else optimizer.apply(current.W, grad)
+        current = current.with_weights(W)
+    return current, diags

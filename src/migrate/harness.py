@@ -186,10 +186,26 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
+# The task_options keys each task reads.
+TASK_OPTIONS: dict[str, tuple[str, ...]] = {
+    "words": ("clusters", "dim", "hidden_word", "step_scale", "vocab_size"),
+    "molecules": ("max_len",),
+    "grids": ("dsl_step_limit",),
+}
+
+
 def build_task(config: RunConfig) -> SearchTask:
-    """Materialize the task from the config's task-synthesis stream."""
-    rng = _rng(config.seed, _STREAM_TASK)
+    """Materialize the task from the config's task-synthesis stream.
+
+    Raises ValueError on a ``task_options`` key the task does not read.
+    """
     opts = config.task_options
+    accepted = TASK_OPTIONS[config.task]
+    unknown = sorted(set(opts) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown task_options key {unknown[0]!r} for task {config.task!r}; "
+                         f"accepted keys: {', '.join(accepted)}")
+    rng = _rng(config.seed, _STREAM_TASK)
     if config.task == "words":
         if config.task_file:
             from .tasks import load_embedding_table

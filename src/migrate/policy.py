@@ -4,18 +4,28 @@ The policy is first-order Markov: a step's logits are a linear function of
 three one-hot features (conditioning context kind, previous token, clamped
 position bucket), so a completion's log-probability and its gradient with
 respect to the weight matrix are available in closed form.
+
+Feature layout of the weight matrix W (shape F x V, F = 2 + V + P):
+  row 0..1        context kind (0 = task, 1 = neighborhood)
+  row 2..2+V-1    previous token (the end token's row doubles as "start")
+  row 2+V..F-1    position bucket, min(pos * P // max_len, P - 1)
+
+A step's logits are the sum of the three active rows, so every step
+distribution the policy can produce fits in one (2, V, P, V) table. The
+table is built once per weight matrix and temperature (see
+:meth:`PolicyParams.step_table`) and every per-token operation reads it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .completion import ONLINE, Completion
 
 PARAMS_MAGIC = b"MGP1"
@@ -97,13 +107,38 @@ class Vocabulary:
         return len(self.tokens)
 
 
+class StepTable:
+    """Every step distribution of one weight matrix at one temperature.
+
+    ``probs[ctx, prev, bucket]`` is the softmax over the vocabulary, and
+    ``cdf`` its running sum along the last axis, computed on first use
+    (only token draws read it). Both arrays are read-only.
+    """
+
+    def __init__(self, W: np.ndarray, V: int, temperature: float):
+        # Same addition order as one step's logits, (ctx + prev) + bucket, and
+        # the softmax is max-shifted before the temperature divide so
+        # near-zero temperatures stay finite and keep the argmax token.
+        logits = (W[:2, None, None, :] + W[2:2 + V][None, :, None, :]) + W[2 + V:][None, None]
+        p = np.exp((logits - logits.max(axis=-1, keepdims=True)) / temperature)
+        self.probs = p / p.sum(axis=-1, keepdims=True)
+        self.probs.setflags(write=False)
+
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        cdf = np.cumsum(self.probs, axis=-1)
+        cdf.setflags(write=False)
+        return cdf
+
+
 @dataclass(frozen=True)
 class PolicyParams:
     """Immutable weight matrix plus the feature layout it is defined over.
 
-    ``W`` has shape (F, V) with F = 2 + V + position_buckets; see
-    :mod:`migrate.kernels` for the row layout. Updates always build a new
-    instance, so params can be shared freely across readers.
+    ``W`` has shape (F, V) with F = 2 + V + position_buckets; see the module
+    docstring for the row layout. Updates always build a new instance, so
+    params can be shared freely across readers, and the step tables cached
+    on an instance live exactly as long as it does.
     """
 
     W: np.ndarray
@@ -111,6 +146,7 @@ class PolicyParams:
     position_buckets: int
     max_len: int
     default_temperature: float = 1.0
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         expected = (self.feature_dim, self.vocab.size)
@@ -131,6 +167,14 @@ class PolicyParams:
     def with_weights(self, W: np.ndarray) -> "PolicyParams":
         return PolicyParams(W, self.vocab, self.position_buckets, self.max_len, self.default_temperature)
 
+    def step_table(self, temperature: float = 1.0) -> StepTable:
+        """The step table at ``temperature``, built on first use."""
+        table = self._tables.get(temperature)
+        if table is None:
+            table = StepTable(self.W, self.vocab.size, temperature)
+            self._tables[temperature] = table
+        return table
+
 
 def init_params(vocab: Vocabulary, position_buckets: int = 4, max_len: int = 8,
                 default_temperature: float = 1.0) -> PolicyParams:
@@ -139,8 +183,9 @@ def init_params(vocab: Vocabulary, position_buckets: int = 4, max_len: int = 8,
     return PolicyParams(np.zeros((F, vocab.size)), vocab, position_buckets, max_len, default_temperature)
 
 
-def position_bucket(position: int, position_buckets: int, max_len: int) -> int:
-    return min(position * position_buckets // max_len, position_buckets - 1)
+def position_bucket(position, position_buckets: int, max_len: int):
+    """Bucket of a position (an int or an integer array of them)."""
+    return np.minimum(np.asarray(position) * position_buckets // max_len, position_buckets - 1)
 
 
 def feature_slots(params: PolicyParams, context: ContextId, prev_token: int | None,
@@ -155,7 +200,7 @@ def feature_slots(params: PolicyParams, context: ContextId, prev_token: int | No
         if not 0 <= prev_token < V:
             raise ValueError(f"prev_token {prev_token} out of vocabulary")
         prev = prev_token
-    bucket = position_bucket(position, params.position_buckets, params.max_len)
+    bucket = int(position_bucket(position, params.position_buckets, params.max_len))
     return int(context.kind), 2 + prev, 2 + V + bucket
 
 
@@ -170,14 +215,47 @@ def encode_features(params: PolicyParams, context: ContextId, prev_token: int | 
 
 def token_distribution(params: PolicyParams, context: ContextId, prev_token: int | None,
                        position: int, temperature: float = 1.0) -> np.ndarray:
-    """Softmax step distribution over the vocabulary."""
+    """Softmax step distribution over the vocabulary (a read-only view)."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     feature_slots(params, context, prev_token, position)  # validate
-    v = params.vocab
-    prev = v.end_token if prev_token is None else prev_token
-    return kernels.step_probs(params.W, v.size, params.position_buckets, params.max_len,
-                              v.end_token, int(context.kind), prev, position, temperature)
+    prev = params.vocab.end_token if prev_token is None else prev_token
+    bucket = position_bucket(position, params.position_buckets, params.max_len)
+    return params.step_table(temperature).probs[int(context.kind), prev, bucket]
+
+
+def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row of ``cdf`` (shape (..., V)) with uniforms
+    ``u`` (shape (...)): the count of entries <= u * total, capped at V - 1,
+    which is ``searchsorted(cdf, u * cdf[-1], side="right")`` row by row."""
+    count = np.count_nonzero(cdf <= (u * cdf[..., -1])[..., None], axis=-1)
+    return np.minimum(count, cdf.shape[-1] - 1)
+
+
+def sample_tokens(params: PolicyParams, context: ContextId, temperature: float,
+                  uniforms: np.ndarray) -> list[tuple[int, ...]]:
+    """Ancestral draws stepped in lockstep, one per row of ``uniforms``.
+
+    ``uniforms`` has shape (n, max_len); row i's column ``pos`` drives
+    step ``pos`` of draw i, and each draw stops at the end token.
+    """
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    cdf = params.step_table(temperature).cdf[int(context.kind)]
+    buckets = position_bucket(np.arange(params.max_len), params.position_buckets, params.max_len)
+    end = params.vocab.end_token
+    n = uniforms.shape[0]
+    out = np.full((n, params.max_len), end, dtype=np.int64)
+    prev = np.full(n, end)
+    done = np.zeros(n, dtype=bool)
+    for pos in range(params.max_len):
+        out[:, pos] = prev = _draw(cdf[prev, buckets[pos]], uniforms[:, pos])
+        done |= prev == end
+        if done.all():
+            break
+    ends = out == end
+    lengths = np.where(ends.any(axis=1), ends.argmax(axis=1) + 1, params.max_len)
+    return [tuple(row[:length].tolist()) for row, length in zip(out, lengths)]
 
 
 def sample_completion(params: PolicyParams, context: ContextId, temperature: float,
@@ -188,14 +266,35 @@ def sample_completion(params: PolicyParams, context: ContextId, temperature: flo
     Consumes exactly ``max_len`` uniforms from ``rng`` regardless of where
     the sequence stops, so replays are reproducible draw-for-draw.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    v = params.vocab
-    uniforms = rng.random(params.max_len)
-    buf, count = kernels.sample_tokens(params.W, v.size, params.position_buckets, params.max_len,
-                                       v.end_token, int(context.kind), temperature, uniforms)
-    return Completion(tokens=tuple(int(t) for t in buf[:count]), provenance=provenance,
-                      born_iteration=born_iteration)
+    tokens = sample_tokens(params, context, temperature, rng.random((1, params.max_len)))[0]
+    return Completion(tokens=tokens, provenance=provenance, born_iteration=born_iteration)
+
+
+def mutate_tokens(params: PolicyParams, context: ContextId, temperature: float,
+                  bases: list[tuple[int, ...]], gate_u: list[np.ndarray],
+                  tok_u: list[np.ndarray], rate: float) -> list[tuple[int, ...]]:
+    """Resample position ``pos`` of ``bases[i]`` where ``gate_u[i][pos] < rate``.
+
+    The replacement is drawn with ``tok_u[i][pos]`` from the policy at that
+    position, conditioned on the (possibly already mutated) previous token.
+    Lengths are preserved.
+    """
+    gated = [g < rate for g in gate_u]
+    positions = np.concatenate([np.flatnonzero(g) for g in gated])
+    uniforms = np.concatenate([u[g] for u, g in zip(tok_u, gated)])
+    cdf = params.step_table(temperature).cdf[int(context.kind)]
+    rows = cdf[:, position_bucket(positions, params.position_buckets, params.max_len)]
+    # Every gated draw is made for each possible previous token at once, so
+    # the left-to-right walk below only looks its token up.
+    choices = iter(_draw(rows, uniforms).T.tolist())
+    out = []
+    for base, gate in zip(bases, gated):
+        tokens, prev = [], params.vocab.end_token
+        for tok, hit in zip(base, gate.tolist()):
+            prev = next(choices)[prev] if hit else tok
+            tokens.append(prev)
+        out.append(tuple(tokens))
+    return out
 
 
 def logprobs(params: PolicyParams, context: ContextId, tokens: tuple[int, ...]) -> np.ndarray:
@@ -207,9 +306,9 @@ def logprobs(params: PolicyParams, context: ContextId, tokens: tuple[int, ...]) 
         raise ValueError("token out of vocabulary")
     if arr.size == 0:
         return np.zeros(0)
-    v = params.vocab
-    return kernels.sequence_logprobs(params.W, v.size, params.position_buckets, params.max_len,
-                                     v.end_token, int(context.kind), arr)
+    prev = np.concatenate(([params.vocab.end_token], arr[:-1]))
+    buckets = position_bucket(np.arange(arr.size), params.position_buckets, params.max_len)
+    return np.log(params.step_table(1.0).probs[int(context.kind), prev, buckets, arr])
 
 
 def logprob_grad(params: PolicyParams, context: ContextId, tokens: tuple[int, ...],

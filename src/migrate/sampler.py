@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .archive import Archive
 from .completion import GREEDY, NS, ONLINE, OPRO, Completion
-from .policy import ContextId, PolicyParams, neighborhood_context, sample_completion
+# ``sample_completion`` (the one-draw form of ``sample_online``) stays
+# importable from here: searchbench/spans.py wraps it under this name.
+from .policy import (ContextId, PolicyParams, mutate_tokens, neighborhood_context,  # noqa: F401
+                     sample_completion, sample_tokens)
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,16 @@ class GroupDraft:
 
 def sample_online(params: PolicyParams, context: ContextId, alpha: int, temperature: float,
                   rng: np.random.Generator, *, born_iteration: int = 0) -> list[Completion]:
-    """``alpha`` independent ancestral draws under the given context."""
-    return [sample_completion(params, context, temperature, rng,
-                              provenance=ONLINE, born_iteration=born_iteration)
-            for _ in range(alpha)]
+    """``alpha`` independent ancestral draws under the given context.
+
+    Draw i reads row i of one ``(alpha, max_len)`` block of uniforms, the
+    same stream ``alpha`` calls of :func:`sample_completion` would consume.
+    """
+    if alpha <= 0:
+        return []
+    uniforms = rng.random((alpha, params.max_len))
+    return [Completion(tokens=tokens, provenance=ONLINE, born_iteration=born_iteration)
+            for tokens in sample_tokens(params, context, temperature, uniforms)]
 
 
 def select_greedy(archive: Archive, k: int, beta: int,
@@ -105,19 +113,15 @@ def propose_neighborhood(params: PolicyParams, greedy_samples: list[Completion],
     if not greedy_samples:
         raise ValueError("neighborhood proposals need at least one exemplar")
     context = neighborhood_context([c.tokens for c in greedy_samples])
-    v = params.vocab
-    out: list[Completion] = []
+    bases, gate_u, tok_u = [], [], []
     for _ in range(gamma):
-        exemplar = greedy_samples[int(rng.integers(0, len(greedy_samples)))]
-        base = np.asarray(exemplar.tokens, dtype=np.int64)
-        gate_u = rng.random(base.size)
-        tok_u = rng.random(base.size)
-        mutated = kernels.mutate_tokens(params.W, v.size, params.position_buckets,
-                                        params.max_len, v.end_token, int(context.kind),
-                                        temperature, base, gate_u, tok_u, mutation_rate)
-        out.append(Completion(tokens=tuple(int(t) for t in mutated), provenance=NS,
-                              born_iteration=born_iteration))
-    return out
+        base = greedy_samples[int(rng.integers(0, len(greedy_samples)))].tokens
+        bases.append(base)
+        gate_u.append(rng.random(len(base)))
+        tok_u.append(rng.random(len(base)))
+    return [Completion(tokens=tokens, provenance=NS, born_iteration=born_iteration)
+            for tokens in mutate_tokens(params, context, temperature, bases, gate_u, tok_u,
+                                        mutation_rate)]
 
 
 def _trajectory_weights(scores: np.ndarray) -> np.ndarray:

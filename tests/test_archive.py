@@ -193,6 +193,78 @@ class TestMigrate:
         assert after[: len(before)] == before
 
 
+def brute_ranked(entries, indices):
+    return sorted(indices, key=lambda i: (-entries[i].score, entries[i].born_iteration, i))
+
+
+def brute_island_select(archive, island_of, cursor, rng, k):
+    """Full-sort reference of ``island_select``: (new cursor, picked index)."""
+    n = archive.islands.count
+    for step in range(1, n + 1):
+        candidate = (cursor + step) % n
+        if candidate in island_of:
+            cursor = candidate
+            break
+    members = [i for i, isl in enumerate(island_of) if isl == cursor]
+    global_top = set(brute_ranked(archive.entries, range(len(archive)))[:k])
+    island_top = brute_ranked(archive.entries, members)[:k]
+    exploit_pool = [i for i in members if i in global_top]
+    explore_pool = [i for i in island_top if i not in global_top]
+    if rng.random() < archive.islands.exploit_prob:
+        pool = exploit_pool or explore_pool
+    else:
+        pool = explore_pool or exploit_pool
+    return cursor, pool[int(rng.integers(0, len(pool)))]
+
+
+class TestRankIndex:
+    """The incrementally kept ranking equals a full sort after every insert,
+    island insert and migration."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_full_sort_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 5))
+        archive = island_archive(count=count, p=float(rng.random()),
+                                 fraction=float(rng.choice([0.0, 0.25, 0.5])))
+        island_of: list[int] = []
+        for step in range(40):
+            if rng.random() < 0.15 and archive.entries:
+                moves = []
+                for isl in range(count):
+                    members = [i for i, x in enumerate(island_of) if x == isl]
+                    take = int(np.ceil(archive.islands.migration_fraction * len(members)))
+                    moves += [(i, (isl + 1) % count)
+                              for i in brute_ranked(archive.entries, members)[:take]]
+                before = len(archive)
+                archive.migrate()
+                assert [c.text for c in archive.entries[before:]] == \
+                    [archive.entries[i].text for i, _ in moves]
+                island_of += [dest for _, dest in moves]
+            else:
+                # Coarse scores and births make ties on both key fields common.
+                batch = [scored(float(rng.integers(0, 6)) / 5, born=int(rng.integers(0, 4)),
+                                text=f"{step}.{j}") for j in range(int(rng.integers(1, 4)))]
+                island = int(rng.integers(0, count)) if rng.random() < 0.5 else None
+                island_of += [archive.cursor if island is None else island] * len(batch)
+                archive.insert(batch, island=island)
+            order = brute_ranked(archive.entries, range(len(archive)))
+            for k in range(1, len(archive) + 2):
+                assert list(map(id, archive.topk(k))) == [id(archive.entries[i])
+                                                          for i in order[:k]]
+            for isl in range(count):
+                assert archive.island_members(isl) == [i for i, x in enumerate(island_of)
+                                                       if x == isl]
+            if archive.entries:
+                k = int(rng.integers(1, 5))
+                draw_seed = int(rng.integers(0, 2**32))
+                expected_cursor, expected = brute_island_select(
+                    archive, island_of, archive.cursor, np.random.default_rng(draw_seed), k)
+                picked = archive.island_select(np.random.default_rng(draw_seed), k)
+                assert archive.cursor == expected_cursor
+                assert picked is archive.entries[expected]
+
+
 class TestDump:
     def test_jsonl_schema(self, tmp_path):
         archive = island_archive(count=2)

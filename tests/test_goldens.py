@@ -1,0 +1,65 @@
+"""Golden trace hashes: byte-identical behaviour across processes and commits.
+
+Each case runs a full-budget search at a fixed seed and pins the sha256 of
+``trace_csv + trace_jsonl`` and of the final weight matrix's bytes. A change
+that moves any sampled token, score, loss or weight by one ulp changes a
+hash. Re-pin only in the change that causes the drift, with the reason
+recorded in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from migrate.harness import default_config, run_any, trace_csv, trace_jsonl
+
+# name -> (task, method, seed, overrides, trace sha256, weights sha256)
+CASES = {
+    "words-migrate-mu2": (
+        "words", "migrate", 3, dict(mu=2, budget=600),
+        "73260daf2c978eb61ebbcf419a60834fc64627bd88912dd761bbef1cbb76512f",
+        "ad966fe9db3c17f510237e6ea7439a4101ddca9c900d30093e6732092648fc9a"),
+    "words-ns": (
+        "words", "ns", 4, dict(budget=300),
+        "64d9c8c54389c6168675c695a63ea63ba282835033c809971c77dac8b64875ac",
+        "c729aac31d4925b958c00fe972c36c1e95eb3951508b47567e5ee039c0ac2bb8"),
+    "grids-migrate-islands": (
+        "grids", "migrate", 5, dict(islands=True, budget=960),
+        "498eebf1cfab59466efedc7d0b2f878823ba84811981eef2b8b72ba5e74d30b0",
+        "9e63a16b5fad24bfd561131c00c0ef4924e83a4a2b954848f93bc6690ab8d9ac"),
+    "grids-migrate-opro": (
+        "grids", "migrate-opro", 6, dict(budget=480),
+        "4bd7b45129a7052120e06d58b3dcc535024f3fe46551b3e142c100e52a1e8d95",
+        "ae8fe947b9748cdfd33226705646a32d7ed7400daa2025e8698e2ac1670bd148"),
+    "grids-grpo-greedy-t07": (
+        "grids", "grpo-greedy", 7, dict(temperature=0.7, budget=480),
+        "52b514386532a62af9fd339f9e03e2b1e8a5fdeee8b2a0066d0eabfae8aad1b5",
+        "d6bf9606142060733479ac1fd5fe8390f5a0091916b60532ad7e3c139c92248b"),
+    "molecules-grpo": (
+        "molecules", "grpo", 8, dict(budget=300),
+        "91f17bee67acb1a230f91fef054800ef40a1c8e1cd9a80571206f5ebf82210a6",
+        "20010b5e5f1927b6bf2242ce6d5fcb49becc831c9f63479ec712e01f6c2b97b4"),
+    "molecules-opro": (
+        "molecules", "opro", 9, dict(budget=400),
+        "b0b7c9de702ccb580e6d3fbe39edef70b8c3103346d311dc6998a8f692562d93",
+        "8ec80619c4e78fbddcae154346e04167073fc64373bcad92fcf26288dab0e756"),
+    "molecules-migrate-adam": (
+        "molecules", "migrate", 10, dict(optimizer="adam", budget=300),
+        "3b76c537d0407ab2aed1a158f0c7444fb516118cdad3b9ccb54fb6f70b9fb66a",
+        "5365212dc67e876c7d03599e2c1f4c6ff4773a8a2276b2f863b4f58fe510686e"),
+}
+
+
+def digests(task, method, seed, overrides):
+    config = default_config(task, method, seed=seed, stop_threshold=None, **overrides)
+    trace = run_any(config)
+    assert trace.summary.status == "ok", trace.summary.error
+    text = trace_csv(trace) + trace_jsonl(trace)
+    return (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(trace.final_params.W.tobytes()).hexdigest())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    task, method, seed, overrides, trace_sha, weights_sha = CASES[name]
+    assert digests(task, method, seed, overrides) == (trace_sha, weights_sha)

@@ -437,3 +437,39 @@ class TestConfigFile:
         assert code == 0
         merged = json.loads((out / "config.json").read_text())
         assert merged["budget"] == 25
+
+    def test_config_file_sets_task_method_and_seed(self, tmp_path, capsys):
+        from migrate.cli import main
+        cfg = default_config("molecules", "grpo", seed=7, budget=30)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "method=grpo task=molecules seed=7"
+        assert RunConfig.from_json((out / "config.json").read_text()) == cfg
+
+    def test_without_config_file_defaults_to_words_migrate_seed_0(self):
+        from migrate.cli import _config_from_args, build_parser
+        args = build_parser().parse_args(["run", "--budget", "30"])
+        assert _config_from_args(args) == default_config("words", "migrate", seed=0, budget=30)
+
+
+class TestTaskOptions:
+    def test_unknown_key_rejected_with_accepted_keys(self):
+        cfg = words_config("random", task_options={**SMALL_WORDS, "vocab_szie": 10})
+        with pytest.raises(ValueError, match=r"'vocab_szie'.*vocab_size") as err:
+            build_task(cfg)
+        for key in ("clusters", "dim", "hidden_word", "step_scale"):
+            assert key in str(err.value)
+        with pytest.raises(ValueError, match="'vocab_size'"):
+            build_task(default_config("molecules", "random", task_options={"vocab_size": 10}))
+
+    def test_valid_keys_apply(self):
+        words = build_task(words_config("random", task_options={
+            "vocab_size": 50, "dim": 4, "clusters": 3, "step_scale": 0.5}))
+        assert words.table.size == 50
+        assert build_task(default_config("molecules", "random",
+                                         task_options={"max_len": 9})).max_len == 9
+        grids = build_task(default_config("grids", "random",
+                                          task_options={"dsl_step_limit": 5_000}))
+        assert grids.dsl_step_limit == 5_000

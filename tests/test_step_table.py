@@ -1,0 +1,179 @@
+"""The step table against straight per-step references, bit for bit.
+
+Each reference below is the one-step-at-a-time form of an operation: a
+softmax of the three active W rows, one inverse-CDF draw per step with
+``searchsorted``, and a per-token loop for the clipped-surrogate terms and
+gradient. The table-driven code must reproduce every bit of it.
+"""
+
+import numpy as np
+import pytest
+
+from migrate.completion import NS, Completion
+from migrate.grpo import ClipConfig, Group, compute_advantages, freeze_logprobs, grpo_loss_and_grad
+from migrate.policy import (TASK_CONTEXT, ContextId, ContextKind, Vocabulary, init_params,
+                            logprobs)
+from migrate.sampler import propose_neighborhood, sample_online
+from migrate.tasks.grids import GRID_VOCAB
+
+NS_CONTEXT = ContextId(ContextKind.NEIGHBORHOOD, 1)
+
+
+def make_params(rng, V, P=4, max_len=6, scale=1.5):
+    vocab = Vocabulary(tuple(f"t{i}" for i in range(V - 1)) + ("</s>",), end_token=V - 1)
+    base = init_params(vocab, position_buckets=P, max_len=max_len)
+    return base.with_weights(rng.normal(scale=scale, size=base.W.shape))
+
+
+def ref_step(params, ctx, prev, pos, temperature):
+    W, V, P = params.W, params.vocab.size, params.position_buckets
+    prev = params.vocab.end_token if prev is None else prev
+    bucket = min(pos * P // params.max_len, P - 1)
+    logits = W[ctx] + W[2 + prev] + W[2 + V + bucket]
+    p = np.exp((logits - logits.max()) / temperature)
+    return p / p.sum()
+
+
+def ref_token(p, u):
+    cdf = np.cumsum(p)
+    return min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), p.size - 1)
+
+
+def ref_sample(params, ctx, temperature, rng):
+    uniforms = rng.random(params.max_len)
+    out, prev = [], None
+    for pos in range(params.max_len):
+        prev = ref_token(ref_step(params, ctx, prev, pos, temperature), uniforms[pos])
+        out.append(prev)
+        if prev == params.vocab.end_token:
+            break
+    return tuple(out)
+
+
+CASES = [(V, P, max_len) for V in (2, 5, 28, GRID_VOCAB.size) for P, max_len in ((1, 3), (4, 9))]
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+@pytest.mark.parametrize("V,P,max_len", CASES)
+def test_table_equals_per_step_softmax(V, P, max_len, temperature):
+    params = make_params(np.random.default_rng(V * 100 + P), V, P, max_len)
+    table = params.step_table(temperature)
+    assert table.probs.shape == (2, V, P, V)
+    for ctx in (0, 1):
+        for prev in [None] + list(range(V)):
+            prev_row = params.vocab.end_token if prev is None else prev
+            for pos in range(max_len):
+                ref = ref_step(params, ctx, prev, pos, temperature)
+                step = (ctx, prev_row, min(pos * P // max_len, P - 1))
+                assert table.probs[step].tobytes() == ref.tobytes()
+                assert table.cdf[step].tobytes() == np.cumsum(ref).tobytes()
+
+
+def test_table_is_cached_per_temperature_and_read_only():
+    params = make_params(np.random.default_rng(0), 6)
+    assert params.step_table(0.7) is params.step_table(0.7)
+    assert params.step_table(0.7) is not params.step_table(1.0)
+    assert params.with_weights(params.W.copy()).step_table(0.7) is not params.step_table(0.7)
+    for array in (params.step_table().probs, params.step_table().cdf):
+        with pytest.raises(ValueError):
+            array[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7, 0.05])
+@pytest.mark.parametrize("V", [3, 28])
+def test_batched_sampling_equals_one_at_a_time(V, temperature):
+    params = make_params(np.random.default_rng(V), V, P=3, max_len=7)
+    for seed in range(20):
+        alpha = 1 + seed % 6
+        ctx = TASK_CONTEXT if seed % 2 else NS_CONTEXT
+        batched_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = sample_online(params, ctx, alpha, temperature, batched_rng, born_iteration=4)
+        expected = [ref_sample(params, int(ctx.kind), temperature, ref_rng) for _ in range(alpha)]
+        assert [c.tokens for c in drawn] == expected
+        assert all(c.provenance == "online" and c.born_iteration == 4 for c in drawn)
+        assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_zero_alpha_draws_nothing():
+    params = make_params(np.random.default_rng(1), 5)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert sample_online(params, TASK_CONTEXT, 0, 1.0, rng) == []
+    assert rng.bit_generator.state == state
+
+
+def test_neighborhood_mutation_equals_per_step_reference():
+    params = make_params(np.random.default_rng(2), 9, P=3, max_len=8)
+    rng = np.random.default_rng(5)
+    exemplars = [Completion(tokens=tuple(int(t) for t in rng.integers(0, 9, size=n)),
+                            provenance="online", score=0.0) for n in (1, 4, 8)]
+    for seed in range(20):
+        got = propose_neighborhood(params, exemplars, 6, 0.5, np.random.default_rng(seed), 0.8)
+        ref_rng = np.random.default_rng(seed)
+        for proposal in got:
+            base = exemplars[int(ref_rng.integers(0, len(exemplars)))].tokens
+            gate_u, tok_u = ref_rng.random(len(base)), ref_rng.random(len(base))
+            out, prev = [], None
+            for pos, tok in enumerate(base):
+                if gate_u[pos] < 0.5:
+                    tok = ref_token(ref_step(params, 1, prev, pos, 0.8), tok_u[pos])
+                out.append(tok)
+                prev = tok
+            assert proposal.tokens == tuple(out) and proposal.provenance == NS
+
+
+def test_logprobs_equal_per_step_reference():
+    params = make_params(np.random.default_rng(3), 7, max_len=6)
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        tokens = tuple(int(t) for t in rng.integers(0, 7, size=int(rng.integers(1, 7))))
+        for ctx in (TASK_CONTEXT, NS_CONTEXT):
+            prevs = (None,) + tokens[:-1]
+            ref = np.array([np.log(ref_step(params, int(ctx.kind), prev, pos, 1.0)[tok])
+                            for pos, (prev, tok) in enumerate(zip(prevs, tokens))])
+            assert logprobs(params, ctx, tokens).tobytes() == ref.tobytes()
+
+
+def ref_loss_and_grad(params, group, clip):
+    """Per-token loop: running objective sum and per-row gradient updates."""
+    V, P, F = params.vocab.size, params.position_buckets, params.feature_dim
+    total = sum(len(c.tokens) for c in group.completions)
+    grad = np.zeros((F, V))
+    obj_sum = 0.0
+    for comp, adv, old in zip(group.completions, group.advantages, group.old_logprobs):
+        prev = None
+        for pos, tok in enumerate(comp.tokens):
+            p = ref_step(params, 0, prev, pos, 1.0)
+            rho = np.exp(np.log(p[tok]) - old[pos])
+            clipped = min(max(rho, 1.0 - clip.eps_low), 1.0 + clip.eps_high)
+            if rho * adv <= clipped * adv:
+                obj_sum += rho * adv
+                scale = adv * rho / total
+                bucket = min(pos * P // params.max_len, P - 1)
+                end = params.vocab.end_token if prev is None else prev
+                for row in (0, 2 + end, 2 + V + bucket):
+                    grad[row] += scale * p
+                    grad[row, tok] -= scale
+            else:
+                obj_sum += clipped * adv
+            prev = tok
+    return -obj_sum / total, grad
+
+
+def test_gradient_equals_per_token_loop():
+    clip = ClipConfig()
+    rng = np.random.default_rng(6)
+    for trial in range(40):
+        V = int(rng.integers(2, 12))
+        params = make_params(rng, V, P=int(rng.integers(1, 5)), max_len=6, scale=0.8)
+        old_params = params.with_weights(params.W + rng.normal(scale=0.5, size=params.W.shape))
+        comps = [Completion(tokens=tuple(int(t) for t in rng.integers(0, V, size=n)),
+                            provenance="online", score=float(rng.normal()))
+                 for n in rng.integers(1, 7, size=int(rng.integers(2, 9)))]
+        rewards = np.array([c.score for c in comps])
+        group = Group(comps, rewards, compute_advantages(rewards),
+                      freeze_logprobs(old_params if trial % 2 else params, comps))
+        loss, grad, _ = grpo_loss_and_grad(params, group, clip)
+        ref_loss, ref_grad = ref_loss_and_grad(params, group, clip)
+        assert float(loss) == float(ref_loss)
+        assert grad.tobytes() == ref_grad.tobytes()

@@ -13,13 +13,12 @@ from .completion import Completion
 from .grpo import (Adam, ClipConfig, GrpoDiagnostics, Group, compute_advantages,
                    grpo_loss_and_grad, make_group, update_policy)
 from .harness import (RunConfig, Trace, bootstrap_nearest, build_task, default_config,
-                      emit_trace, run_any, run_baseline, run_search, sweep)
-from .policy import (TASK_CONTEXT, ContextId, ContextKind, PolicyParams, Vocabulary,
-                     encode_features, init_params, load_params, logprobs,
-                     neighborhood_context, sample_completion, save_params,
+                      emit_trace, run_any, sweep)
+from .policy import (TASK_CONTEXT, ContextKind, PolicyParams, Vocabulary, encode_features,
+                     init_params, load_params, logprobs, sample_completion, save_params,
                      token_distribution)
-from .sampler import (GroupDraft, MixSpec, construct_group, propose_neighborhood,
-                      propose_trajectory, sample_online, select_greedy)
+from .sampler import (MixSpec, construct_group, propose_neighborhood, propose_trajectory,
+                      sample_online, select_greedy)
 
 __version__ = "0.1.0"
 
@@ -28,11 +27,11 @@ __all__ = [
     "Adam", "ClipConfig", "GrpoDiagnostics", "Group",
     "compute_advantages", "grpo_loss_and_grad", "make_group", "update_policy",
     "RunConfig", "Trace", "bootstrap_nearest", "build_task", "default_config",
-    "emit_trace", "run_any", "run_baseline", "run_search", "sweep",
-    "TASK_CONTEXT", "ContextId", "ContextKind", "PolicyParams", "Vocabulary",
+    "emit_trace", "run_any", "sweep",
+    "TASK_CONTEXT", "ContextKind", "PolicyParams", "Vocabulary",
     "encode_features", "init_params", "load_params", "logprobs",
-    "neighborhood_context", "sample_completion", "save_params", "token_distribution",
-    "GroupDraft", "MixSpec", "construct_group", "propose_neighborhood",
+    "sample_completion", "save_params", "token_distribution",
+    "MixSpec", "construct_group", "propose_neighborhood",
     "propose_trajectory", "sample_online", "select_greedy",
     "__version__",
 ]

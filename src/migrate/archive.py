@@ -58,7 +58,6 @@ class Archive:
         self._best_index: int | None = None
         self._rank: list[tuple[float, int, int]] = []
         count = islands.count if islands else 0
-        self._members: list[list[int]] = [[] for _ in range(count)]
         self._island_rank: list[list[tuple[float, int, int]]] = [[] for _ in range(count)]
 
     def __len__(self) -> int:
@@ -78,7 +77,7 @@ class Archive:
         return self._island_of[index] if self.islands else None
 
     def island_members(self, island: int) -> list[int]:
-        return list(self._members[island]) if self.islands else []
+        return sorted(i for _, _, i in self._island_rank[island]) if self.islands else []
 
     def _append(self, entry: Completion, island: int) -> None:
         index = len(self.entries)
@@ -87,7 +86,6 @@ class Archive:
         bisect.insort(self._rank, key)
         if self.islands:
             self._island_of.append(island)
-            self._members[island].append(index)
             bisect.insort(self._island_rank[island], key)
         if self._best_index is None or entry.score > self.entries[self._best_index].score:
             self._best_index = index
@@ -132,7 +130,7 @@ class Archive:
         n = self.islands.count
         for step in range(1, n + 1):
             candidate = (self.cursor + step) % n
-            if self._members[candidate]:
+            if self._island_rank[candidate]:
                 self.cursor = candidate
                 break
         global_top = {i for _, _, i in self._rank[:k]}

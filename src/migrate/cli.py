@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -42,15 +43,10 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file mirroring RunConfig; flags override it")
 
 
-_OVERRIDE_FIELDS = ("task", "method", "seed", "budget", "alpha", "beta", "gamma",
-                    "group_size", "top_k", "mu", "eps_low", "eps_high", "learning_rate",
-                    "temperature", "mutation_rate", "stop_threshold", "warmstart_count",
-                    "islands", "island_count", "exploit_prob", "task_file", "bootstrap_params")
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {name: getattr(args, name) for name in _OVERRIDE_FIELDS
-                 if getattr(args, name, None) is not None}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in fields and value is not None}
     if args.config:
         base = RunConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
         return RunConfig(**{**base.__dict__, **overrides})
@@ -70,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"found={s.found} best_score={s.best_score:.6f} best={s.best_text!r}")
     print(f"evaluations={s.total_evaluations} iterations={s.iterations} "
           f"wall_time={s.wall_time:.2f}s status={s.status}")
-    if config.task == "grids" and trace.archive is not None:
+    if config.task == "grids":
         metrics = compute_metrics(trace.archive.entries, build_task(config))
         print(f"pass_at_2={metrics.pass_at_2} oracle={metrics.oracle}")
     return 0 if s.status == "ok" else 1

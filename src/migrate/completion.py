@@ -12,10 +12,6 @@ WARMSTART = "warmstart"
 
 PROVENANCES = (ONLINE, GREEDY, NS, OPRO, WARMSTART)
 
-#: Provenances whose members are newly generated (and therefore consume
-#: evaluation budget); greedy members are reused from the archive.
-NEW_PROVENANCES = (ONLINE, NS, OPRO, WARMSTART)
-
 
 @dataclass
 class Completion:
@@ -35,10 +31,6 @@ class Completion:
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         self.tokens = tuple(int(t) for t in self.tokens)
-
-    @property
-    def is_new(self) -> bool:
-        return self.provenance in NEW_PROVENANCES
 
     def set_score(self, value: float) -> None:
         if self.score is not None:

@@ -62,7 +62,6 @@ class Group:
     rewards: np.ndarray
     advantages: np.ndarray
     old_logprobs: list[np.ndarray]
-    iteration: int = 0
 
     def __post_init__(self) -> None:
         n = len(self.completions)
@@ -96,7 +95,7 @@ def freeze_logprobs(params: PolicyParams, completions: list[Completion]) -> list
     return [logprobs(params, TASK_CONTEXT, c.tokens) for c in completions]
 
 
-def make_group(params: PolicyParams, completions: list[Completion], iteration: int = 0) -> Group:
+def make_group(params: PolicyParams, completions: list[Completion]) -> Group:
     """Assemble a group from scored completions, freezing old log-probs now."""
     scores = []
     for c in completions:
@@ -105,7 +104,7 @@ def make_group(params: PolicyParams, completions: list[Completion], iteration: i
         scores.append(c.score)
     rewards = np.asarray(scores, dtype=np.float64)
     return Group(list(completions), rewards, compute_advantages(rewards),
-                 freeze_logprobs(params, completions), iteration)
+                 freeze_logprobs(params, completions))
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def _layout(params: PolicyParams, group: Group) -> _Layout:
     buckets = position_bucket(np.array(positions, dtype=np.intp),
                               params.position_buckets, params.max_len)
     rows = np.empty((token_arr.size, 3), dtype=np.intp)
-    rows[:, 0] = int(TASK_CONTEXT.kind)
+    rows[:, 0] = int(TASK_CONTEXT)
     rows[:, 1] = 2 + prev_arr
     rows[:, 2] = 2 + V + buckets
     rows *= V
@@ -168,7 +167,7 @@ class _TokenTerms:
 
 
 def _terms(params: PolicyParams, layout: _Layout, clip: ClipConfig) -> _TokenTerms:
-    probs = params.step_table(1.0).probs[int(TASK_CONTEXT.kind), layout.prev, layout.buckets]
+    probs = params.step_table(1.0).probs[int(TASK_CONTEXT), layout.prev, layout.buckets]
     ratios = np.exp(np.log(probs[np.arange(layout.tokens.size), layout.tokens]) - layout.old)
     low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
     unclipped = ratios * layout.advantages

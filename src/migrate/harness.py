@@ -33,8 +33,7 @@ from .tasks import (GridTask, SearchTask, TwoObjectiveTask, WordSearchTask, eval
 logger = logging.getLogger(__name__)
 
 TTT_METHODS = ("grpo", "grpo-greedy", "migrate", "migrate-opro")
-BASELINE_METHODS = ("random", "ns", "opro")
-METHODS = BASELINE_METHODS + TTT_METHODS
+METHODS = ("random", "ns", "opro") + TTT_METHODS
 
 # Sub-stream tags fanned out from the master seed.
 _STREAM_TASK = 0
@@ -100,14 +99,13 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.task not in TASK_DEFAULTS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.alpha + self.beta + self.gamma != self.group_size:
-            raise ValueError("alpha + beta + gamma must equal group_size")
-        if self.alpha + self.gamma < 1:
-            raise ValueError("a run must generate at least one new sample per iteration")
+        self.mix()  # raises ValueError on an invalid group mix
         if self.budget <= self.warmstart_count:
             raise ValueError("budget must exceed warmstart_count")
         if self.mu < 1:
             raise ValueError("mu must be >= 1")
+        if self.island_count < 1:
+            raise ValueError("island_count must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
 
@@ -127,6 +125,8 @@ def default_config(task: str, method: str, seed: int = 0, **overrides) -> RunCon
     """Per-task, per-method defaults with explicit overrides on top."""
     if task not in TASK_DEFAULTS:
         raise ValueError(f"unknown task {task!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     base = TASK_DEFAULTS[task]
     alpha, beta, gamma = base["mixes"][method]
     fields = dict(method=method, task=task, group_size=base["group_size"],
@@ -178,8 +178,8 @@ class Trace:
     config: RunConfig
     records: list[IterationRecord]
     summary: RunSummary
-    final_params: PolicyParams | None = None
-    archive: Archive | None = None
+    final_params: PolicyParams
+    archive: Archive
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -234,7 +234,9 @@ def _initial_params(config: RunConfig, task: SearchTask) -> PolicyParams:
                        position_buckets=task.position_buckets)
 
 
-def _run(config: RunConfig) -> Trace:
+def run_any(config: RunConfig) -> Trace:
+    """Run one search; test-time-training methods update the policy after
+    every group, baselines keep the initial one."""
     started = time.perf_counter()
     is_ttt = config.method in TTT_METHODS
     task = build_task(config)
@@ -247,12 +249,8 @@ def _run(config: RunConfig) -> Trace:
     archive = Archive(islands=islands)
 
     warm = task.warmstart(_rng(config.seed, _STREAM_WARMSTART))[: config.warmstart_count]
-    if warm:
-        if islands:
-            for i, c in enumerate(warm):
-                archive.insert([c], island=i % islands.count)
-        else:
-            archive.insert(warm)
+    for i, c in enumerate(warm):
+        archive.insert([c], island=i % config.island_count)
 
     mix = config.mix()
     clip = ClipConfig(config.eps_low, config.eps_high)
@@ -276,7 +274,7 @@ def _run(config: RunConfig) -> Trace:
             draft = construct_group(mix, params, archive, TASK_CONTEXT, config.temperature,
                                     sampling_rng, born_iteration=iteration,
                                     local_kind=local_kind, opro_depth=config.opro_depth,
-                                    islands=config.islands, island_rng=island_rng)
+                                    island_rng=island_rng)
             fresh = task.score_new(draft.online + draft.local, iteration)
             online_scored = fresh[: len(draft.online)]
             local_scored = fresh[len(draft.online):]
@@ -292,7 +290,7 @@ def _run(config: RunConfig) -> Trace:
                 found = True
                 break
             if is_ttt:
-                group = make_group(params, group_members, iteration)
+                group = make_group(params, group_members)
                 params, diags = update_policy(params, group, clip, config.learning_rate,
                                               config.mu, optimizer=optimizer)
                 last: GrpoDiagnostics = diags[-1]
@@ -315,24 +313,6 @@ def _run(config: RunConfig) -> Trace:
                          status=status, error=error)
     return Trace(config=config, records=records, summary=summary,
                  final_params=params, archive=archive)
-
-
-def run_search(config: RunConfig) -> Trace:
-    """Run a test-time-training method (gradient updates each iteration)."""
-    if config.method not in TTT_METHODS:
-        raise ValueError(f"{config.method!r} is not a test-time-training method")
-    return _run(config)
-
-
-def run_baseline(config: RunConfig) -> Trace:
-    """Run an inference-only method under the same budget loop, no updates."""
-    if config.method not in BASELINE_METHODS:
-        raise ValueError(f"{config.method!r} is not a baseline method")
-    return _run(config)
-
-
-def run_any(config: RunConfig) -> Trace:
-    return run_search(config) if config.method in TTT_METHODS else run_baseline(config)
 
 
 # --- trace emission ---------------------------------------------------------
@@ -448,29 +428,29 @@ def _best_at(trace: Trace, evaluations: int) -> float:
     return best
 
 
-def _sweep_config(base: RunConfig, point: dict, seed: int) -> RunConfig:
-    fields = {"alpha", "beta", "gamma", "mutation_rate", "exploit_prob"}
-    unknown = point.keys() - fields - {"p", "mutationRate"}
-    if unknown:
-        raise ValueError(f"unknown sweep fields: {sorted(unknown)}")
-    mapped = {("exploit_prob" if k == "p" else "mutation_rate" if k == "mutationRate" else k): v
-              for k, v in point.items()}
-    return replace(base, seed=seed, **mapped)
+#: The RunConfig fields a sweep grid point may set.
+SWEEP_FIELDS = ("alpha", "beta", "gamma", "mutation_rate", "exploit_prob")
 
 
 def _sweep_run(args: tuple[RunConfig, dict, int]) -> Trace:
     base, point, seed = args
-    return _run(_sweep_config(base, point, seed))
+    return run_any(replace(base, seed=seed, **point))
 
 
 def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     """Run every (grid point x seed) combination and aggregate best-so-far.
 
-    Invalid points (mix does not sum to the group size) are skipped with a
-    logged reason. Each row carries mean/std of best-so-far at quarter-budget
-    checkpoints plus the found rate. MIGRATE_THREADS > 1 runs points in
-    parallel processes; aggregation order is independent of scheduling.
+    A grid key outside ``SWEEP_FIELDS`` raises ValueError. Invalid points
+    (mix does not sum to the group size) are skipped with a logged reason.
+    Each row carries mean/std of best-so-far at quarter-budget checkpoints
+    plus the found rate. MIGRATE_THREADS > 1 runs points in parallel
+    processes; aggregation order is independent of scheduling.
     """
+    for point in grid:
+        unknown = sorted(point.keys() - set(SWEEP_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown sweep grid key {unknown[0]!r}; "
+                             f"accepted keys: {', '.join(SWEEP_FIELDS)}")
     if not seeds:
         logger.warning("sweep called with no seeds; returning an empty table")
         return []
@@ -478,7 +458,7 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     valid_points: list[dict] = []
     for point in grid:
         try:
-            _sweep_config(base, point, seeds[0])
+            replace(base, **point)
         except ValueError as exc:
             logger.warning("skipping sweep point %s: %s", point, exc)
             continue
@@ -495,11 +475,10 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     rows: list[dict] = []
     for p_idx, point in enumerate(valid_points):
         group = traces[p_idx * len(seeds): (p_idx + 1) * len(seeds)]
-        cfg = _sweep_config(base, point, seeds[0])
-        row: dict = {"alpha": cfg.alpha, "beta": cfg.beta, "gamma": cfg.gamma,
-                     "mutation_rate": cfg.mutation_rate, "exploit_prob": cfg.exploit_prob,
-                     "seeds": len(seeds),
-                     "found_rate": float(np.mean([t.summary.found for t in group]))}
+        cfg = replace(base, **point)
+        row: dict = {name: getattr(cfg, name) for name in SWEEP_FIELDS}
+        row["seeds"] = len(seeds)
+        row["found_rate"] = float(np.mean([t.summary.found for t in group]))
         for frac in SWEEP_CHECKPOINTS:
             mark = int(round(frac * base.budget))
             values = np.asarray([_best_at(t, mark) for t in group])
@@ -511,7 +490,7 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
 
 
 def sweep_to_csv(rows: list[dict], path: str | Path) -> None:
-    columns = ["alpha", "beta", "gamma", "mutation_rate", "exploit_prob", "seeds", "found_rate"]
+    columns = [*SWEEP_FIELDS, "seeds", "found_rate"]
     for frac in SWEEP_CHECKPOINTS:
         tag = f"best_at_{int(frac * 100)}"
         columns += [f"{tag}_mean", f"{tag}_std"]
@@ -563,15 +542,12 @@ def save_run_artifacts(trace: Trace, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(trace.config.to_json() + "\n", encoding="utf-8")
-    archive = getattr(trace, "archive", None)
-    best = archive.best if archive is not None else None
+    best = trace.archive.best
     record = {"text": "" if best is None else best.text,
               "score": None if best is None else best.score,
               "tokens": [] if best is None else list(best.tokens),
               "found": trace.summary.found}
     (out_dir / "best.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    params = getattr(trace, "final_params", None)
-    if params is not None and trace.config.method in TTT_METHODS:
-        (out_dir / "params.mgp").write_bytes(save_params(params))
-    if archive is not None:
-        archive.dump_jsonl(out_dir / "archive.jsonl")
+    if trace.config.method in TTT_METHODS:
+        (out_dir / "params.mgp").write_bytes(save_params(trace.final_params))
+    trace.archive.dump_jsonl(out_dir / "archive.jsonl")

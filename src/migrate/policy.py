@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import hashlib
 import struct
 from dataclasses import dataclass, field
 
@@ -53,38 +52,13 @@ class ParamsFormatError(PolicyIOError):
 
 
 class ContextKind(enum.IntEnum):
+    """Conditioning context of a step; its value is the context feature row."""
+
     TASK = 0
     NEIGHBORHOOD = 1
 
 
-@dataclass(frozen=True)
-class ContextId:
-    """Conditioning context: task search vs. neighborhood of exemplars.
-
-    ``exemplar_digest`` is a fixed-width summary of the exemplars behind a
-    neighborhood context (always 0 for the task context). It records what
-    the context was built from; only the kind enters the feature layout.
-    """
-
-    kind: ContextKind
-    exemplar_digest: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind == ContextKind.TASK and self.exemplar_digest != 0:
-            raise ValueError("task context must have exemplar_digest 0")
-
-
-TASK_CONTEXT = ContextId(ContextKind.TASK)
-
-
-def neighborhood_context(exemplar_tokens: list[tuple[int, ...]]) -> ContextId:
-    """Context keyed by a digest of the exemplar token lists."""
-    h = hashlib.blake2b(digest_size=8)
-    for tokens in exemplar_tokens:
-        h.update(np.asarray(tokens, dtype=np.int64).tobytes())
-        h.update(b"|")
-    digest = int.from_bytes(h.digest(), "little") & 0x7FFF_FFFF_FFFF_FFFF
-    return ContextId(ContextKind.NEIGHBORHOOD, digest)
+TASK_CONTEXT = ContextKind.TASK
 
 
 @dataclass(frozen=True)
@@ -145,7 +119,6 @@ class PolicyParams:
     vocab: Vocabulary
     position_buckets: int
     max_len: int
-    default_temperature: float = 1.0
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -156,8 +129,6 @@ class PolicyParams:
             raise ValueError("W entries must be finite")
         if self.position_buckets < 1 or self.max_len < 1:
             raise ValueError("position_buckets and max_len must be >= 1")
-        if self.default_temperature <= 0:
-            raise ValueError("default_temperature must be positive")
         self.W.setflags(write=False)
 
     @property
@@ -165,7 +136,7 @@ class PolicyParams:
         return 2 + self.vocab.size + self.position_buckets
 
     def with_weights(self, W: np.ndarray) -> "PolicyParams":
-        return PolicyParams(W, self.vocab, self.position_buckets, self.max_len, self.default_temperature)
+        return PolicyParams(W, self.vocab, self.position_buckets, self.max_len)
 
     def step_table(self, temperature: float = 1.0) -> StepTable:
         """The step table at ``temperature``, built on first use."""
@@ -176,11 +147,10 @@ class PolicyParams:
         return table
 
 
-def init_params(vocab: Vocabulary, position_buckets: int = 4, max_len: int = 8,
-                default_temperature: float = 1.0) -> PolicyParams:
+def init_params(vocab: Vocabulary, position_buckets: int = 4, max_len: int = 8) -> PolicyParams:
     """Zero-weight (uniform) policy."""
     F = 2 + vocab.size + position_buckets
-    return PolicyParams(np.zeros((F, vocab.size)), vocab, position_buckets, max_len, default_temperature)
+    return PolicyParams(np.zeros((F, vocab.size)), vocab, position_buckets, max_len)
 
 
 def position_bucket(position, position_buckets: int, max_len: int):
@@ -188,7 +158,7 @@ def position_bucket(position, position_buckets: int, max_len: int):
     return np.minimum(np.asarray(position) * position_buckets // max_len, position_buckets - 1)
 
 
-def feature_slots(params: PolicyParams, context: ContextId, prev_token: int | None,
+def feature_slots(params: PolicyParams, context: ContextKind, prev_token: int | None,
                   position: int) -> tuple[int, int, int]:
     """Indices of the three active feature rows for one step."""
     V = params.vocab.size
@@ -201,10 +171,10 @@ def feature_slots(params: PolicyParams, context: ContextId, prev_token: int | No
             raise ValueError(f"prev_token {prev_token} out of vocabulary")
         prev = prev_token
     bucket = int(position_bucket(position, params.position_buckets, params.max_len))
-    return int(context.kind), 2 + prev, 2 + V + bucket
+    return int(context), 2 + prev, 2 + V + bucket
 
 
-def encode_features(params: PolicyParams, context: ContextId, prev_token: int | None,
+def encode_features(params: PolicyParams, context: ContextKind, prev_token: int | None,
                     position: int) -> np.ndarray:
     """Explicit feature vector (length F, exactly three ones)."""
     phi = np.zeros(params.feature_dim)
@@ -213,7 +183,7 @@ def encode_features(params: PolicyParams, context: ContextId, prev_token: int | 
     return phi
 
 
-def token_distribution(params: PolicyParams, context: ContextId, prev_token: int | None,
+def token_distribution(params: PolicyParams, context: ContextKind, prev_token: int | None,
                        position: int, temperature: float = 1.0) -> np.ndarray:
     """Softmax step distribution over the vocabulary (a read-only view)."""
     if temperature <= 0:
@@ -221,7 +191,7 @@ def token_distribution(params: PolicyParams, context: ContextId, prev_token: int
     feature_slots(params, context, prev_token, position)  # validate
     prev = params.vocab.end_token if prev_token is None else prev_token
     bucket = position_bucket(position, params.position_buckets, params.max_len)
-    return params.step_table(temperature).probs[int(context.kind), prev, bucket]
+    return params.step_table(temperature).probs[int(context), prev, bucket]
 
 
 def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -232,7 +202,7 @@ def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(count, cdf.shape[-1] - 1)
 
 
-def sample_tokens(params: PolicyParams, context: ContextId, temperature: float,
+def sample_tokens(params: PolicyParams, context: ContextKind, temperature: float,
                   uniforms: np.ndarray) -> list[tuple[int, ...]]:
     """Ancestral draws stepped in lockstep, one per row of ``uniforms``.
 
@@ -241,7 +211,7 @@ def sample_tokens(params: PolicyParams, context: ContextId, temperature: float,
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    cdf = params.step_table(temperature).cdf[int(context.kind)]
+    cdf = params.step_table(temperature).cdf[int(context)]
     buckets = position_bucket(np.arange(params.max_len), params.position_buckets, params.max_len)
     end = params.vocab.end_token
     n = uniforms.shape[0]
@@ -258,7 +228,7 @@ def sample_tokens(params: PolicyParams, context: ContextId, temperature: float,
     return [tuple(row[:length].tolist()) for row, length in zip(out, lengths)]
 
 
-def sample_completion(params: PolicyParams, context: ContextId, temperature: float,
+def sample_completion(params: PolicyParams, context: ContextKind, temperature: float,
                       rng: np.random.Generator, *, provenance: str = ONLINE,
                       born_iteration: int = 0) -> Completion:
     """Autoregressive draw; stops at the end token or max_len.
@@ -270,7 +240,7 @@ def sample_completion(params: PolicyParams, context: ContextId, temperature: flo
     return Completion(tokens=tokens, provenance=provenance, born_iteration=born_iteration)
 
 
-def mutate_tokens(params: PolicyParams, context: ContextId, temperature: float,
+def mutate_tokens(params: PolicyParams, context: ContextKind, temperature: float,
                   bases: list[tuple[int, ...]], gate_u: list[np.ndarray],
                   tok_u: list[np.ndarray], rate: float) -> list[tuple[int, ...]]:
     """Resample position ``pos`` of ``bases[i]`` where ``gate_u[i][pos] < rate``.
@@ -282,7 +252,7 @@ def mutate_tokens(params: PolicyParams, context: ContextId, temperature: float,
     gated = [g < rate for g in gate_u]
     positions = np.concatenate([np.flatnonzero(g) for g in gated])
     uniforms = np.concatenate([u[g] for u, g in zip(tok_u, gated)])
-    cdf = params.step_table(temperature).cdf[int(context.kind)]
+    cdf = params.step_table(temperature).cdf[int(context)]
     rows = cdf[:, position_bucket(positions, params.position_buckets, params.max_len)]
     # Every gated draw is made for each possible previous token at once, so
     # the left-to-right walk below only looks its token up.
@@ -297,7 +267,7 @@ def mutate_tokens(params: PolicyParams, context: ContextId, temperature: float,
     return out
 
 
-def logprobs(params: PolicyParams, context: ContextId, tokens: tuple[int, ...]) -> np.ndarray:
+def logprobs(params: PolicyParams, context: ContextKind, tokens: tuple[int, ...]) -> np.ndarray:
     """Per-token log-probabilities of ``tokens`` under the given context."""
     arr = np.asarray(tokens, dtype=np.int64)
     if arr.size > params.max_len:
@@ -308,10 +278,10 @@ def logprobs(params: PolicyParams, context: ContextId, tokens: tuple[int, ...]) 
         return np.zeros(0)
     prev = np.concatenate(([params.vocab.end_token], arr[:-1]))
     buckets = position_bucket(np.arange(arr.size), params.position_buckets, params.max_len)
-    return np.log(params.step_table(1.0).probs[int(context.kind), prev, buckets, arr])
+    return np.log(params.step_table(1.0).probs[int(context), prev, buckets, arr])
 
 
-def logprob_grad(params: PolicyParams, context: ContextId, tokens: tuple[int, ...],
+def logprob_grad(params: PolicyParams, context: ContextKind, tokens: tuple[int, ...],
                  position: int) -> np.ndarray:
     """Exact gradient of one token's log-probability w.r.t. W.
 
@@ -337,8 +307,7 @@ def save_params(params: PolicyParams) -> bytes:
     return header + np.ascontiguousarray(params.W, dtype="<f8").tobytes()
 
 
-def load_params(data: bytes, vocab: Vocabulary | None = None,
-                default_temperature: float = 1.0) -> PolicyParams:
+def load_params(data: bytes, vocab: Vocabulary | None = None) -> PolicyParams:
     """Inverse of :func:`save_params`; bit-exact round trip.
 
     A vocabulary of matching size may be supplied to attach real token
@@ -362,4 +331,4 @@ def load_params(data: bytes, vocab: Vocabulary | None = None,
         vocab = Vocabulary(tuple(f"tok{i}" for i in range(V - 1)) + ("</s>",), V - 1)
     elif vocab.size != V:
         raise ParamsFormatError(f"vocabulary size {vocab.size} != stored V={V}")
-    return PolicyParams(W, vocab, P, max_len, default_temperature)
+    return PolicyParams(W, vocab, P, max_len)

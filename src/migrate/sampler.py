@@ -18,8 +18,8 @@ from .archive import Archive
 from .completion import GREEDY, NS, ONLINE, OPRO, Completion
 # ``sample_completion`` (the one-draw form of ``sample_online``) stays
 # importable from here: searchbench/spans.py wraps it under this name.
-from .policy import (ContextId, PolicyParams, mutate_tokens, neighborhood_context,  # noqa: F401
-                     sample_completion, sample_tokens)
+from .policy import (ContextKind, PolicyParams, mutate_tokens, sample_completion,  # noqa: F401
+                     sample_tokens)
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class GroupDraft:
         return len(self.online) + len(self.greedy) + len(self.local)
 
 
-def sample_online(params: PolicyParams, context: ContextId, alpha: int, temperature: float,
+def sample_online(params: PolicyParams, context: ContextKind, alpha: int, temperature: float,
                   rng: np.random.Generator, *, born_iteration: int = 0) -> list[Completion]:
     """``alpha`` independent ancestral draws under the given context.
 
@@ -101,18 +101,16 @@ def select_greedy(archive: Archive, k: int, beta: int,
 def propose_neighborhood(params: PolicyParams, greedy_samples: list[Completion], gamma: int,
                          mutation_rate: float, rng: np.random.Generator, temperature: float = 1.0,
                          *, born_iteration: int = 0) -> list[Completion]:
-    """Stochastic variations of exemplars under one shared neighborhood context.
+    """Stochastic variations of exemplars under the neighborhood context.
 
     Each proposal copies a uniformly chosen exemplar and independently
     resamples every token position with probability ``mutation_rate`` from
-    the policy conditioned on the neighborhood context built from all
-    exemplars together.
+    the policy conditioned on the neighborhood context.
     """
     if gamma <= 0:
         return []
     if not greedy_samples:
         raise ValueError("neighborhood proposals need at least one exemplar")
-    context = neighborhood_context([c.tokens for c in greedy_samples])
     bases, gate_u, tok_u = [], [], []
     for _ in range(gamma):
         base = greedy_samples[int(rng.integers(0, len(greedy_samples)))].tokens
@@ -120,8 +118,8 @@ def propose_neighborhood(params: PolicyParams, greedy_samples: list[Completion],
         gate_u.append(rng.random(len(base)))
         tok_u.append(rng.random(len(base)))
     return [Completion(tokens=tokens, provenance=NS, born_iteration=born_iteration)
-            for tokens in mutate_tokens(params, context, temperature, bases, gate_u, tok_u,
-                                        mutation_rate)]
+            for tokens in mutate_tokens(params, ContextKind.NEIGHBORHOOD, temperature, bases,
+                                        gate_u, tok_u, mutation_rate)]
 
 
 def _trajectory_weights(scores: np.ndarray) -> np.ndarray:
@@ -167,16 +165,15 @@ def propose_trajectory(top_m: list[Completion], gamma: int, mutation_rate: float
 
 
 def construct_group(mix: MixSpec, params: PolicyParams, archive: Archive,
-                    task_context: ContextId, temperature: float, rng: np.random.Generator,
+                    task_context: ContextKind, temperature: float, rng: np.random.Generator,
                     *, born_iteration: int = 0, local_kind: str = NS, opro_depth: int = 10,
-                    islands: bool = False, island_rng: np.random.Generator | None = None,
-                    mutation_temperature: float | None = None) -> GroupDraft:
+                    island_rng: np.random.Generator | None = None) -> GroupDraft:
     """Build one group of exactly ``group_size`` members.
 
     Cold start (empty archive) backfills every greedy/local slot with extra
-    online samples; all of those count as new evaluations. With islands
-    enabled the neighborhood exemplar comes from the archive's island cursor
-    instead of the global top-k.
+    online samples; all of those count as new evaluations. When the archive
+    has islands the neighborhood exemplar comes from its island cursor,
+    drawn with ``island_rng``, instead of the global top-k.
     """
     alpha, beta, gamma = mix.alpha, mix.beta, mix.gamma
     if len(archive) == 0:
@@ -192,15 +189,12 @@ def construct_group(mix: MixSpec, params: PolicyParams, archive: Archive,
             local = propose_trajectory(top_m, gamma, mix.mutation_rate, rng,
                                        params.vocab.size, born_iteration=born_iteration)
         else:
-            if islands:
-                exemplars = [archive.island_select(island_rng if island_rng is not None else rng,
-                                                   mix.k)]
+            if archive.islands:
+                exemplars = [archive.island_select(island_rng, mix.k)]
             elif greedy:
                 exemplars = greedy
             else:
                 exemplars = select_greedy(archive, mix.k, 1, rng)
-            local = propose_neighborhood(
-                params, exemplars, gamma, mix.mutation_rate, rng,
-                mutation_temperature if mutation_temperature is not None else temperature,
-                born_iteration=born_iteration)
+            local = propose_neighborhood(params, exemplars, gamma, mix.mutation_rate, rng,
+                                         temperature, born_iteration=born_iteration)
     return GroupDraft(online, greedy, local)

@@ -16,7 +16,6 @@ class SearchTask:
     received, per provenance class.
     """
 
-    name: str = "task"
     vocab: Vocabulary
     max_len: int
     position_buckets: int = 4

@@ -147,10 +147,8 @@ def run_program(program: DslProgram, grid: np.ndarray, step_limit: int) -> np.nd
 class GridTask(SearchTask):
     train_pairs: list[tuple[np.ndarray, np.ndarray]]
     test_pairs: list[tuple[np.ndarray, np.ndarray]]
-    max_cells: int = 64
     dsl_step_limit: int = 10_000
 
-    name = "grids"
     vocab = GRID_VOCAB
     max_len = 12
 
@@ -259,12 +257,10 @@ def _as_grid(rows: list[list[int]]) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def grid_task_from_dict(data: dict, max_cells: int = 64,
-                        dsl_step_limit: int = 10_000) -> GridTask:
+def grid_task_from_dict(data: dict, dsl_step_limit: int = 10_000) -> GridTask:
     train = [(_as_grid(p["input"]), _as_grid(p["output"])) for p in data["train"]]
     test = [(_as_grid(p["input"]), _as_grid(p["output"])) for p in data["test"]]
-    cells = max(g.size for pair in train + test for g in pair)
-    return GridTask(train, test, max_cells=max(max_cells, cells), dsl_step_limit=dsl_step_limit)
+    return GridTask(train, test, dsl_step_limit=dsl_step_limit)
 
 
 def load_grid_task(path: str | Path, dsl_step_limit: int = 10_000) -> GridTask:
@@ -276,7 +272,11 @@ def load_grid_task(path: str | Path, dsl_step_limit: int = 10_000) -> GridTask:
 def synthesize_grid_task(rng: np.random.Generator, n_train: int = 3, n_test: int = 1,
                          min_side: int = 3, max_side: int = 8, program_ops: int = 3,
                          dsl_step_limit: int = 10_000) -> GridTask:
-    """Random solvable task: apply a random hidden program to random inputs."""
+    """Random solvable task: apply a random hidden program to random inputs.
+
+    Uses the first of up to 20 hidden programs that runs within
+    ``dsl_step_limit`` on every input and changes a training input; raises
+    ValueError when none does."""
     max_side = min(max_side, 8)
     for _ in range(20):
         ops: list[tuple[str, tuple[int, ...]]] = []
@@ -297,8 +297,9 @@ def synthesize_grid_task(rng: np.random.Generator, n_train: int = 3, n_test: int
             grid = np.where(rng.random((h, w)) < 0.5, 0,
                             rng.integers(1, COLORS, size=(h, w))).astype(np.int64)
             pairs.append((grid, run_program(program, grid, dsl_step_limit)))
-        if any(p[0].shape != p[1].shape or np.any(p[0] != p[1]) for p in pairs[:n_train]):
-            return GridTask(pairs[:n_train], pairs[n_train:], max_cells=max_side * max_side,
-                            dsl_step_limit=dsl_step_limit)
-    return GridTask(pairs[:n_train], pairs[n_train:], max_cells=max_side * max_side,
-                    dsl_step_limit=dsl_step_limit)
+        if any(out is None for _, out in pairs):
+            continue
+        if any(inp.shape != out.shape or np.any(inp != out) for inp, out in pairs[:n_train]):
+            return GridTask(pairs[:n_train], pairs[n_train:], dsl_step_limit=dsl_step_limit)
+    raise ValueError(f"none of 20 hidden programs ran within dsl_step_limit="
+                     f"{dsl_step_limit} on every input and changed a training input")

@@ -52,8 +52,6 @@ def is_valid(text: str) -> bool:
 
 
 class TwoObjectiveTask(SearchTask):
-    name = "molecules"
-
     def __init__(self, rng: np.random.Generator, max_len: int = 16):
         self.vocab = Vocabulary(CHARS + (END,), end_token=len(CHARS))
         self.max_len = max_len

@@ -27,8 +27,6 @@ END = "</s>"
 
 
 class WordSearchTask(SearchTask):
-    name = "words"
-
     def __init__(self, table: EmbeddingTable, hidden_word: str, warmstart_count: int = 20,
                  words_per_completion: int = 2):
         if hidden_word not in table:

@@ -47,7 +47,7 @@ def random_group(params, rng, n, max_tokens=5, old_params=None):
     rewards = np.asarray([c.score for c in comps])
     source = params if old_params is None else old_params
     return Group(comps, rewards, compute_advantages(rewards),
-                 freeze_logprobs(source, comps), 1)
+                 freeze_logprobs(source, comps))
 
 
 def test_criterion_1_gradient_correctness():

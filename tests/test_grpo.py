@@ -33,7 +33,7 @@ def random_group(params, rng, n=4, max_tokens=4, old_params=None):
     rewards = np.asarray([c.score for c in comps])
     source = params if old_params is None else old_params
     return Group(comps, rewards, compute_advantages(rewards),
-                 freeze_logprobs(source, comps), iteration=1)
+                 freeze_logprobs(source, comps))
 
 
 class TestAdvantages:
@@ -87,10 +87,10 @@ class TestLoss:
         params = init_params(make_vocab(4), max_len=3)
         comp = Completion(tokens=(1,), provenance="online", text="x", score=1.0)
         other = Completion(tokens=(2,), provenance="online", text="y", score=0.0)
-        group = make_group(params, [comp, other], iteration=1)
+        group = make_group(params, [comp, other])
         rho = 1 + CLIP.eps_high + 0.5
         old = [group.old_logprobs[0] - np.log(rho), group.old_logprobs[1] + np.log(rho)]
-        group = Group(group.completions, group.rewards, group.advantages, old, 1)
+        group = Group(group.completions, group.rewards, group.advantages, old)
         loss, grad, diag = grpo_loss_and_grad(params, group, CLIP)
         # token 1: adv +0.5 at ratio ~1.78 -> clipped high; token 2: adv -0.5
         # at ratio ~0.56 -> clipped low. Both gradients vanish.
@@ -132,7 +132,7 @@ class TestLoss:
         loss, _, _ = grpo_loss_and_grad(params, group, CLIP)
         perm = rng.permutation(5)
         shuffled = Group([group.completions[i] for i in perm], group.rewards[perm],
-                         group.advantages[perm], [group.old_logprobs[i] for i in perm], 1)
+                         group.advantages[perm], [group.old_logprobs[i] for i in perm])
         loss_p, _, _ = grpo_loss_and_grad(params, shuffled, CLIP)
         assert loss == pytest.approx(loss_p, abs=1e-12)
 
@@ -250,4 +250,4 @@ class TestGroupInvariants:
                  Completion(tokens=(2,), provenance="online", text="b", score=0.0)]
         with pytest.raises(ValueError):
             Group(comps, np.array([1.0, 0.0]), np.array([0.5, -0.5]),
-                  [np.zeros(1), np.zeros(1)], 1)
+                  [np.zeros(1), np.zeros(1)])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from migrate.harness import (RunConfig, SolvedRun, _fmt, bootstrap_nearest, build_task,
-                             default_config, emit_trace, run_any, run_baseline, run_search,
-                             save_run_artifacts, sweep, sweep_to_csv, trace_csv, trace_jsonl)
+                             default_config, emit_trace, run_any, save_run_artifacts, sweep,
+                             sweep_to_csv, trace_csv, trace_jsonl)
 from migrate.policy import init_params, save_params
 from migrate.tasks import DslProgram, synthesize_grid_task
 
@@ -24,6 +24,22 @@ class TestRunConfig:
     def test_mix_must_sum(self):
         with pytest.raises(ValueError):
             default_config("words", "migrate", alpha=3, beta=3, gamma=3)
+
+    @pytest.mark.parametrize("overrides", [{"mutation_rate": 0.0},
+                                           {"alpha": -1, "beta": 2, "gamma": 4},
+                                           {"top_k": 0}])
+    def test_invalid_mix_fails_at_construction(self, overrides):
+        with pytest.raises(ValueError):
+            default_config("words", "migrate", **overrides)
+
+    def test_island_count_positive(self):
+        # Warm starts are dealt round-robin over island_count islands.
+        with pytest.raises(ValueError, match="island_count"):
+            default_config("words", "migrate", island_count=0)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            default_config("words", "bogus")
 
     def test_budget_exceeds_warmstart(self):
         with pytest.raises(ValueError):
@@ -48,14 +64,14 @@ class TestRunConfig:
 class TestBudgetLoop:
     def test_random_exact_budget_without_warmstart(self):
         cfg = default_config("molecules", "random", budget=200, warmstart_count=0)
-        trace = run_baseline(cfg)
+        trace = run_any(cfg)
         assert trace.summary.total_evaluations == 200
         assert all(r.loss is None for r in trace.records)
 
     def test_iteration_bound_matches_arithmetic(self):
         # At most ceil((budget - warmstart) / (alpha + gamma)) iterations.
         cfg = words_config("migrate", budget=200, warmstart_count=20)
-        trace = run_search(cfg)
+        trace = run_any(cfg)
         new_per_iter = cfg.alpha + cfg.gamma
         assert trace.summary.iterations <= math.ceil((200 - 20) / new_per_iter)
         if not trace.summary.found:
@@ -74,20 +90,20 @@ class TestBudgetLoop:
         hidden = warm[0].text
         cfg = default_config("words", "migrate", budget=60, warmstart_count=20,
                              task_options={**SMALL_WORDS, "hidden_word": hidden})
-        trace = run_search(cfg)
+        trace = run_any(cfg)
         assert trace.summary.found is True
         assert trace.summary.iterations == 0
         assert trace.records == []
 
     def test_best_so_far_monotone(self):
         for method in ("random", "ns", "opro"):
-            trace = run_baseline(words_config(method, seed=4))
+            trace = run_any(words_config(method, seed=4))
             bests = [r.best_so_far for r in trace.records]
             assert bests == sorted(bests)
 
     def test_ns_cold_start_is_pure_online(self):
         cfg = default_config("molecules", "ns", budget=20, warmstart_count=0)
-        trace = run_baseline(cfg)
+        trace = run_any(cfg)
         first = trace.records[0]
         assert all(p == "online" for _, _, p in first.new_completions)
         assert first.new_count == cfg.group_size
@@ -95,7 +111,7 @@ class TestBudgetLoop:
     def test_early_stop_undershoots_budget(self):
         cfg = words_config("migrate", seed=11, budget=400, warmstart_count=20,
                            stop_threshold=1.0)
-        trace = run_search(cfg)
+        trace = run_any(cfg)
         if trace.summary.found:
             assert trace.summary.total_evaluations <= 400
 
@@ -103,7 +119,7 @@ class TestBudgetLoop:
         for seed in range(5):
             for budget in (37, 53, 61):
                 cfg = words_config("migrate", seed=seed, budget=budget, warmstart_count=5)
-                trace = run_search(cfg)
+                trace = run_any(cfg)
                 assert trace.summary.total_evaluations <= budget
 
 
@@ -111,21 +127,15 @@ class TestMethodEquivalences:
     def test_grpo_is_all_online_mix(self):
         base = words_config("grpo", seed=2)
         explicit = words_config("migrate", seed=2, alpha=base.group_size, beta=0, gamma=0)
-        a, b = run_search(base), run_search(explicit)
+        a, b = run_any(base), run_any(explicit)
         assert trace_csv(a) == trace_csv(b)
 
     def test_grpo_greedy_equals_migrate_gamma_zero(self):
         kw = dict(seed=5, budget=80, alpha=4, beta=1, gamma=0)
-        a = run_search(words_config("grpo-greedy", **kw))
-        b = run_search(words_config("migrate", **kw))
+        a = run_any(words_config("grpo-greedy", **kw))
+        b = run_any(words_config("migrate", **kw))
         assert trace_csv(a) == trace_csv(b)
         assert trace_jsonl(a) == trace_jsonl(b)
-
-    def test_method_kind_enforced(self):
-        with pytest.raises(ValueError):
-            run_search(words_config("random"))
-        with pytest.raises(ValueError):
-            run_baseline(words_config("migrate"))
 
 
 class TestDeterminism:
@@ -145,7 +155,7 @@ class TestDeterminism:
     def test_islands_run_deterministic(self):
         cfg = words_config("migrate", seed=6, islands=True, island_count=3,
                            migration_interval=3)
-        a, b = run_search(cfg), run_search(cfg)
+        a, b = run_any(cfg), run_any(cfg)
         assert trace_csv(a) == trace_csv(b)
         assert a.summary.best_score == b.summary.best_score
 
@@ -154,7 +164,7 @@ class TestEmit:
     def make_trace(self, n=3):
         cfg = default_config("molecules", "migrate", seed=1,
                              budget=3 + n * 5, warmstart_count=3)
-        return run_search(cfg)
+        return run_any(cfg)
 
     def test_csv_rows_match_iterations(self, tmp_path):
         trace = self.make_trace(3)
@@ -259,6 +269,12 @@ class TestSweep:
         rows = sweep(base, grid, seeds=[1])
         assert len(rows) == 1
 
+    def test_unknown_grid_key_raises(self):
+        base = words_config("migrate", budget=40, warmstart_count=5)
+        with pytest.raises(ValueError, match=r"'P'.*alpha, beta, gamma, mutation_rate, "
+                                             r"exploit_prob"):
+            sweep(base, [{"alpha": 0, "beta": 1, "gamma": 4}, {"P": 0.5}], seeds=[1])
+
     def test_empty_seeds_warn_empty_table(self, caplog):
         base = words_config("migrate")
         import logging
@@ -278,7 +294,7 @@ class TestSweep:
         finals = []
         for seed in seeds:
             cfg = replace(base, seed=seed, **point)
-            finals.append(run_search(cfg).records[-1].best_so_far)
+            finals.append(run_any(cfg).records[-1].best_so_far)
         assert row["best_at_100_mean"] == pytest.approx(np.mean(finals), abs=1e-15)
         assert row["best_at_100_std"] == pytest.approx(np.std(finals), abs=1e-15)
 
@@ -364,11 +380,11 @@ class TestBootstrap:
 
     def test_bootstrapped_run_loads_params(self, tmp_path):
         cfg = default_config("grids", "migrate", seed=4, budget=40)
-        trace = run_search(cfg)
+        trace = run_any(cfg)
         save_run_artifacts(trace, tmp_path)
         boot = default_config("grids", "migrate", seed=5, budget=40,
                               bootstrap_params=str(tmp_path / "params.mgp"))
-        trace2 = run_search(boot)
+        trace2 = run_any(boot)
         assert trace2.summary.status == "ok"
 
 
@@ -411,7 +427,7 @@ class TestCli:
         # Produce one solved-run artifact dir, then a grid task file.
         run_dir = tmp_path / "solved" / "taskA"
         cfg = default_config("grids", "migrate", seed=4, budget=40)
-        save_run_artifacts(run_search(cfg), run_dir)
+        save_run_artifacts(run_any(cfg), run_dir)
         task_file = tmp_path / "task.json"
         task_file.write_text(json.dumps({
             "train": [{"input": [[1, 0], [0, 1]], "output": [[1, 0], [0, 1]]}],
@@ -473,3 +489,13 @@ class TestTaskOptions:
         grids = build_task(default_config("grids", "random",
                                           task_options={"dsl_step_limit": 5_000}))
         assert grids.dsl_step_limit == 5_000
+
+    def test_small_dsl_step_limit(self):
+        # A hidden program that overruns the limit on some input is redrawn;
+        # when every draw overruns, the error names the limit.
+        with pytest.raises(ValueError, match="dsl_step_limit=5"):
+            build_task(default_config("grids", "random", task_options={"dsl_step_limit": 5}))
+        for seed in range(30):
+            task = build_task(default_config("grids", "random", seed=seed,
+                                             task_options={"dsl_step_limit": 150}))
+            assert all(out is not None for _, out in task.train_pairs + task.test_pairs)

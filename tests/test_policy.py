@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from migrate.policy import (TASK_CONTEXT, ContextId, ContextKind, ParamsFormatError,
-                            ParamsNonFiniteError, ParamsTruncatedError, ParamsVersionError,
-                            PolicyParams, Vocabulary, encode_features, feature_slots,
-                            init_params, load_params, logprob_grad, logprobs,
-                            neighborhood_context, sample_completion, save_params,
+from migrate.policy import (TASK_CONTEXT, ContextKind, ParamsFormatError, ParamsNonFiniteError,
+                            ParamsTruncatedError, ParamsVersionError, PolicyParams, Vocabulary,
+                            encode_features, feature_slots, init_params, load_params,
+                            logprob_grad, logprobs, sample_completion, save_params,
                             token_distribution)
 
-NS_CONTEXT = ContextId(ContextKind.NEIGHBORHOOD, 1)
+NS_CONTEXT = ContextKind.NEIGHBORHOOD
 
 
 def make_vocab(size, end_last=True):
@@ -30,20 +29,6 @@ class TestVocabulary:
     def test_rejects_end_out_of_range(self):
         with pytest.raises(ValueError):
             Vocabulary(("a", "b"), end_token=2)
-
-
-class TestContextId:
-    def test_task_digest_must_be_zero(self):
-        with pytest.raises(ValueError):
-            ContextId(ContextKind.TASK, 5)
-
-    def test_neighborhood_digest_is_deterministic(self):
-        a = neighborhood_context([(1, 2, 3), (4,)])
-        b = neighborhood_context([(1, 2, 3), (4,)])
-        c = neighborhood_context([(1, 2, 4), (4,)])
-        assert a == b
-        assert a.exemplar_digest != c.exemplar_digest
-        assert a.kind == ContextKind.NEIGHBORHOOD
 
 
 class TestEncodeFeatures:
@@ -73,7 +58,7 @@ class TestEncodeFeatures:
                 for pos in range(4):
                     key = tuple(np.flatnonzero(encode_features(params, ctx, prev, pos)))
                     bucket = pos * 2 // 4
-                    triple = (ctx.kind, prev, bucket)
+                    triple = (ctx, prev, bucket)
                     if key in seen:
                         assert seen[key] == triple
                     seen[key] = triple

@@ -240,6 +240,5 @@ class TestConstructGroup:
             mix = MixSpec(alpha, beta, gamma, alpha + beta + gamma, k=2)
             draft = construct_group(mix, params, archive, TASK_CONTEXT, 1.0,
                                     np.random.default_rng(alpha))
-            new = [c for c in draft.members if c.is_new]
-            assert len(new) == alpha + gamma
+            assert len(draft.online + draft.local) == alpha + gamma
             assert len(draft) == mix.group_size

@@ -11,12 +11,11 @@ import pytest
 
 from migrate.completion import NS, Completion
 from migrate.grpo import ClipConfig, Group, compute_advantages, freeze_logprobs, grpo_loss_and_grad
-from migrate.policy import (TASK_CONTEXT, ContextId, ContextKind, Vocabulary, init_params,
-                            logprobs)
+from migrate.policy import TASK_CONTEXT, ContextKind, Vocabulary, init_params, logprobs
 from migrate.sampler import propose_neighborhood, sample_online
 from migrate.tasks.grids import GRID_VOCAB
 
-NS_CONTEXT = ContextId(ContextKind.NEIGHBORHOOD, 1)
+NS_CONTEXT = ContextKind.NEIGHBORHOOD
 
 
 def make_params(rng, V, P=4, max_len=6, scale=1.5):
@@ -88,7 +87,7 @@ def test_batched_sampling_equals_one_at_a_time(V, temperature):
         ctx = TASK_CONTEXT if seed % 2 else NS_CONTEXT
         batched_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         drawn = sample_online(params, ctx, alpha, temperature, batched_rng, born_iteration=4)
-        expected = [ref_sample(params, int(ctx.kind), temperature, ref_rng) for _ in range(alpha)]
+        expected = [ref_sample(params, int(ctx), temperature, ref_rng) for _ in range(alpha)]
         assert [c.tokens for c in drawn] == expected
         assert all(c.provenance == "online" and c.born_iteration == 4 for c in drawn)
         assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -129,7 +128,7 @@ def test_logprobs_equal_per_step_reference():
         tokens = tuple(int(t) for t in rng.integers(0, 7, size=int(rng.integers(1, 7))))
         for ctx in (TASK_CONTEXT, NS_CONTEXT):
             prevs = (None,) + tokens[:-1]
-            ref = np.array([np.log(ref_step(params, int(ctx.kind), prev, pos, 1.0)[tok])
+            ref = np.array([np.log(ref_step(params, int(ctx), prev, pos, 1.0)[tok])
                             for pos, (prev, tok) in enumerate(zip(prevs, tokens))])
             assert logprobs(params, ctx, tokens).tobytes() == ref.tobytes()
 

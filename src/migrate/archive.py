@@ -9,14 +9,16 @@ periodically to the next island along a ring.
 
 Entries stay ranked as they arrive: a sorted list of keys
 ``(-score, born_iteration, index)`` is kept for the whole archive and for
-each island, so top-k reads never re-sort.
+each island, so top-k reads never re-sort. A migration copy is the source
+entry itself appended under a new index (scored entries are never mutated),
+and one call merges its new keys into each rank list with a single sort.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -146,18 +148,29 @@ class Archive:
     def migrate(self) -> None:
         """Copy each island's top fraction of entries to the next island on
         the ring (island count-1 feeds island 0). Copies do not consume
-        budget."""
+        budget.
+
+        Every island's sources are taken before anything is appended. A
+        copy shares its source's Completion object; its key differs only in
+        the index, so each island's copies form one sorted run, and each
+        rank list is extended and sorted once (Timsort merges the runs in
+        linear time). A copy ties its lower-index source, so ``best`` stays.
+        """
         if not self.islands:
             raise ArchiveError("islands are not enabled")
         n = self.islands.count
-        moves: list[tuple[Completion, int]] = []
-        for island in range(n):
-            ranked = self._island_rank[island]
-            take = int(np.ceil(self.islands.migration_fraction * len(ranked)))
-            for _, _, i in ranked[:take]:
-                moves.append((replace(self.entries[i]), (island + 1) % n))
-        for entry, dest in moves:
-            self._append(entry, dest)
+        runs = [ranked[:int(np.ceil(self.islands.migration_fraction * len(ranked)))]
+                for ranked in self._island_rank]
+        for island, run in enumerate(runs):
+            dest = (island + 1) % n
+            start = len(self.entries)
+            keys = [(neg_score, born, start + j) for j, (neg_score, born, _) in enumerate(run)]
+            self.entries.extend(self.entries[i] for _, _, i in run)
+            self._island_of.extend([dest] * len(run))
+            self._island_rank[dest].extend(keys)
+            self._island_rank[dest].sort()
+            self._rank.extend(keys)
+        self._rank.sort()
 
     def dump_jsonl(self, path: str | Path) -> None:
         """One record per entry: {text, score, provenance, iteration, island}."""

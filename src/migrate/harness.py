@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -437,6 +436,16 @@ def _sweep_run(args: tuple[RunConfig, dict, int]) -> Trace:
     return run_any(replace(base, seed=seed, **point))
 
 
+def _sweep_workers() -> int:
+    """Sweep worker processes from MIGRATE_THREADS; unset or empty means 1."""
+    value = os.environ.get("MIGRATE_THREADS", "")
+    if not value:
+        return 1
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"MIGRATE_THREADS must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     """Run every (grid point x seed) combination and aggregate best-so-far.
 
@@ -444,8 +453,10 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     (mix does not sum to the group size) are skipped with a logged reason.
     Each row carries mean/std of best-so-far at quarter-budget checkpoints
     plus the found rate. MIGRATE_THREADS > 1 runs points in parallel
-    processes; aggregation order is independent of scheduling.
+    processes; aggregation order is independent of scheduling. A
+    MIGRATE_THREADS that is set but not an integer >= 1 raises ValueError.
     """
+    workers = _sweep_workers()
     for point in grid:
         unknown = sorted(point.keys() - set(SWEEP_FIELDS))
         if unknown:
@@ -465,8 +476,8 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
         valid_points.append(point)
         jobs.extend((base, point, seed) for seed in seeds)
 
-    workers = int(os.environ.get("MIGRATE_THREADS", "1") or "1")
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_sweep_run, jobs))
     else:

@@ -192,6 +192,26 @@ class TestMigrate:
         after = [c.text for c in archive.entries]
         assert after[: len(before)] == before
 
+    def test_copies_share_source_entries(self):
+        archive = island_archive(count=3, fraction=0.5)
+        archive.insert([scored(s, text=f"a{s}") for s in (0.9, 0.2, 0.9)], island=0)
+        archive.insert([scored(s, text=f"b{s}") for s in (0.4, 0.9)], island=1)
+        island_of = [0, 0, 0, 1, 1]
+        best, evaluated = archive.best, archive.evaluated_count
+        migrate_and_check(archive, island_of)
+        assert archive.best is best and archive.best is archive.entries[0]
+        assert archive.best_score == 0.9
+        assert archive.evaluated_count == evaluated
+
+    def test_empty_islands_match_reference(self):
+        archive = island_archive(count=4, fraction=0.75)
+        archive.insert([scored(s, born=b) for s, b in ((0.5, 1), (0.5, 0), (0.7, 2))], island=0)
+        archive.insert([scored(s) for s in (0.6, 0.5)], island=2)
+        island_of = [0, 0, 0, 2, 2]
+        migrate_and_check(archive, island_of)
+        assert_ranked_like_reference(archive, island_of)
+        assert [archive.island_of(i) for i in range(5, len(archive))] == [1, 1, 1, 3, 3]
+
 
 def brute_ranked(entries, indices):
     return sorted(indices, key=lambda i: (-entries[i].score, entries[i].born_iteration, i))
@@ -217,6 +237,39 @@ def brute_island_select(archive, island_of, cursor, rng, k):
     return cursor, pool[int(rng.integers(0, len(pool)))]
 
 
+def brute_moves(archive, island_of):
+    """Full-sort reference of one ``migrate`` call: (source index, dest) pairs
+    in append order."""
+    count = archive.islands.count
+    moves = []
+    for isl in range(count):
+        members = [i for i, x in enumerate(island_of) if x == isl]
+        take = int(np.ceil(archive.islands.migration_fraction * len(members)))
+        moves += [(i, (isl + 1) % count) for i in brute_ranked(archive.entries, members)[:take]]
+    return moves
+
+
+def migrate_and_check(archive, island_of):
+    """Migrate, check the copies against the reference and extend
+    ``island_of`` with their islands."""
+    moves = brute_moves(archive, island_of)
+    before = len(archive)
+    archive.migrate()
+    assert len(archive) == before + len(moves)
+    assert all(copy is archive.entries[i]
+               for copy, (i, _) in zip(archive.entries[before:], moves))
+    island_of += [dest for _, dest in moves]
+
+
+def assert_ranked_like_reference(archive, island_of):
+    order = brute_ranked(archive.entries, range(len(archive)))
+    expected = [id(archive.entries[i]) for i in order]
+    for k in range(1, len(archive) + 2):
+        assert list(map(id, archive.topk(k))) == expected[:k]
+    for isl in range(archive.islands.count):
+        assert archive.island_members(isl) == [i for i, x in enumerate(island_of) if x == isl]
+
+
 class TestRankIndex:
     """The incrementally kept ranking equals a full sort after every insert,
     island insert and migration."""
@@ -230,17 +283,7 @@ class TestRankIndex:
         island_of: list[int] = []
         for step in range(40):
             if rng.random() < 0.15 and archive.entries:
-                moves = []
-                for isl in range(count):
-                    members = [i for i, x in enumerate(island_of) if x == isl]
-                    take = int(np.ceil(archive.islands.migration_fraction * len(members)))
-                    moves += [(i, (isl + 1) % count)
-                              for i in brute_ranked(archive.entries, members)[:take]]
-                before = len(archive)
-                archive.migrate()
-                assert [c.text for c in archive.entries[before:]] == \
-                    [archive.entries[i].text for i, _ in moves]
-                island_of += [dest for _, dest in moves]
+                migrate_and_check(archive, island_of)
             else:
                 # Coarse scores and births make ties on both key fields common.
                 batch = [scored(float(rng.integers(0, 6)) / 5, born=int(rng.integers(0, 4)),
@@ -248,13 +291,7 @@ class TestRankIndex:
                 island = int(rng.integers(0, count)) if rng.random() < 0.5 else None
                 island_of += [archive.cursor if island is None else island] * len(batch)
                 archive.insert(batch, island=island)
-            order = brute_ranked(archive.entries, range(len(archive)))
-            for k in range(1, len(archive) + 2):
-                assert list(map(id, archive.topk(k))) == [id(archive.entries[i])
-                                                          for i in order[:k]]
-            for isl in range(count):
-                assert archive.island_members(isl) == [i for i, x in enumerate(island_of)
-                                                       if x == isl]
+            assert_ranked_like_reference(archive, island_of)
             if archive.entries:
                 k = int(rng.integers(1, 5))
                 draw_seed = int(rng.integers(0, 2**32))
@@ -263,6 +300,30 @@ class TestRankIndex:
                 picked = archive.island_select(np.random.default_rng(draw_seed), k)
                 assert archive.cursor == expected_cursor
                 assert picked is archive.entries[expected]
+
+    @pytest.mark.parametrize("count,fraction,seed",
+                             [(3, 1.0, 0), (4, 1.0, 1), (3, 0.75, 2), (4, 0.75, 3)])
+    def test_back_to_back_migrations(self, count, fraction, seed):
+        # Every island holds entries after the first call, so each later
+        # call merges one run per island into the global ranking.
+        rng = np.random.default_rng(seed)
+        archive = island_archive(count=count, fraction=fraction)
+        island_of: list[int] = []
+        for j in range(count + 1):
+            isl = j % count
+            archive.insert([scored(float(rng.integers(0, 4)) / 3, born=int(rng.integers(0, 3)),
+                                   text=f"{j}")], island=isl)
+            island_of.append(isl)
+        for _ in range(10):
+            migrate_and_check(archive, island_of)
+            assert_ranked_like_reference(archive, island_of)
+            k = int(rng.integers(1, 6))
+            draw_seed = int(rng.integers(0, 2**32))
+            expected_cursor, expected = brute_island_select(
+                archive, island_of, archive.cursor, np.random.default_rng(draw_seed), k)
+            picked = archive.island_select(np.random.default_rng(draw_seed), k)
+            assert archive.cursor == expected_cursor
+            assert picked is archive.entries[expected]
 
 
 class TestDump:

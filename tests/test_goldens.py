@@ -1,13 +1,15 @@
 """Golden trace hashes: byte-identical behaviour across processes and commits.
 
 Each case runs a full-budget search at a fixed seed and pins the sha256 of
-``trace_csv + trace_jsonl`` and of the final weight matrix's bytes. A change
-that moves any sampled token, score, loss or weight by one ulp changes a
-hash. Re-pin only in the change that causes the drift, with the reason
-recorded in CHANGES.md.
+``trace_csv + trace_jsonl`` and of the final weight matrix's bytes; the
+heavy-migration case also pins the archive. A change that moves any sampled
+token, score, loss, weight or archive entry by one ulp changes a hash.
+Re-pin only in the change that causes the drift, with the reason recorded in
+CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -50,16 +52,39 @@ CASES = {
 }
 
 
+# Migration every third iteration over three islands, half of each island
+# copied: the archive holds several times more copies than evaluations.
+# (task, method, seed, overrides, trace sha256, weights sha256, archive sha256)
+HEAVY_MIGRATION = (
+    "grids", "migrate", 11,
+    dict(islands=True, island_count=3, migration_interval=3, migration_fraction=0.5,
+         budget=300),
+    "1a5ac58a8a13ae1b5835ec26b2622e5d7f4682a6045a79ef7ba7915cca243aa3",
+    "231ac7fed3d141b1155acd95626748ae4cc2b359005b384d3abdee4ef883d7e1",
+    "39a18bb0b54079b5f770fcf27740fd27de0b455249aac6a140e1aaac9238bbda")
+
+
 def digests(task, method, seed, overrides):
+    """sha256 of trace_csv + trace_jsonl, of the final W bytes and of every
+    archive entry's (text, score, provenance, born_iteration, island)."""
     config = default_config(task, method, seed=seed, stop_threshold=None, **overrides)
     trace = run_any(config)
     assert trace.summary.status == "ok", trace.summary.error
     text = trace_csv(trace) + trace_jsonl(trace)
+    archive = trace.archive
+    rows = [(c.text, c.score, c.provenance, c.born_iteration, archive.island_of(i))
+            for i, c in enumerate(archive.entries)]
     return (hashlib.sha256(text.encode()).hexdigest(),
-            hashlib.sha256(trace.final_params.W.tobytes()).hexdigest())
+            hashlib.sha256(trace.final_params.W.tobytes()).hexdigest(),
+            hashlib.sha256(json.dumps(rows).encode()).hexdigest())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name):
     task, method, seed, overrides, trace_sha, weights_sha = CASES[name]
-    assert digests(task, method, seed, overrides) == (trace_sha, weights_sha)
+    assert digests(task, method, seed, overrides)[:2] == (trace_sha, weights_sha)
+
+
+def test_golden_heavy_migration():
+    task, method, seed, overrides, *hashes = HEAVY_MIGRATION
+    assert digests(task, method, seed, overrides) == tuple(hashes)

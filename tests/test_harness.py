@@ -1,10 +1,17 @@
+import concurrent.futures
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import migrate
 from migrate.harness import (RunConfig, SolvedRun, _fmt, bootstrap_nearest, build_task,
                              default_config, emit_trace, run_any, save_run_artifacts, sweep,
                              sweep_to_csv, trace_csv, trace_jsonl)
@@ -314,6 +321,38 @@ class TestSweep:
         monkeypatch.setenv("MIGRATE_THREADS", "2")
         parallel = sweep(base, grid, seeds=[1, 2])
         assert serial == parallel
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5"])
+    def test_bad_thread_env_raises(self, monkeypatch, value):
+        monkeypatch.setenv("MIGRATE_THREADS", value)
+        base = words_config("migrate", budget=30, warmstart_count=5)
+        with pytest.raises(ValueError, match=f"MIGRATE_THREADS.*{re.escape(repr(value))}"):
+            sweep(base, [{"alpha": 0, "beta": 1, "gamma": 4}], seeds=[1, 2])
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_unset_or_empty_thread_env_runs_serially(self, monkeypatch, value):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("sweep started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        if value is None:
+            monkeypatch.delenv("MIGRATE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MIGRATE_THREADS", value)
+        base = words_config("migrate", budget=30, warmstart_count=5)
+        rows = sweep(base, [{"alpha": 0, "beta": 1, "gamma": 4}], seeds=[1, 2])
+        assert len(rows) == 1 and rows[0]["seeds"] == 2
+
+    def test_import_loads_no_process_pool(self):
+        # The pool is imported only when a sweep runs in parallel, so a
+        # single search does not pay for multiprocessing at import.
+        code = ("import sys, migrate.harness; "
+                "print('concurrent.futures.process' in sys.modules)")
+        src = str(Path(migrate.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestBootstrap:

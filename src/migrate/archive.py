@@ -1,17 +1,16 @@
 """Database of evaluated completions with budget accounting and islands.
 
-The archive tracks every scored completion, the evaluation count (the
-search budget currency), and the best entry so far. It can optionally be
-partitioned into islands that are visited cyclically; a per-step selection
-mixes exploitation (island members that are also globally top-k) with
-exploration (island elites outside the global top-k), and elites migrate
-periodically to the next island along a ring.
+The archive holds each scored completion once, so its length is the
+evaluation count (the search budget currency); it also tracks the best
+entry so far. Islands, when enabled, are sets of entry indices visited
+cyclically; a per-step selection mixes exploitation (island members that
+are also globally top-k) with exploration (island elites outside the
+global top-k), and elites migrate periodically to the next island along a
+ring by joining its set, so an entry may belong to several islands.
 
 Entries stay ranked as they arrive: a sorted list of keys
 ``(-score, born_iteration, index)`` is kept for the whole archive and for
-each island, so top-k reads never re-sort. A migration copy is the source
-entry itself appended under a new index (scored entries are never mutated),
-and one call merges its new keys into each rank list with a single sort.
+each island, so top-k reads never re-sort.
 """
 
 from __future__ import annotations
@@ -53,16 +52,19 @@ class Archive:
 
     def __init__(self, islands: IslandConfig | None = None):
         self.entries: list[Completion] = []
-        self.evaluated_count = 0
         self.islands = islands
         self.cursor = 0
-        self._island_of: list[int] = []
         self._best_index: int | None = None
         self._rank: list[tuple[float, int, int]] = []
         count = islands.count if islands else 0
         self._island_rank: list[list[tuple[float, int, int]]] = [[] for _ in range(count)]
+        self._island_set: list[set[int]] = [set() for _ in range(count)]
 
     def __len__(self) -> int:
+        return len(self.entries)
+
+    @property
+    def evaluated_count(self) -> int:
         return len(self.entries)
 
     @property
@@ -75,11 +77,13 @@ class Archive:
     def best_score(self) -> float:
         return -np.inf if self.best is None else float(self.best.score)
 
-    def island_of(self, index: int) -> int | None:
-        return self._island_of[index] if self.islands else None
+    def islands_of(self, index: int) -> list[int] | None:
+        if not self.islands:
+            return None
+        return [isl for isl, members in enumerate(self._island_set) if index in members]
 
     def island_members(self, island: int) -> list[int]:
-        return sorted(i for _, _, i in self._island_rank[island]) if self.islands else []
+        return sorted(self._island_set[island]) if self.islands else []
 
     def _append(self, entry: Completion, island: int) -> None:
         index = len(self.entries)
@@ -87,7 +91,7 @@ class Archive:
         key = (-entry.score, entry.born_iteration, index)
         bisect.insort(self._rank, key)
         if self.islands:
-            self._island_of.append(island)
+            self._island_set[island].add(index)
             bisect.insort(self._island_rank[island], key)
         if self._best_index is None or entry.score > self.entries[self._best_index].score:
             self._best_index = index
@@ -107,7 +111,6 @@ class Archive:
         target = self.cursor if island is None else island
         for c in completions:
             self._append(c, target)
-        self.evaluated_count += len(completions)
 
     def topk(self, k: int) -> list[Completion]:
         """Best k entries, score descending; ties go to the earlier
@@ -136,7 +139,7 @@ class Archive:
                 self.cursor = candidate
                 break
         global_top = {i for _, _, i in self._rank[:k]}
-        exploit_pool = sorted(i for i in global_top if self._island_of[i] == self.cursor)
+        exploit_pool = sorted(global_top & self._island_set[self.cursor])
         explore_pool = [i for _, _, i in self._island_rank[self.cursor][:k] if i not in global_top]
         exploit = rng.random() < self.islands.exploit_prob
         if exploit:
@@ -146,15 +149,15 @@ class Archive:
         return self.entries[pool[int(rng.integers(0, len(pool)))]]
 
     def migrate(self) -> None:
-        """Copy each island's top fraction of entries to the next island on
-        the ring (island count-1 feeds island 0). Copies do not consume
-        budget.
+        """Add each island's top fraction of members to the next island on
+        the ring (island count-1 feeds island 0). Migration adds membership,
+        not entries, so it neither consumes budget nor moves the global
+        ranking.
 
-        Every island's sources are taken before anything is appended. A
-        copy shares its source's Completion object; its key differs only in
-        the index, so each island's copies form one sorted run, and each
-        rank list is extended and sorted once (Timsort merges the runs in
-        linear time). A copy ties its lower-index source, so ``best`` stays.
+        Every island's sources are taken before any island gains members;
+        a source the destination already holds is skipped. The new keys are
+        one sorted run, so each destination's rank list is extended and
+        sorted once (Timsort merges the runs in linear time).
         """
         if not self.islands:
             raise ArchiveError("islands are not enabled")
@@ -163,19 +166,16 @@ class Archive:
                 for ranked in self._island_rank]
         for island, run in enumerate(runs):
             dest = (island + 1) % n
-            start = len(self.entries)
-            keys = [(neg_score, born, start + j) for j, (neg_score, born, _) in enumerate(run)]
-            self.entries.extend(self.entries[i] for _, _, i in run)
-            self._island_of.extend([dest] * len(run))
+            members = self._island_set[dest]
+            keys = [key for key in run if key[2] not in members]
+            members.update(i for _, _, i in keys)
             self._island_rank[dest].extend(keys)
             self._island_rank[dest].sort()
-            self._rank.extend(keys)
-        self._rank.sort()
 
     def dump_jsonl(self, path: str | Path) -> None:
-        """One record per entry: {text, score, provenance, iteration, island}."""
+        """One record per entry: {text, score, provenance, iteration, islands}."""
         with open(path, "w", encoding="utf-8") as fh:
             for i, c in enumerate(self.entries):
                 record = {"text": c.text, "score": c.score, "provenance": c.provenance,
-                          "iteration": c.born_iteration, "island": self.island_of(i)}
+                          "iteration": c.born_iteration, "islands": self.islands_of(i)}
                 fh.write(json.dumps(record, separators=(",", ":")) + "\n")

@@ -17,8 +17,9 @@ PROVENANCES = (ONLINE, GREEDY, NS, OPRO, WARMSTART)
 class Completion:
     """One candidate solution: token sequence, decoded text, score.
 
-    ``score`` is set exactly once via :meth:`set_score`; greedy reuse shares
-    the already-scored object instead of re-scoring.
+    ``score`` is set exactly once via :meth:`set_score`. Greedy reuse does
+    not re-score: ``select_greedy`` builds a new ``GREEDY``-labelled
+    completion carrying the stored entry's tokens, text, birth and score.
     """
 
     tokens: tuple[int, ...]

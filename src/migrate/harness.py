@@ -437,12 +437,16 @@ def _sweep_run(args: tuple[RunConfig, dict, int]) -> Trace:
 
 
 def _sweep_workers() -> int:
-    """Sweep worker processes from MIGRATE_THREADS; unset or empty means 1."""
-    value = os.environ.get("MIGRATE_THREADS", "")
+    """Sweep worker processes from MIGRATE_WORKERS; unset or empty means 1.
+    A non-empty MIGRATE_THREADS (the old name) is rejected, not read."""
+    if os.environ.get("MIGRATE_THREADS"):
+        raise ValueError("MIGRATE_THREADS is no longer read; set MIGRATE_WORKERS "
+                         "(the number of sweep worker processes) instead")
+    value = os.environ.get("MIGRATE_WORKERS", "")
     if not value:
         return 1
     if not value.isdecimal() or int(value) < 1:
-        raise ValueError(f"MIGRATE_THREADS must be an integer >= 1, got {value!r}")
+        raise ValueError(f"MIGRATE_WORKERS must be an integer >= 1, got {value!r}")
     return int(value)
 
 
@@ -452,9 +456,10 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     A grid key outside ``SWEEP_FIELDS`` raises ValueError. Invalid points
     (mix does not sum to the group size) are skipped with a logged reason.
     Each row carries mean/std of best-so-far at quarter-budget checkpoints
-    plus the found rate. MIGRATE_THREADS > 1 runs points in parallel
-    processes; aggregation order is independent of scheduling. A
-    MIGRATE_THREADS that is set but not an integer >= 1 raises ValueError.
+    plus the found rate. MIGRATE_WORKERS > 1 runs points in that many
+    parallel processes; aggregation order is independent of scheduling. A
+    MIGRATE_WORKERS that is set but not an integer >= 1, or a non-empty
+    MIGRATE_THREADS (the old name), raises ValueError.
     """
     workers = _sweep_workers()
     for point in grid:

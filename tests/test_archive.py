@@ -154,18 +154,18 @@ class TestIslandSelect:
 
 class TestMigrate:
     def test_hand_counted_exchange(self):
-        # I=2, fraction 0.5, four entries each: both islands gain two copies.
+        # I=2, fraction 0.5, four entries each: both islands gain two members.
         archive = island_archive(count=2, fraction=0.5)
         archive.insert([scored(s, text=f"a{s}") for s in (0.1, 0.2, 0.3, 0.4)], island=0)
         archive.insert([scored(s, text=f"b{s}") for s in (0.5, 0.6, 0.7, 0.8)], island=1)
         archive.migrate()
-        assert len(archive) == 12
+        assert len(archive) == 8
         island0 = [archive.entries[i].text for i in archive.island_members(0)]
         island1 = [archive.entries[i].text for i in archive.island_members(1)]
         assert sorted(island0)[:2] == ["a0.1", "a0.2"]  # originals stay
-        assert "b0.8" in island0 and "b0.7" in island0  # top copies arrive
+        assert "b0.8" in island0 and "b0.7" in island0  # top members arrive
         assert "a0.4" in island1 and "a0.3" in island1
-        assert archive.evaluated_count == 8  # copies are budget-free
+        assert archive.evaluated_count == 8  # migration is budget-free
 
     def test_zero_fraction_noop(self):
         archive = island_archive(count=2, fraction=0.0)
@@ -190,45 +190,47 @@ class TestMigrate:
         before = [c.text for c in archive.entries]
         archive.migrate()
         after = [c.text for c in archive.entries]
-        assert after[: len(before)] == before
+        assert after == before
 
-    def test_copies_share_source_entries(self):
+    def test_migrate_adds_no_entry(self):
         archive = island_archive(count=3, fraction=0.5)
         archive.insert([scored(s, text=f"a{s}") for s in (0.9, 0.2, 0.9)], island=0)
         archive.insert([scored(s, text=f"b{s}") for s in (0.4, 0.9)], island=1)
-        island_of = [0, 0, 0, 1, 1]
+        members = [{0, 1, 2}, {3, 4}, set()]
         best, evaluated = archive.best, archive.evaluated_count
-        migrate_and_check(archive, island_of)
+        migrate_and_check(archive, members)
         assert archive.best is best and archive.best is archive.entries[0]
         assert archive.best_score == 0.9
-        assert archive.evaluated_count == evaluated
+        assert archive.evaluated_count == evaluated == len(archive) == 5
 
     def test_empty_islands_match_reference(self):
         archive = island_archive(count=4, fraction=0.75)
         archive.insert([scored(s, born=b) for s, b in ((0.5, 1), (0.5, 0), (0.7, 2))], island=0)
         archive.insert([scored(s) for s in (0.6, 0.5)], island=2)
-        island_of = [0, 0, 0, 2, 2]
-        migrate_and_check(archive, island_of)
-        assert_ranked_like_reference(archive, island_of)
-        assert [archive.island_of(i) for i in range(5, len(archive))] == [1, 1, 1, 3, 3]
+        members = [{0, 1, 2}, set(), {3, 4}, set()]
+        migrate_and_check(archive, members)
+        assert_ranked_like_reference(archive, members)
+        assert [archive.islands_of(i) for i in range(len(archive))] == \
+            [[0, 1], [0, 1], [0, 1], [2, 3], [2, 3]]
 
 
 def brute_ranked(entries, indices):
     return sorted(indices, key=lambda i: (-entries[i].score, entries[i].born_iteration, i))
 
 
-def brute_island_select(archive, island_of, cursor, rng, k):
-    """Full-sort reference of ``island_select``: (new cursor, picked index)."""
+def brute_island_select(archive, members, cursor, rng, k):
+    """Full-sort reference of ``island_select``: (new cursor, picked index).
+    ``members`` holds one set of entry indices per island."""
     n = archive.islands.count
     for step in range(1, n + 1):
         candidate = (cursor + step) % n
-        if candidate in island_of:
+        if members[candidate]:
             cursor = candidate
             break
-    members = [i for i, isl in enumerate(island_of) if isl == cursor]
+    island = sorted(members[cursor])
     global_top = set(brute_ranked(archive.entries, range(len(archive)))[:k])
-    island_top = brute_ranked(archive.entries, members)[:k]
-    exploit_pool = [i for i in members if i in global_top]
+    island_top = brute_ranked(archive.entries, island)[:k]
+    exploit_pool = [i for i in island if i in global_top]
     explore_pool = [i for i in island_top if i not in global_top]
     if rng.random() < archive.islands.exploit_prob:
         pool = exploit_pool or explore_pool
@@ -237,37 +239,41 @@ def brute_island_select(archive, island_of, cursor, rng, k):
     return cursor, pool[int(rng.integers(0, len(pool)))]
 
 
-def brute_moves(archive, island_of):
-    """Full-sort reference of one ``migrate`` call: (source index, dest) pairs
-    in append order."""
+def brute_moves(archive, members):
+    """Full-sort reference of one ``migrate`` call: (source index, dest)
+    pairs, sources taken from every island before any island gains one."""
     count = archive.islands.count
     moves = []
     for isl in range(count):
-        members = [i for i, x in enumerate(island_of) if x == isl]
-        take = int(np.ceil(archive.islands.migration_fraction * len(members)))
-        moves += [(i, (isl + 1) % count) for i in brute_ranked(archive.entries, members)[:take]]
+        take = int(np.ceil(archive.islands.migration_fraction * len(members[isl])))
+        ranked = brute_ranked(archive.entries, members[isl])
+        moves += [(i, (isl + 1) % count) for i in ranked[:take]]
     return moves
 
 
-def migrate_and_check(archive, island_of):
-    """Migrate, check the copies against the reference and extend
-    ``island_of`` with their islands."""
-    moves = brute_moves(archive, island_of)
-    before = len(archive)
+def migrate_and_check(archive, members):
+    """Migrate, check that the entry list is untouched and add each move's
+    source to its destination's set in ``members``."""
+    moves = brute_moves(archive, members)
+    before = list(archive.entries)
     archive.migrate()
-    assert len(archive) == before + len(moves)
-    assert all(copy is archive.entries[i]
-               for copy, (i, _) in zip(archive.entries[before:], moves))
-    island_of += [dest for _, dest in moves]
+    assert len(archive.entries) == len(before)
+    assert all(after is entry for after, entry in zip(archive.entries, before))
+    for i, dest in moves:
+        members[dest].add(i)
 
 
-def assert_ranked_like_reference(archive, island_of):
+def assert_ranked_like_reference(archive, members):
     order = brute_ranked(archive.entries, range(len(archive)))
     expected = [id(archive.entries[i]) for i in order]
     for k in range(1, len(archive) + 2):
         assert list(map(id, archive.topk(k))) == expected[:k]
     for isl in range(archive.islands.count):
-        assert archive.island_members(isl) == [i for i, x in enumerate(island_of) if x == isl]
+        assert archive.island_members(isl) == sorted(members[isl])
+        ranked = [i for _, _, i in archive._island_rank[isl]]
+        assert ranked == brute_ranked(archive.entries, members[isl])
+    for i in range(len(archive)):
+        assert archive.islands_of(i) == [isl for isl, held in enumerate(members) if i in held]
 
 
 class TestRankIndex:
@@ -280,23 +286,24 @@ class TestRankIndex:
         count = int(rng.integers(1, 5))
         archive = island_archive(count=count, p=float(rng.random()),
                                  fraction=float(rng.choice([0.0, 0.25, 0.5])))
-        island_of: list[int] = []
+        members: list[set[int]] = [set() for _ in range(count)]
         for step in range(40):
             if rng.random() < 0.15 and archive.entries:
-                migrate_and_check(archive, island_of)
+                migrate_and_check(archive, members)
             else:
                 # Coarse scores and births make ties on both key fields common.
                 batch = [scored(float(rng.integers(0, 6)) / 5, born=int(rng.integers(0, 4)),
                                 text=f"{step}.{j}") for j in range(int(rng.integers(1, 4)))]
                 island = int(rng.integers(0, count)) if rng.random() < 0.5 else None
-                island_of += [archive.cursor if island is None else island] * len(batch)
+                target = archive.cursor if island is None else island
+                members[target].update(range(len(archive), len(archive) + len(batch)))
                 archive.insert(batch, island=island)
-            assert_ranked_like_reference(archive, island_of)
+            assert_ranked_like_reference(archive, members)
             if archive.entries:
                 k = int(rng.integers(1, 5))
                 draw_seed = int(rng.integers(0, 2**32))
                 expected_cursor, expected = brute_island_select(
-                    archive, island_of, archive.cursor, np.random.default_rng(draw_seed), k)
+                    archive, members, archive.cursor, np.random.default_rng(draw_seed), k)
                 picked = archive.island_select(np.random.default_rng(draw_seed), k)
                 assert archive.cursor == expected_cursor
                 assert picked is archive.entries[expected]
@@ -305,22 +312,23 @@ class TestRankIndex:
                              [(3, 1.0, 0), (4, 1.0, 1), (3, 0.75, 2), (4, 0.75, 3)])
     def test_back_to_back_migrations(self, count, fraction, seed):
         # Every island holds entries after the first call, so each later
-        # call merges one run per island into the global ranking.
+        # call merges one run into every island's ranking (or finds all its
+        # sources already held).
         rng = np.random.default_rng(seed)
         archive = island_archive(count=count, fraction=fraction)
-        island_of: list[int] = []
+        members: list[set[int]] = [set() for _ in range(count)]
         for j in range(count + 1):
             isl = j % count
             archive.insert([scored(float(rng.integers(0, 4)) / 3, born=int(rng.integers(0, 3)),
                                    text=f"{j}")], island=isl)
-            island_of.append(isl)
+            members[isl].add(j)
         for _ in range(10):
-            migrate_and_check(archive, island_of)
-            assert_ranked_like_reference(archive, island_of)
+            migrate_and_check(archive, members)
+            assert_ranked_like_reference(archive, members)
             k = int(rng.integers(1, 6))
             draw_seed = int(rng.integers(0, 2**32))
             expected_cursor, expected = brute_island_select(
-                archive, island_of, archive.cursor, np.random.default_rng(draw_seed), k)
+                archive, members, archive.cursor, np.random.default_rng(draw_seed), k)
             picked = archive.island_select(np.random.default_rng(draw_seed), k)
             assert archive.cursor == expected_cursor
             assert picked is archive.entries[expected]
@@ -336,4 +344,4 @@ class TestDump:
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert record == {"text": "hello", "score": 0.5, "provenance": "ns",
-                          "iteration": 3, "island": 1}
+                          "iteration": 3, "islands": [1]}

@@ -167,6 +167,34 @@ class TestDeterminism:
         assert a.summary.best_score == b.summary.best_score
 
 
+class TestIslandMembership:
+    """Migration adds island membership, never archive entries."""
+
+    @pytest.mark.parametrize("task,method", [("words", "grpo-greedy"), ("words", "opro"),
+                                             ("words", "migrate-opro"),
+                                             ("molecules", "migrate-opro")])
+    def test_islands_do_not_change_island_blind_methods(self, task, method):
+        # These methods never read an island, so turning islands on must
+        # leave their traces and weights as they are.
+        off = run_any(default_config(task, method, seed=1, budget=300))
+        on = run_any(default_config(task, method, seed=1, budget=300, islands=True,
+                                    migration_interval=3))
+        assert trace_csv(on) + trace_jsonl(on) == trace_csv(off) + trace_jsonl(off)
+        assert on.final_params.W.tobytes() == off.final_params.W.tobytes()
+
+    def test_archive_holds_each_evaluation_once(self):
+        cfg = default_config("grids", "migrate", seed=1, budget=600, stop_threshold=None,
+                             islands=True, migration_interval=1)
+        archive = run_any(cfg).archive
+        assert len(archive) == archive.evaluated_count
+        for island in range(cfg.island_count):
+            ranked = [i for _, _, i in archive._island_rank[island]]
+            assert len(ranked) == len(set(ranked)) == len(archive.island_members(island))
+        for k in (1, 3, 10, 50):
+            top = archive.topk(k)
+            assert len(top) == k and len({id(c) for c in top}) == k
+
+
 class TestEmit:
     def make_trace(self, n=3):
         cfg = default_config("molecules", "migrate", seed=1,
@@ -318,15 +346,22 @@ class TestSweep:
         base = words_config("migrate", budget=30, warmstart_count=5)
         grid = [{"alpha": 0, "beta": 1, "gamma": 4}, {"alpha": 4, "beta": 1, "gamma": 0}]
         serial = sweep(base, grid, seeds=[1, 2])
-        monkeypatch.setenv("MIGRATE_THREADS", "2")
+        monkeypatch.setenv("MIGRATE_WORKERS", "2")
         parallel = sweep(base, grid, seeds=[1, 2])
         assert serial == parallel
 
     @pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5"])
     def test_bad_thread_env_raises(self, monkeypatch, value):
+        monkeypatch.setenv("MIGRATE_WORKERS", value)
+        base = words_config("migrate", budget=30, warmstart_count=5)
+        with pytest.raises(ValueError, match=f"MIGRATE_WORKERS.*{re.escape(repr(value))}"):
+            sweep(base, [{"alpha": 0, "beta": 1, "gamma": 4}], seeds=[1, 2])
+
+    @pytest.mark.parametrize("value", ["1", "2", "abc"])
+    def test_old_thread_env_name_raises(self, monkeypatch, value):
         monkeypatch.setenv("MIGRATE_THREADS", value)
         base = words_config("migrate", budget=30, warmstart_count=5)
-        with pytest.raises(ValueError, match=f"MIGRATE_THREADS.*{re.escape(repr(value))}"):
+        with pytest.raises(ValueError, match="MIGRATE_THREADS.*MIGRATE_WORKERS"):
             sweep(base, [{"alpha": 0, "beta": 1, "gamma": 4}], seeds=[1, 2])
 
     @pytest.mark.parametrize("value", [None, ""])
@@ -336,9 +371,9 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         if value is None:
-            monkeypatch.delenv("MIGRATE_THREADS", raising=False)
+            monkeypatch.delenv("MIGRATE_WORKERS", raising=False)
         else:
-            monkeypatch.setenv("MIGRATE_THREADS", value)
+            monkeypatch.setenv("MIGRATE_WORKERS", value)
         base = words_config("migrate", budget=30, warmstart_count=5)
         rows = sweep(base, [{"alpha": 0, "beta": 1, "gamma": 4}], seeds=[1, 2])
         assert len(rows) == 1 and rows[0]["seeds"] == 2

@@ -5,18 +5,24 @@ One group = N scored completions. Advantages are mean-centered rewards
 completion. The loss is the clipped importance-ratio surrogate, normalized
 by the total token count of the group, with no KL term; new log-probs are
 always taken under the task context regardless of how a member was sampled.
+
+:func:`make_group` flattens the group to its T tokens once, freezing the
+old log-probs as one gather from the step table; the loss, the gradient,
+the diagnostics and every one of the ``mu`` steps of :func:`update_policy`
+read that one layout.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .completion import Completion
-from .policy import TASK_CONTEXT, PolicyParams, logprobs, position_bucket
+# ``logprobs`` is unused here but stays importable: searchbench/spans.py wraps it.
+from .policy import TASK_CONTEXT, PolicyParams, logprobs, position_bucket  # noqa: F401
 
 
 class DegenerateGroupError(ValueError):
@@ -54,26 +60,32 @@ class GrpoDiagnostics:
     clip_high_frac: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Group:
-    """Completions of one update step plus frozen pre-step log-probs."""
+    """One update group: its N members, and their T tokens flattened in order.
+
+    Only ``old`` depends on W: the task-context log-probs frozen under the
+    pre-step policy.
+    """
 
     completions: list[Completion]
-    rewards: np.ndarray
-    advantages: np.ndarray
-    old_logprobs: list[np.ndarray]
+    advantages: np.ndarray  # (N,)
+    tokens: np.ndarray  # (T,)
+    prev: np.ndarray  # (T,) previous token, the end token at each start
+    buckets: np.ndarray  # (T,) position buckets
+    token_advantages: np.ndarray  # (T,) each member's advantage, on its tokens
+    old: np.ndarray  # (T,) frozen old log-probs
+    # (T, 3, V + 1) flat indices into W of each token's gradient terms: per
+    # active row (context, previous token, bucket) its V entries, then the
+    # entry of the token itself.
+    grad_index: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.completions)
-        if not (n == len(self.rewards) == len(self.advantages) == len(self.old_logprobs)):
-            raise ValueError("group fields must all have length N")
-        for c, lp in zip(self.completions, self.old_logprobs):
-            if len(c.tokens) != len(lp):
-                raise ValueError("old_logprobs shape must match token sequence")
-
-    @property
-    def size(self) -> int:
-        return len(self.completions)
+        T = len(self.tokens)
+        if len(self.advantages) != len(self.completions) or any(
+                len(a) != T for a in (self.prev, self.buckets, self.token_advantages,
+                                      self.old, self.grad_index)):
+            raise ValueError("group arrays must have one entry per member or per token")
 
 
 def compute_advantages(rewards: np.ndarray) -> np.ndarray:
@@ -90,63 +102,41 @@ def compute_advantages(rewards: np.ndarray) -> np.ndarray:
     return r - r.mean()
 
 
-def freeze_logprobs(params: PolicyParams, completions: list[Completion]) -> list[np.ndarray]:
-    """Task-context log-probs under the current (pre-step) policy."""
-    return [logprobs(params, TASK_CONTEXT, c.tokens) for c in completions]
+def freeze_logprobs(params: PolicyParams, group: Group) -> np.ndarray:
+    """Task-context log-probs of the group's tokens under ``params``."""
+    return np.log(params.step_table(1.0).probs[int(TASK_CONTEXT), group.prev, group.buckets,
+                                               group.tokens])
 
 
 def make_group(params: PolicyParams, completions: list[Completion]) -> Group:
-    """Assemble a group from scored completions, freezing old log-probs now."""
+    """Flatten scored completions into a group, freezing old log-probs now."""
     scores = []
     for c in completions:
         if c.score is None:
             raise ValueError("all group members must be scored")
         scores.append(c.score)
-    rewards = np.asarray(scores, dtype=np.float64)
-    return Group(list(completions), rewards, compute_advantages(rewards),
-                 freeze_logprobs(params, completions))
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """A group flattened to its T tokens in order; nothing here depends on W."""
-
-    tokens: np.ndarray  # (T,)
-    prev: np.ndarray  # (T,) previous token, the end token at each start
-    buckets: np.ndarray  # (T,) position buckets
-    advantages: np.ndarray  # (T,) each completion's advantage, on its tokens
-    old: np.ndarray  # (T,) frozen old log-probs
-    # (T, 3, V + 1) flat indices into W of each token's gradient terms: per
-    # active row (context, previous token, bucket) its V entries, then the
-    # entry of the token itself.
-    grad_index: np.ndarray
-
-
-def _layout(params: PolicyParams, group: Group) -> _Layout:
-    end = params.vocab.end_token
-    tokens: list[int] = []
-    prev: list[int] = []
-    positions: list[int] = []
-    for c in group.completions:
-        tokens += c.tokens
-        prev += ((end,) + c.tokens)[:-1]
-        positions += range(len(c.tokens))
-    lengths = [len(c.tokens) for c in group.completions]
-    V = params.vocab.size
-    token_arr = np.array(tokens, dtype=np.intp)
-    prev_arr = np.array(prev, dtype=np.intp)
-    buckets = position_bucket(np.array(positions, dtype=np.intp),
-                              params.position_buckets, params.max_len)
-    rows = np.empty((token_arr.size, 3), dtype=np.intp)
+    advantages = compute_advantages(np.asarray(scores, dtype=np.float64))
+    lengths = [len(c.tokens) for c in completions]
+    T, V = sum(lengths), params.vocab.size
+    tokens = np.array([t for c in completions for t in c.tokens], dtype=np.intp)
+    flat = np.arange(T)
+    positions = flat - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    if T and (positions.max() >= params.max_len or tokens.min() < 0 or tokens.max() >= V):
+        raise ValueError(f"group members must have at most max_len={params.max_len} "
+                         f"tokens, each in [0, {V})")
+    prev = np.where(positions == 0, params.vocab.end_token, tokens[flat - 1])
+    buckets = position_bucket(positions, params.position_buckets, params.max_len)
+    rows = np.empty((T, 3), dtype=np.intp)
     rows[:, 0] = int(TASK_CONTEXT)
-    rows[:, 1] = 2 + prev_arr
+    rows[:, 1] = 2 + prev
     rows[:, 2] = 2 + V + buckets
     rows *= V
-    grad_index = np.empty((token_arr.size, 3, V + 1), dtype=np.intp)
+    grad_index = np.empty((T, 3, V + 1), dtype=np.intp)
     grad_index[:, :, :V] = rows[:, :, None] + np.arange(V)
-    grad_index[:, :, V] = rows + token_arr[:, None]
-    return _Layout(token_arr, prev_arr, buckets, np.repeat(group.advantages, lengths),
-                   np.concatenate(group.old_logprobs) if tokens else np.zeros(0), grad_index)
+    grad_index[:, :, V] = rows + tokens[:, None]
+    group = Group(list(completions), advantages, tokens, prev, buckets,
+                  np.repeat(advantages, lengths), np.empty(T), grad_index)
+    return replace(group, old=freeze_logprobs(params, group))
 
 
 @dataclass(frozen=True)
@@ -166,12 +156,12 @@ class _TokenTerms:
     obj_sum: float  # sum of objective terms (unnormalized, unnegated)
 
 
-def _terms(params: PolicyParams, layout: _Layout, clip: ClipConfig) -> _TokenTerms:
-    probs = params.step_table(1.0).probs[int(TASK_CONTEXT), layout.prev, layout.buckets]
-    ratios = np.exp(np.log(probs[np.arange(layout.tokens.size), layout.tokens]) - layout.old)
+def _terms(params: PolicyParams, group: Group, clip: ClipConfig) -> _TokenTerms:
+    probs = params.step_table(1.0).probs[int(TASK_CONTEXT), group.prev, group.buckets]
+    ratios = np.exp(np.log(probs[np.arange(group.tokens.size), group.tokens]) - group.old)
     low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
-    unclipped = ratios * layout.advantages
-    clipped = np.clip(ratios, low_edge, high_edge) * layout.advantages
+    unclipped = ratios * group.token_advantages
+    clipped = np.clip(ratios, low_edge, high_edge) * group.token_advantages
     live = unclipped <= clipped
     below = ratios < low_edge
     # A running total in token order, not numpy's pairwise sum.
@@ -180,43 +170,38 @@ def _terms(params: PolicyParams, layout: _Layout, clip: ClipConfig) -> _TokenTer
                        ~live & below, ~live & ~below, obj_sum)
 
 
-def _gradient(layout: _Layout, terms: _TokenTerms, F: int, V: int) -> np.ndarray:
+def _gradient(group: Group, terms: _TokenTerms, F: int, V: int) -> np.ndarray:
     """Dense loss gradient w.r.t. W: each live token adds
     (coeff / total_len) * (p - onehot(token)) to each of its three rows.
 
-    One ``np.add.at`` over ``layout.grad_index`` of the live tokens: ordered
+    One ``np.add.at`` over ``group.grad_index`` of the live tokens: ordered
     by token, then row, then the V entries of ``+scale * p``, then the
     token's ``-scale``, so each element accumulates in token order,
     bit-reproducibly.
     """
     live = np.flatnonzero(terms.coeffs)
-    scale = terms.coeffs[live, None] / float(layout.tokens.size)
+    scale = terms.coeffs[live, None] / float(group.tokens.size)
     values = np.concatenate([scale * terms.probs[live], -scale], axis=1)
     grad = np.zeros(F * V)
-    np.add.at(grad, layout.grad_index[live].ravel(),
+    np.add.at(grad, group.grad_index[live].ravel(),
               np.broadcast_to(values[:, None, :], (live.size, 3, V + 1)).ravel())
     return grad.reshape(F, V)
 
 
-def _loss_and_grad(params: PolicyParams, layout: _Layout,
-                   clip: ClipConfig) -> tuple[float, np.ndarray, GrpoDiagnostics]:
-    total_len = layout.tokens.size
+def grpo_loss_and_grad(params: PolicyParams, group: Group,
+                       clip: ClipConfig) -> tuple[float, np.ndarray, GrpoDiagnostics]:
+    """Loss, exact dense gradient w.r.t. W, and step diagnostics."""
+    total_len = group.tokens.size
     if total_len == 0:
         return 0.0, np.zeros_like(params.W), GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)
-    terms = _terms(params, layout, clip)
+    terms = _terms(params, group, clip)
     diag = GrpoDiagnostics(loss=float(-terms.obj_sum / total_len),
                            mean_ratio=float(terms.ratios.mean()),
                            clip_low_frac=float(terms.low_clipped.sum()) / total_len,
                            clip_high_frac=float(terms.high_clipped.sum()) / total_len)
     if not np.isfinite(terms.obj_sum) or not np.all(np.isfinite(terms.ratios)):
         raise NonFiniteLossError("non-finite ratio or loss in group", diag)
-    return diag.loss, _gradient(layout, terms, params.feature_dim, params.vocab.size), diag
-
-
-def grpo_loss_and_grad(params: PolicyParams, group: Group,
-                       clip: ClipConfig) -> tuple[float, np.ndarray, GrpoDiagnostics]:
-    """Loss, exact dense gradient w.r.t. W, and step diagnostics."""
-    return _loss_and_grad(params, _layout(params, group), clip)
+    return diag.loss, _gradient(group, terms, params.feature_dim, params.vocab.size), diag
 
 
 @dataclass
@@ -253,11 +238,10 @@ def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: floa
         raise ValueError("mu must be >= 1")
     if np.all(group.advantages == 0.0):
         return params, [GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)]
-    layout = _layout(params, group)
     diags: list[GrpoDiagnostics] = []
     current = params
     for _ in range(mu):
-        _, grad, diag = _loss_and_grad(current, layout, clip)
+        _, grad, diag = grpo_loss_and_grad(current, group, clip)
         diags.append(diag)
         W = current.W - lr * grad if optimizer is None else optimizer.apply(current.W, grad)
         current = current.with_weights(W)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .archive import Archive, IslandConfig
 from .completion import OPRO
-from .grpo import ClipConfig, GrpoDiagnostics, make_group, update_policy
+from .grpo import Adam, ClipConfig, GrpoDiagnostics, make_group, update_policy
 from .policy import TASK_CONTEXT, PolicyParams, init_params, load_params, save_params
 from .sampler import MixSpec, construct_group
 from .tasks import (GridTask, SearchTask, TwoObjectiveTask, WordSearchTask, eval_program,
@@ -256,8 +256,6 @@ def run_any(config: RunConfig) -> Trace:
     local_kind = OPRO if config.method in ("opro", "migrate-opro") else "ns"
     optimizer = None
     if is_ttt and config.optimizer == "adam":
-        from .grpo import Adam
-
         optimizer = Adam(config.learning_rate)
 
     records: list[IterationRecord] = []

@@ -6,13 +6,14 @@ final test checks the whole module's wall time.
 
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
 from migrate.archive import Archive, IslandConfig
 from migrate.completion import ONLINE, Completion
-from migrate.grpo import ClipConfig, Group, compute_advantages, freeze_logprobs, \
-    grpo_loss_and_grad, update_policy
+from migrate.grpo import ClipConfig, freeze_logprobs, grpo_loss_and_grad, make_group, \
+    update_policy
 from migrate.harness import default_config, run_any, trace_csv, trace_jsonl
 from migrate.policy import Vocabulary, init_params
 from migrate.tasks import (DslProgram, GridTask, compute_metrics, eval_program,
@@ -44,10 +45,10 @@ def random_group(params, rng, n, max_tokens=5, old_params=None):
         tokens = tuple(int(t) for t in rng.integers(0, params.vocab.size, size=length))
         comps.append(Completion(tokens=tokens, provenance=ONLINE, born_iteration=1,
                                 text=str(i), score=float(rng.normal())))
-    rewards = np.asarray([c.score for c in comps])
-    source = params if old_params is None else old_params
-    return Group(comps, rewards, compute_advantages(rewards),
-                 freeze_logprobs(source, comps))
+    group = make_group(params, comps)
+    if old_params is None:
+        return group
+    return replace(group, old=freeze_logprobs(old_params, group))
 
 
 def test_criterion_1_gradient_correctness():

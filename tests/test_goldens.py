@@ -49,6 +49,11 @@ CASES = {
         "molecules", "migrate", 10, dict(optimizer="adam", budget=300),
         "3b76c537d0407ab2aed1a158f0c7444fb516118cdad3b9ccb54fb6f70b9fb66a",
         "5365212dc67e876c7d03599e2c1f4c6ff4773a8a2276b2f863b4f58fe510686e"),
+    # Adam with mu > 1: every step of an update reuses the same frozen group.
+    "grids-grpo-adam-mu3": (
+        "grids", "grpo", 12, dict(optimizer="adam", mu=3, budget=480),
+        "f9dab17430e78937ccd15a01a37c4343f69258d00d8f866ae873f905ef8f0c16",
+        "950341d6013b703b6b9f4d1676503b06d13be3d85ec850892d9c8d7ee89ac6d0"),
 }
 
 

@@ -1,10 +1,10 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from migrate.completion import Completion
-from migrate.grpo import (Adam, ClipConfig, DegenerateGroupError, Group, NonFiniteLossError,
+from migrate.grpo import (Adam, ClipConfig, DegenerateGroupError, NonFiniteLossError,
                           compute_advantages, freeze_logprobs, grpo_loss_and_grad,
                           make_group, update_policy)
 from migrate.policy import TASK_CONTEXT, Vocabulary, init_params, logprobs
@@ -30,10 +30,10 @@ def random_group(params, rng, n=4, max_tokens=4, old_params=None):
         tokens = tuple(int(t) for t in rng.integers(0, params.vocab.size, size=length))
         comps.append(Completion(tokens=tokens, provenance="online", born_iteration=1,
                                 text=str(i), score=float(rng.normal())))
-    rewards = np.asarray([c.score for c in comps])
-    source = params if old_params is None else old_params
-    return Group(comps, rewards, compute_advantages(rewards),
-                 freeze_logprobs(source, comps))
+    group = make_group(params, comps)
+    if old_params is None:
+        return group
+    return replace(group, old=freeze_logprobs(old_params, group))
 
 
 class TestAdvantages:
@@ -89,8 +89,7 @@ class TestLoss:
         other = Completion(tokens=(2,), provenance="online", text="y", score=0.0)
         group = make_group(params, [comp, other])
         rho = 1 + CLIP.eps_high + 0.5
-        old = [group.old_logprobs[0] - np.log(rho), group.old_logprobs[1] + np.log(rho)]
-        group = Group(group.completions, group.rewards, group.advantages, old)
+        group = replace(group, old=group.old + np.array([-1.0, 1.0]) * np.log(rho))
         loss, grad, diag = grpo_loss_and_grad(params, group, CLIP)
         # token 1: adv +0.5 at ratio ~1.78 -> clipped high; token 2: adv -0.5
         # at ratio ~0.56 -> clipped low. Both gradients vanish.
@@ -131,8 +130,7 @@ class TestLoss:
         group = random_group(params, rng, n=5)
         loss, _, _ = grpo_loss_and_grad(params, group, CLIP)
         perm = rng.permutation(5)
-        shuffled = Group([group.completions[i] for i in perm], group.rewards[perm],
-                         group.advantages[perm], [group.old_logprobs[i] for i in perm])
+        shuffled = make_group(params, [group.completions[i] for i in perm])
         loss_p, _, _ = grpo_loss_and_grad(params, shuffled, CLIP)
         assert loss == pytest.approx(loss_p, abs=1e-12)
 
@@ -140,7 +138,7 @@ class TestLoss:
         rng = np.random.default_rng(4)
         params = random_params(rng)
         group = random_group(params, rng)
-        group.old_logprobs[0] = group.old_logprobs[0] - np.inf  # ratio -> exp(+inf)
+        group.old[0] = -np.inf  # ratio -> exp(+inf)
         with pytest.raises(NonFiniteLossError) as err:
             grpo_loss_and_grad(params, group, CLIP)
         assert err.value.diagnostics is not None
@@ -249,5 +247,13 @@ class TestGroupInvariants:
         comps = [Completion(tokens=(0, 1), provenance="online", text="a", score=1.0),
                  Completion(tokens=(2,), provenance="online", text="b", score=0.0)]
         with pytest.raises(ValueError):
-            Group(comps, np.array([1.0, 0.0]), np.array([0.5, -0.5]),
-                  [np.zeros(1), np.zeros(1)])
+            replace(make_group(params, comps), old=np.zeros(1))
+
+    @pytest.mark.parametrize("tokens", [(0, 1, 2, 0), (4,), (-1,)],
+                             ids=["too-long", "too-large", "negative"])
+    def test_out_of_range_members_rejected(self, tokens):
+        params = init_params(make_vocab(4), max_len=3)
+        comps = [Completion(tokens=(0, 1), provenance="online", text="a", score=1.0),
+                 Completion(tokens=tokens, provenance="online", text="b", score=0.0)]
+        with pytest.raises(ValueError):
+            make_group(params, comps)

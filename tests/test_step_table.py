@@ -6,11 +6,13 @@ softmax of the three active W rows, one inverse-CDF draw per step with
 gradient. The table-driven code must reproduce every bit of it.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from migrate.completion import NS, Completion
-from migrate.grpo import ClipConfig, Group, compute_advantages, freeze_logprobs, grpo_loss_and_grad
+from migrate.grpo import ClipConfig, freeze_logprobs, grpo_loss_and_grad, make_group
 from migrate.policy import TASK_CONTEXT, ContextKind, Vocabulary, init_params, logprobs
 from migrate.sampler import propose_neighborhood, sample_online
 from migrate.tasks.grids import GRID_VOCAB
@@ -133,13 +135,28 @@ def test_logprobs_equal_per_step_reference():
             assert logprobs(params, ctx, tokens).tobytes() == ref.tobytes()
 
 
+def test_frozen_group_logprobs_equal_per_member_logprobs():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        V, P, max_len = int(rng.integers(2, 12)), int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        params = make_params(rng, V, P=P, max_len=max_len)
+        # Every length from 1 to max_len, so every position bucket, then random ones.
+        lengths = list(range(1, max_len + 1)) + list(rng.integers(1, max_len + 1, size=3))
+        comps = [Completion(tokens=tuple(int(t) for t in rng.integers(0, V, size=n)),
+                            provenance="online", score=float(rng.normal())) for n in lengths]
+        ref = np.concatenate([logprobs(params, TASK_CONTEXT, c.tokens) for c in comps])
+        assert make_group(params, comps).old.tobytes() == ref.tobytes()
+
+
 def ref_loss_and_grad(params, group, clip):
     """Per-token loop: running objective sum and per-row gradient updates."""
     V, P, F = params.vocab.size, params.position_buckets, params.feature_dim
     total = sum(len(c.tokens) for c in group.completions)
     grad = np.zeros((F, V))
     obj_sum = 0.0
-    for comp, adv, old in zip(group.completions, group.advantages, group.old_logprobs):
+    lengths = [len(c.tokens) for c in group.completions]
+    olds = np.split(group.old, np.cumsum(lengths)[:-1])
+    for comp, adv, old in zip(group.completions, group.advantages, olds):
         prev = None
         for pos, tok in enumerate(comp.tokens):
             p = ref_step(params, 0, prev, pos, 1.0)
@@ -169,9 +186,9 @@ def test_gradient_equals_per_token_loop():
         comps = [Completion(tokens=tuple(int(t) for t in rng.integers(0, V, size=n)),
                             provenance="online", score=float(rng.normal()))
                  for n in rng.integers(1, 7, size=int(rng.integers(2, 9)))]
-        rewards = np.array([c.score for c in comps])
-        group = Group(comps, rewards, compute_advantages(rewards),
-                      freeze_logprobs(old_params if trial % 2 else params, comps))
+        group = make_group(params, comps)
+        if trial % 2:
+            group = replace(group, old=freeze_logprobs(old_params, group))
         loss, grad, _ = grpo_loss_and_grad(params, group, clip)
         ref_loss, ref_grad = ref_loss_and_grad(params, group, clip)
         assert float(loss) == float(ref_loss)

@@ -13,6 +13,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -103,6 +104,8 @@ class RunConfig:
             raise ValueError("budget must exceed warmstart_count")
         if self.mu < 1:
             raise ValueError("mu must be >= 1")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature!r}")
         if self.island_count < 1:
             raise ValueError("island_count must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
@@ -344,8 +347,8 @@ def trace_jsonl(trace: Trace) -> str:
             "best_so_far": r.best_so_far, "loss": r.loss,
             "clip_low_frac": r.clip_low_frac, "clip_high_frac": r.clip_high_frac,
             "new": [{"text": t, "score": s, "provenance": p} for t, s, p in r.new_completions],
-        }, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+        }, separators=(",", ":")) + "\n")
+    return "".join(lines)
 
 
 def trace_svg(trace: Trace, width: int = 640, height: int = 400) -> str:

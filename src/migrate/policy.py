@@ -13,14 +13,17 @@ Feature layout of the weight matrix W (shape F x V, F = 2 + V + P):
 A step's logits are the sum of the three active rows, so every step
 distribution the policy can produce fits in one (2, V, P, V) table. The
 table is built once per weight matrix and temperature (see
-:meth:`PolicyParams.step_table`) and every per-token operation reads it.
+:meth:`PolicyParams.step_table`) and every per-token operation reads it; a
+token draw is one ``bisect_right`` on one row of the table's running sum.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +88,9 @@ class StepTable:
     """Every step distribution of one weight matrix at one temperature.
 
     ``probs[ctx, prev, bucket]`` is the softmax over the vocabulary, and
-    ``cdf`` its running sum along the last axis, computed on first use
-    (only token draws read it). Both arrays are read-only.
+    ``cdf`` its running sum along the last axis, computed on first use (only
+    token draws read it, one ``bisect_right`` on one row per token, walking
+    left to right). Both arrays are read-only.
     """
 
     def __init__(self, W: np.ndarray, V: int, temperature: float):
@@ -139,9 +143,11 @@ class PolicyParams:
         return PolicyParams(W, self.vocab, self.position_buckets, self.max_len)
 
     def step_table(self, temperature: float = 1.0) -> StepTable:
-        """The step table at ``temperature``, built on first use."""
+        """The step table at ``temperature`` (finite and > 0), built on first use."""
         table = self._tables.get(temperature)
         if table is None:
+            if not 0 < temperature < math.inf:
+                raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
             table = StepTable(self.W, self.vocab.size, temperature)
             self._tables[temperature] = table
         return table
@@ -186,46 +192,39 @@ def encode_features(params: PolicyParams, context: ContextKind, prev_token: int 
 def token_distribution(params: PolicyParams, context: ContextKind, prev_token: int | None,
                        position: int, temperature: float = 1.0) -> np.ndarray:
     """Softmax step distribution over the vocabulary (a read-only view)."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     feature_slots(params, context, prev_token, position)  # validate
     prev = params.vocab.end_token if prev_token is None else prev_token
     bucket = position_bucket(position, params.position_buckets, params.max_len)
     return params.step_table(temperature).probs[int(context), prev, bucket]
 
 
-def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row of ``cdf`` (shape (..., V)) with uniforms
-    ``u`` (shape (...)): the count of entries <= u * total, capped at V - 1,
-    which is ``searchsorted(cdf, u * cdf[-1], side="right")`` row by row."""
-    count = np.count_nonzero(cdf <= (u * cdf[..., -1])[..., None], axis=-1)
-    return np.minimum(count, cdf.shape[-1] - 1)
+def _draw(row: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw with uniform ``u`` from one (non-decreasing) CDF row:
+    the count of entries <= u * total, capped at V - 1."""
+    return min(bisect_right(row, u * row[-1]), len(row) - 1)
 
 
 def sample_tokens(params: PolicyParams, context: ContextKind, temperature: float,
                   uniforms: np.ndarray) -> list[tuple[int, ...]]:
-    """Ancestral draws stepped in lockstep, one per row of ``uniforms``.
+    """Ancestral draws, one per row of ``uniforms``.
 
     ``uniforms`` has shape (n, max_len); row i's column ``pos`` drives
     step ``pos`` of draw i, and each draw stops at the end token.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     cdf = params.step_table(temperature).cdf[int(context)]
-    buckets = position_bucket(np.arange(params.max_len), params.position_buckets, params.max_len)
+    buckets = position_bucket(np.arange(params.max_len), params.position_buckets,
+                              params.max_len).tolist()
     end = params.vocab.end_token
-    n = uniforms.shape[0]
-    out = np.full((n, params.max_len), end, dtype=np.int64)
-    prev = np.full(n, end)
-    done = np.zeros(n, dtype=bool)
-    for pos in range(params.max_len):
-        out[:, pos] = prev = _draw(cdf[prev, buckets[pos]], uniforms[:, pos])
-        done |= prev == end
-        if done.all():
-            break
-    ends = out == end
-    lengths = np.where(ends.any(axis=1), ends.argmax(axis=1) + 1, params.max_len)
-    return [tuple(row[:length].tolist()) for row, length in zip(out, lengths)]
+    out = []
+    for row in uniforms.tolist():
+        tokens, prev = [], end
+        for bucket, u in zip(buckets, row):
+            prev = _draw(cdf[prev, bucket], u)
+            tokens.append(prev)
+            if prev == end:
+                break
+        out.append(tuple(tokens))
+    return out
 
 
 def sample_completion(params: PolicyParams, context: ContextKind, temperature: float,
@@ -249,19 +248,16 @@ def mutate_tokens(params: PolicyParams, context: ContextKind, temperature: float
     position, conditioned on the (possibly already mutated) previous token.
     Lengths are preserved.
     """
-    gated = [g < rate for g in gate_u]
-    positions = np.concatenate([np.flatnonzero(g) for g in gated])
-    uniforms = np.concatenate([u[g] for u, g in zip(tok_u, gated)])
     cdf = params.step_table(temperature).cdf[int(context)]
-    rows = cdf[:, position_bucket(positions, params.position_buckets, params.max_len)]
-    # Every gated draw is made for each possible previous token at once, so
-    # the left-to-right walk below only looks its token up.
-    choices = iter(_draw(rows, uniforms).T.tolist())
+    # A base longer than max_len keeps its length; its tail shares the last bucket.
+    longest = max(map(len, bases), default=0)
+    buckets = position_bucket(np.arange(longest), params.position_buckets,
+                              params.max_len).tolist()
     out = []
-    for base, gate in zip(bases, gated):
+    for base, gates, draws in zip(bases, gate_u, tok_u):
         tokens, prev = [], params.vocab.end_token
-        for tok, hit in zip(base, gate.tolist()):
-            prev = next(choices)[prev] if hit else tok
+        for tok, bucket, gate, u in zip(base, buckets, gates.tolist(), draws.tolist()):
+            prev = _draw(cdf[prev, bucket], u) if gate < rate else tok
             tokens.append(prev)
         out.append(tuple(tokens))
     return out

@@ -44,6 +44,14 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="island_count"):
             default_config("words", "migrate", island_count=0)
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_positive_temperature_rejected(self, temperature):
+        # words/migrate has alpha=0, so only its neighborhood draws read the
+        # temperature; it must fail at construction, not return status ok.
+        with pytest.raises(ValueError, match="temperature"):
+            run_any(default_config("words", "migrate", seed=1, budget=100,
+                                   temperature=temperature))
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             default_config("words", "bogus")

@@ -102,6 +102,15 @@ class TestDistribution:
                 assert np.argmax(p) == np.argmax(base)
 
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
+    def test_step_table_rejects_non_positive_or_non_finite_temperature(self, temperature):
+        params = random_params(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="temperature"):
+            params.step_table(temperature)
+        with pytest.raises(ValueError, match="temperature"):
+            token_distribution(params, TASK_CONTEXT, None, 0, temperature=temperature)
+
+
 class TestSampling:
     def test_zero_weights_uniform_frequencies(self):
         params = init_params(make_vocab(8), max_len=3)

@@ -157,6 +157,14 @@ class TestProposeNeighborhood:
         with pytest.raises(ValueError):
             propose_neighborhood(make_params(), [], 2, 0.25, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    def test_rejects_non_positive_temperature(self, temperature):
+        # Unchecked, 0.0 builds a NaN table (with only a RuntimeWarning) and
+        # -1.0 samples from an inverted distribution.
+        with pytest.raises(ValueError, match="temperature"):
+            propose_neighborhood(make_params(), [scored((1, 2), 0.5)], 3, 0.25,
+                                 np.random.default_rng(0), temperature=temperature)
+
     def test_gamma_zero_empty(self):
         out = propose_neighborhood(make_params(), [scored((1,), 0.1)], 0, 0.25,
                                    np.random.default_rng(0))

@@ -13,7 +13,8 @@ import pytest
 
 from migrate.completion import NS, Completion
 from migrate.grpo import ClipConfig, freeze_logprobs, grpo_loss_and_grad, make_group
-from migrate.policy import TASK_CONTEXT, ContextKind, Vocabulary, init_params, logprobs
+from migrate.policy import (TASK_CONTEXT, ContextKind, Vocabulary, init_params, logprobs,
+                            mutate_tokens, sample_tokens)
 from migrate.sampler import propose_neighborhood, sample_online
 from migrate.tasks.grids import GRID_VOCAB
 
@@ -93,6 +94,67 @@ def test_batched_sampling_equals_one_at_a_time(V, temperature):
         assert [c.tokens for c in drawn] == expected
         assert all(c.provenance == "online" and c.born_iteration == 4 for c in drawn)
         assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def first_draws(params, ctx, temperature, us):
+    """The first token drawn with each uniform in ``us``, plus its reference."""
+    uniforms = np.zeros((len(us), params.max_len))
+    uniforms[:, 0] = us
+    got = [tokens[0] for tokens in sample_tokens(params, ctx, temperature, uniforms)]
+    ref = [ref_token(ref_step(params, int(ctx), None, 0, temperature), u) for u in us]
+    return got, ref
+
+
+def test_zero_uniform_skips_leading_zero_probability_tokens():
+    params = make_params(np.random.default_rng(8), 6, scale=0.5)
+    W = params.W.copy()
+    W[0, :2] = -1e4  # exp underflows: tokens 0 and 1 get probability exactly 0
+    params = params.with_weights(W)
+    assert (params.step_table().probs[0, :, :, :2] == 0.0).all()
+    got, ref = first_draws(params, TASK_CONTEXT, 1.0, [0.0])
+    assert got == ref and got[0] >= 2
+    mutated = mutate_tokens(params, TASK_CONTEXT, 1.0, [(0, 1, 0)], [np.zeros(3)],
+                            [np.zeros(3)], 0.5)
+    assert all(tok >= 2 for tok in mutated[0])
+
+
+def test_underflowed_rows_draw_as_the_reference():
+    params = make_params(np.random.default_rng(9), 28, P=3, max_len=7, scale=40.0)
+    assert (params.step_table(0.05).probs == 0.0).mean() > 0.5
+    us = np.random.default_rng(10).random(200).tolist() + [0.0, 1.0 - 2 ** -53]
+    got, ref = first_draws(params, NS_CONTEXT, 0.05, us)
+    assert got == ref
+    for seed in range(20):
+        drawn = sample_online(params, TASK_CONTEXT, 3, 0.05, np.random.default_rng(seed))
+        ref_rng = np.random.default_rng(seed)
+        assert [c.tokens for c in drawn] == [ref_sample(params, 0, 0.05, ref_rng)
+                                             for _ in range(3)]
+
+
+def test_uniform_landing_on_a_cdf_entry_takes_the_right_side_index():
+    # Zero weights over V=4: the CDF row is exactly (0.25, 0.5, 0.75, 1.0).
+    vocab = Vocabulary(("a", "b", "c", "</s>"), end_token=3)
+    params = init_params(vocab, position_buckets=1, max_len=3)
+    assert params.step_table().cdf[0, 3, 0].tolist() == [0.25, 0.5, 0.75, 1.0]
+    got, ref = first_draws(params, TASK_CONTEXT, 1.0, [0.0, 0.25, 0.5, 0.75])
+    assert got == ref == [0, 1, 2, 3]
+
+
+def test_mutating_a_base_longer_than_max_len_keeps_its_length():
+    # Positions at or past max_len read the last position bucket.
+    params = make_params(np.random.default_rng(11), 7, P=3, max_len=4)
+    rng = np.random.default_rng(12)
+    base = tuple(int(t) for t in rng.integers(0, 7, size=9))
+    gate_u, tok_u = rng.random(9), rng.random(9)
+    got = mutate_tokens(params, NS_CONTEXT, 1.0, [base], [gate_u], [tok_u], 0.6)[0]
+    out, prev = [], None
+    for pos, tok in enumerate(base):
+        if gate_u[pos] < 0.6:
+            tok = ref_token(ref_step(params, 1, prev, pos, 1.0), tok_u[pos])
+        out.append(tok)
+        prev = tok
+    assert got == tuple(out) and len(got) == len(base)
+    assert any(gate_u[params.max_len:] < 0.6)
 
 
 def test_zero_alpha_draws_nothing():

@@ -14,9 +14,8 @@ from .grpo import (Adam, ClipConfig, GrpoDiagnostics, Group, compute_advantages,
                    grpo_loss_and_grad, make_group, update_policy)
 from .harness import (RunConfig, Trace, bootstrap_nearest, build_task, default_config,
                       emit_trace, run_any, sweep)
-from .policy import (TASK_CONTEXT, ContextKind, PolicyParams, Vocabulary, encode_features,
-                     init_params, load_params, logprobs, sample_completion, save_params,
-                     token_distribution)
+from .policy import (TASK_CONTEXT, ContextKind, PolicyParams, Vocabulary, init_params,
+                     load_params, logprobs, sample_completion, save_params)
 from .sampler import (MixSpec, construct_group, propose_neighborhood, propose_trajectory,
                       sample_online, select_greedy)
 
@@ -29,8 +28,7 @@ __all__ = [
     "RunConfig", "Trace", "bootstrap_nearest", "build_task", "default_config",
     "emit_trace", "run_any", "sweep",
     "TASK_CONTEXT", "ContextKind", "PolicyParams", "Vocabulary",
-    "encode_features", "init_params", "load_params", "logprobs",
-    "sample_completion", "save_params", "token_distribution",
+    "init_params", "load_params", "logprobs", "sample_completion", "save_params",
     "MixSpec", "construct_group", "propose_neighborhood",
     "propose_trajectory", "sample_online", "select_greedy",
     "__version__",

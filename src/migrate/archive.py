@@ -1,12 +1,13 @@
 """Database of evaluated completions with budget accounting and islands.
 
 The archive holds each scored completion once, so its length is the
-evaluation count (the search budget currency); it also tracks the best
-entry so far. Islands, when enabled, are sets of entry indices visited
-cyclically; a per-step selection mixes exploitation (island members that
-are also globally top-k) with exploration (island elites outside the
-global top-k), and elites migrate periodically to the next island along a
-ring by joining its set, so an entry may belong to several islands.
+evaluation count (the search budget currency); its best entry is the
+head of the ranking below. Islands, when enabled, are sets of entry
+indices visited cyclically; a per-step selection mixes exploitation
+(island members that are also globally top-k) with exploration (island
+elites outside the global top-k), and elites migrate periodically to the
+next island along a ring by joining its set, so an entry may belong to
+several islands.
 
 Entries stay ranked as they arrive: a sorted list of keys
 ``(-score, born_iteration, index)`` is kept for the whole archive and for
@@ -54,7 +55,6 @@ class Archive:
         self.entries: list[Completion] = []
         self.islands = islands
         self.cursor = 0
-        self._best_index: int | None = None
         self._rank: list[tuple[float, int, int]] = []
         count = islands.count if islands else 0
         self._island_rank: list[list[tuple[float, int, int]]] = [[] for _ in range(count)]
@@ -69,9 +69,8 @@ class Archive:
 
     @property
     def best(self) -> Completion | None:
-        if self._best_index is None:
-            return None
-        return self.entries[self._best_index]
+        """The entry ``topk(1)`` returns, or None while the archive is empty."""
+        return self.entries[self._rank[0][2]] if self._rank else None
 
     @property
     def best_score(self) -> float:
@@ -93,8 +92,6 @@ class Archive:
         if self.islands:
             self._island_set[island].add(index)
             bisect.insort(self._island_rank[island], key)
-        if self._best_index is None or entry.score > self.entries[self._best_index].score:
-            self._best_index = index
 
     def insert(self, completions: list[Completion], *, island: int | None = None) -> None:
         """Add newly evaluated completions, charging them to the budget.

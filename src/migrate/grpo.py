@@ -22,7 +22,7 @@ import numpy as np
 
 from .completion import Completion
 # ``logprobs`` is unused here but stays importable: searchbench/spans.py wraps it.
-from .policy import TASK_CONTEXT, PolicyParams, logprobs, position_bucket  # noqa: F401
+from .policy import TASK_CONTEXT, PolicyParams, logprobs, token_steps  # noqa: F401
 
 
 class DegenerateGroupError(ValueError):
@@ -116,16 +116,9 @@ def make_group(params: PolicyParams, completions: list[Completion]) -> Group:
             raise ValueError("all group members must be scored")
         scores.append(c.score)
     advantages = compute_advantages(np.asarray(scores, dtype=np.float64))
-    lengths = [len(c.tokens) for c in completions]
-    T, V = sum(lengths), params.vocab.size
-    tokens = np.array([t for c in completions for t in c.tokens], dtype=np.intp)
-    flat = np.arange(T)
-    positions = flat - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    if T and (positions.max() >= params.max_len or tokens.min() < 0 or tokens.max() >= V):
-        raise ValueError(f"group members must have at most max_len={params.max_len} "
-                         f"tokens, each in [0, {V})")
-    prev = np.where(positions == 0, params.vocab.end_token, tokens[flat - 1])
-    buckets = position_bucket(positions, params.position_buckets, params.max_len)
+    sequences = [c.tokens for c in completions]
+    tokens, prev, buckets = token_steps(params, sequences)
+    T, V = tokens.size, params.vocab.size
     rows = np.empty((T, 3), dtype=np.intp)
     rows[:, 0] = int(TASK_CONTEXT)
     rows[:, 1] = 2 + prev
@@ -135,42 +128,11 @@ def make_group(params: PolicyParams, completions: list[Completion]) -> Group:
     grad_index[:, :, :V] = rows[:, :, None] + np.arange(V)
     grad_index[:, :, V] = rows + tokens[:, None]
     group = Group(list(completions), advantages, tokens, prev, buckets,
-                  np.repeat(advantages, lengths), np.empty(T), grad_index)
+                  np.repeat(advantages, list(map(len, sequences))), np.empty(T), grad_index)
     return replace(group, old=freeze_logprobs(params, group))
 
 
-@dataclass(frozen=True)
-class _TokenTerms:
-    """Per-token pieces of the clipped surrogate over the flattened group.
-
-    For completion i with advantage A and token ratio rho = exp(new - old),
-    the objective term is min(rho*A, clip(rho, 1-eps_low, 1+eps_high)*A); its
-    gradient flows only when the unclipped branch is selected (ties included).
-    """
-
-    probs: np.ndarray  # (T, V) task-context step distributions
-    coeffs: np.ndarray  # (T,) A * rho where the gradient is live, else 0
-    ratios: np.ndarray  # (T,)
-    low_clipped: np.ndarray  # (T,) the low-side clip suppressed the gradient
-    high_clipped: np.ndarray  # (T,) the high-side clip suppressed the gradient
-    obj_sum: float  # sum of objective terms (unnormalized, unnegated)
-
-
-def _terms(params: PolicyParams, group: Group, clip: ClipConfig) -> _TokenTerms:
-    probs = params.step_table(1.0).probs[int(TASK_CONTEXT), group.prev, group.buckets]
-    ratios = np.exp(np.log(probs[np.arange(group.tokens.size), group.tokens]) - group.old)
-    low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
-    unclipped = ratios * group.token_advantages
-    clipped = np.clip(ratios, low_edge, high_edge) * group.token_advantages
-    live = unclipped <= clipped
-    below = ratios < low_edge
-    # A running total in token order, not numpy's pairwise sum.
-    obj_sum = functools.reduce(operator.add, np.where(live, unclipped, clipped).tolist(), 0.0)
-    return _TokenTerms(probs, np.where(live, unclipped, 0.0), ratios,
-                       ~live & below, ~live & ~below, obj_sum)
-
-
-def _gradient(group: Group, terms: _TokenTerms, F: int, V: int) -> np.ndarray:
+def _gradient(group: Group, probs: np.ndarray, coeffs: np.ndarray, F: int, V: int) -> np.ndarray:
     """Dense loss gradient w.r.t. W: each live token adds
     (coeff / total_len) * (p - onehot(token)) to each of its three rows.
 
@@ -179,9 +141,9 @@ def _gradient(group: Group, terms: _TokenTerms, F: int, V: int) -> np.ndarray:
     token's ``-scale``, so each element accumulates in token order,
     bit-reproducibly.
     """
-    live = np.flatnonzero(terms.coeffs)
-    scale = terms.coeffs[live, None] / float(group.tokens.size)
-    values = np.concatenate([scale * terms.probs[live], -scale], axis=1)
+    live = np.flatnonzero(coeffs)
+    scale = coeffs[live, None] / float(group.tokens.size)
+    values = np.concatenate([scale * probs[live], -scale], axis=1)
     grad = np.zeros(F * V)
     np.add.at(grad, group.grad_index[live].ravel(),
               np.broadcast_to(values[:, None, :], (live.size, 3, V + 1)).ravel())
@@ -190,18 +152,32 @@ def _gradient(group: Group, terms: _TokenTerms, F: int, V: int) -> np.ndarray:
 
 def grpo_loss_and_grad(params: PolicyParams, group: Group,
                        clip: ClipConfig) -> tuple[float, np.ndarray, GrpoDiagnostics]:
-    """Loss, exact dense gradient w.r.t. W, and step diagnostics."""
+    """Loss, exact dense gradient w.r.t. W, and step diagnostics.
+
+    For a token with advantage A and ratio rho = exp(new - old), the
+    objective term is min(rho*A, clip(rho, 1-eps_low, 1+eps_high)*A); its
+    gradient flows only when the unclipped branch is selected (ties included).
+    """
     total_len = group.tokens.size
     if total_len == 0:
         return 0.0, np.zeros_like(params.W), GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)
-    terms = _terms(params, group, clip)
-    diag = GrpoDiagnostics(loss=float(-terms.obj_sum / total_len),
-                           mean_ratio=float(terms.ratios.mean()),
-                           clip_low_frac=float(terms.low_clipped.sum()) / total_len,
-                           clip_high_frac=float(terms.high_clipped.sum()) / total_len)
-    if not np.isfinite(terms.obj_sum) or not np.all(np.isfinite(terms.ratios)):
+    probs = params.step_table(1.0).probs[int(TASK_CONTEXT), group.prev, group.buckets]
+    ratios = np.exp(np.log(probs[np.arange(total_len), group.tokens]) - group.old)
+    low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
+    unclipped = ratios * group.token_advantages
+    clipped = np.clip(ratios, low_edge, high_edge) * group.token_advantages
+    live = unclipped <= clipped
+    below = ratios < low_edge
+    # A running total in token order, not numpy's pairwise sum.
+    obj_sum = functools.reduce(operator.add, np.where(live, unclipped, clipped).tolist(), 0.0)
+    diag = GrpoDiagnostics(loss=float(-obj_sum / total_len),
+                           mean_ratio=float(ratios.mean()),
+                           clip_low_frac=float((~live & below).sum()) / total_len,
+                           clip_high_frac=float((~live & ~below).sum()) / total_len)
+    if not np.isfinite(obj_sum) or not np.all(np.isfinite(ratios)):
         raise NonFiniteLossError("non-finite ratio or loss in group", diag)
-    return diag.loss, _gradient(group, terms, params.feature_dim, params.vocab.size), diag
+    coeffs = np.where(live, unclipped, 0.0)
+    return diag.loss, _gradient(group, probs, coeffs, params.feature_dim, params.vocab.size), diag
 
 
 @dataclass

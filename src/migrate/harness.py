@@ -108,12 +108,25 @@ class RunConfig:
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature!r}")
         if self.island_count < 1:
             raise ValueError("island_count must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if self.opro_depth < 1:
+            raise ValueError("opro_depth must be >= 1")
+        self.clip_config()  # raises ValueError on invalid clip edges
+        self.island_config()  # raises ValueError on invalid island settings
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
 
     def mix(self) -> MixSpec:
         return MixSpec(self.alpha, self.beta, self.gamma, self.group_size,
                        self.top_k, self.mutation_rate)
+
+    def clip_config(self) -> ClipConfig:
+        return ClipConfig(self.eps_low, self.eps_high)
+
+    def island_config(self) -> IslandConfig:
+        return IslandConfig(self.island_count, self.exploit_prob,
+                            self.migration_interval, self.migration_fraction)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -245,17 +258,14 @@ def run_any(config: RunConfig) -> Trace:
     params = _initial_params(config, task)
     sampling_rng = _rng(config.seed, _STREAM_SAMPLING)
     island_rng = _rng(config.seed, _STREAM_ISLANDS)
-    islands = IslandConfig(config.island_count, config.exploit_prob,
-                           config.migration_interval, config.migration_fraction) \
-        if config.islands else None
-    archive = Archive(islands=islands)
+    archive = Archive(islands=config.island_config() if config.islands else None)
 
     warm = task.warmstart(_rng(config.seed, _STREAM_WARMSTART))[: config.warmstart_count]
     for i, c in enumerate(warm):
         archive.insert([c], island=i % config.island_count)
 
     mix = config.mix()
-    clip = ClipConfig(config.eps_low, config.eps_high)
+    clip = config.clip_config()
     local_kind = OPRO if config.method in ("opro", "migrate-opro") else "ns"
     optimizer = None
     if is_ttt and config.optimizer == "adam":
@@ -455,7 +465,8 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     """Run every (grid point x seed) combination and aggregate best-so-far.
 
     A grid key outside ``SWEEP_FIELDS`` raises ValueError. Invalid points
-    (mix does not sum to the group size) are skipped with a logged reason.
+    (those ``RunConfig`` rejects, e.g. a mix that does not sum to the group
+    size) are skipped with a logged reason.
     Each row carries mean/std of best-so-far at quarter-budget checkpoints
     plus the found rate. MIGRATE_WORKERS > 1 runs points in that many
     parallel processes; aggregation order is independent of scheduling. A

@@ -11,10 +11,14 @@ Feature layout of the weight matrix W (shape F x V, F = 2 + V + P):
   row 2+V..F-1    position bucket, min(pos * P // max_len, P - 1)
 
 A step's logits are the sum of the three active rows, so every step
-distribution the policy can produce fits in one (2, V, P, V) table. The
-table is built once per weight matrix and temperature (see
+distribution the policy can produce fits in one (2, V, P, V) table, and
+that table is the policy's only per-step interface: the distribution of a
+step is ``params.step_table(t).probs[ctx, prev, bucket]``. The table is
+built once per weight matrix and temperature (see
 :meth:`PolicyParams.step_table`) and every per-token operation reads it; a
-token draw is one ``bisect_right`` on one row of the table's running sum.
+token draw is one ``bisect_right`` on one row of the table's running sum,
+and :func:`token_steps` turns token sequences into the ``(tokens, prev,
+buckets)`` indices that log-probs and the GRPO gradient gather with.
 """
 
 from __future__ import annotations
@@ -164,40 +168,6 @@ def position_bucket(position, position_buckets: int, max_len: int):
     return np.minimum(np.asarray(position) * position_buckets // max_len, position_buckets - 1)
 
 
-def feature_slots(params: PolicyParams, context: ContextKind, prev_token: int | None,
-                  position: int) -> tuple[int, int, int]:
-    """Indices of the three active feature rows for one step."""
-    V = params.vocab.size
-    if position < 0 or position >= params.max_len:
-        raise ValueError(f"position {position} outside [0, {params.max_len})")
-    if prev_token is None:
-        prev = params.vocab.end_token
-    else:
-        if not 0 <= prev_token < V:
-            raise ValueError(f"prev_token {prev_token} out of vocabulary")
-        prev = prev_token
-    bucket = int(position_bucket(position, params.position_buckets, params.max_len))
-    return int(context), 2 + prev, 2 + V + bucket
-
-
-def encode_features(params: PolicyParams, context: ContextKind, prev_token: int | None,
-                    position: int) -> np.ndarray:
-    """Explicit feature vector (length F, exactly three ones)."""
-    phi = np.zeros(params.feature_dim)
-    for slot in feature_slots(params, context, prev_token, position):
-        phi[slot] = 1.0
-    return phi
-
-
-def token_distribution(params: PolicyParams, context: ContextKind, prev_token: int | None,
-                       position: int, temperature: float = 1.0) -> np.ndarray:
-    """Softmax step distribution over the vocabulary (a read-only view)."""
-    feature_slots(params, context, prev_token, position)  # validate
-    prev = params.vocab.end_token if prev_token is None else prev_token
-    bucket = position_bucket(position, params.position_buckets, params.max_len)
-    return params.step_table(temperature).probs[int(context), prev, bucket]
-
-
 def _draw(row: np.ndarray, u: float) -> int:
     """Inverse-CDF draw with uniform ``u`` from one (non-decreasing) CDF row:
     the count of entries <= u * total, capped at V - 1."""
@@ -263,36 +233,31 @@ def mutate_tokens(params: PolicyParams, context: ContextKind, temperature: float
     return out
 
 
+def token_steps(params: PolicyParams, sequences: list[tuple[int, ...]]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steps of token ``sequences``, flattened in order: ``(tokens, prev,
+    buckets)``, where ``prev`` is the end token at each sequence start.
+
+    A step's distribution is ``step_table(t).probs[ctx, prev, bucket]``.
+    Raises ValueError when a sequence is longer than ``max_len`` or holds a
+    token outside ``[0, V)``.
+    """
+    lengths = [len(s) for s in sequences]
+    T, V = sum(lengths), params.vocab.size
+    tokens = np.array([t for s in sequences for t in s], dtype=np.intp)
+    flat = np.arange(T)
+    positions = flat - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    if T and (positions.max() >= params.max_len or tokens.min() < 0 or tokens.max() >= V):
+        raise ValueError(f"sequences must have at most max_len={params.max_len} "
+                         f"tokens, each in [0, {V})")
+    prev = np.where(positions == 0, params.vocab.end_token, tokens[flat - 1])
+    return tokens, prev, position_bucket(positions, params.position_buckets, params.max_len)
+
+
 def logprobs(params: PolicyParams, context: ContextKind, tokens: tuple[int, ...]) -> np.ndarray:
     """Per-token log-probabilities of ``tokens`` under the given context."""
-    arr = np.asarray(tokens, dtype=np.int64)
-    if arr.size > params.max_len:
-        raise ValueError(f"sequence of length {arr.size} exceeds max_len {params.max_len}")
-    if arr.size and (arr.min() < 0 or arr.max() >= params.vocab.size):
-        raise ValueError("token out of vocabulary")
-    if arr.size == 0:
-        return np.zeros(0)
-    prev = np.concatenate(([params.vocab.end_token], arr[:-1]))
-    buckets = position_bucket(np.arange(arr.size), params.position_buckets, params.max_len)
-    return np.log(params.step_table(1.0).probs[int(context), prev, buckets, arr])
-
-
-def logprob_grad(params: PolicyParams, context: ContextKind, tokens: tuple[int, ...],
-                 position: int) -> np.ndarray:
-    """Exact gradient of one token's log-probability w.r.t. W.
-
-    Equals (onehot(token) - softmax) outer the step's one-hot features, i.e.
-    three non-zero rows.
-    """
-    arr = np.asarray(tokens, dtype=np.int64)
-    prev = int(arr[position - 1]) if position > 0 else None
-    p = token_distribution(params, context, prev, position)
-    row = -p.copy()
-    row[arr[position]] += 1.0
-    grad = np.zeros_like(params.W)
-    for slot in feature_slots(params, context, prev, position):
-        grad[slot] += row
-    return grad
+    tokens, prev, buckets = token_steps(params, [tokens])
+    return np.log(params.step_table(1.0).probs[int(context), prev, buckets, tokens])
 
 
 def save_params(params: PolicyParams) -> bytes:

@@ -34,6 +34,13 @@ class TestInsert:
         archive.insert([scored(0.2)])
         assert archive.best.score == 0.9
 
+    def test_best_is_topk_head_when_a_later_entry_ties_with_an_earlier_birth(self):
+        archive = Archive()
+        assert archive.best is None
+        archive.insert([scored(1.0, born=5, text="late"), scored(1.0, born=3, text="early")])
+        assert archive.best is archive.topk(1)[0]
+        assert archive.best.text == "early"
+
     def test_rejects_greedy_provenance(self):
         archive = Archive()
         with pytest.raises(ArchiveError):

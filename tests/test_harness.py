@@ -52,6 +52,25 @@ class TestRunConfig:
             run_any(default_config("words", "migrate", seed=1, budget=100,
                                    temperature=temperature))
 
+    @pytest.mark.parametrize("learning_rate", [-0.3, 0.0, float("nan"), float("inf")])
+    def test_non_positive_learning_rate_rejected(self, learning_rate):
+        # At -0.3 the run used to return status ok while every update
+        # climbed the GRPO loss.
+        with pytest.raises(ValueError, match="learning_rate"):
+            default_config("words", "migrate", seed=1, budget=100, learning_rate=learning_rate)
+
+    def test_opro_depth_positive(self):
+        with pytest.raises(ValueError, match="opro_depth"):
+            default_config("words", "migrate-opro", opro_depth=0)
+
+    @pytest.mark.parametrize("overrides", [{"exploit_prob": 1.5}, {"migration_interval": 0},
+                                           {"migration_fraction": -0.1}, {"eps_low": 1.0},
+                                           {"eps_high": 0.0}],
+                             ids=lambda overrides: next(iter(overrides)))
+    def test_invalid_island_or_clip_setting_fails_at_construction(self, overrides):
+        with pytest.raises(ValueError):
+            default_config("grids", "migrate", islands=True, **overrides)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             default_config("words", "bogus")
@@ -311,6 +330,14 @@ class TestSweep:
         grid = [{"alpha": 9, "beta": 9, "gamma": 9}, {"alpha": 0, "beta": 1, "gamma": 4}]
         rows = sweep(base, grid, seeds=[1])
         assert len(rows) == 1
+
+    def test_point_with_invalid_island_setting_skipped(self, caplog):
+        import logging
+        base = default_config("grids", "migrate", islands=True, budget=200)
+        with caplog.at_level(logging.WARNING):
+            rows = sweep(base, [{"exploit_prob": 0.5}, {"exploit_prob": 1.5}], [1])
+        assert [r["exploit_prob"] for r in rows] == [0.5]
+        assert any("exploit_prob" in r.message for r in caplog.records)
 
     def test_unknown_grid_key_raises(self):
         base = words_config("migrate", budget=40, warmstart_count=5)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from migrate.completion import Completion
+from migrate.grpo import make_group
 from migrate.policy import (TASK_CONTEXT, ContextKind, ParamsFormatError, ParamsNonFiniteError,
                             ParamsTruncatedError, ParamsVersionError, PolicyParams, Vocabulary,
-                            encode_features, feature_slots, init_params, load_params,
-                            logprob_grad, logprobs, sample_completion, save_params,
-                            token_distribution)
+                            init_params, load_params, logprobs, position_bucket,
+                            sample_completion, save_params, token_steps)
 
 NS_CONTEXT = ContextKind.NEIGHBORHOOD
 
@@ -21,6 +22,14 @@ def random_params(rng, size=6, buckets=3, max_len=5, scale=0.7):
     return base.with_weights(rng.normal(scale=scale, size=base.W.shape))
 
 
+def step_probs(params, ctx, prev, pos, temperature=1.0):
+    """The step distribution at (ctx, prev, pos), read from the step table;
+    ``prev=None`` is the first step."""
+    prev = params.vocab.end_token if prev is None else prev
+    bucket = position_bucket(pos, params.position_buckets, params.max_len)
+    return params.step_table(temperature).probs[int(ctx), prev, bucket]
+
+
 class TestVocabulary:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -31,55 +40,10 @@ class TestVocabulary:
             Vocabulary(("a", "b"), end_token=2)
 
 
-class TestEncodeFeatures:
-    def test_first_step_slots(self):
-        params = init_params(make_vocab(8), position_buckets=4, max_len=4)
-        phi = encode_features(params, TASK_CONTEXT, None, 0)
-        # context slot 0, start aliases the end token's row, bucket 0
-        assert phi[0] == 1.0
-        assert phi[2 + params.vocab.end_token] == 1.0
-        assert phi[2 + 8] == 1.0
-        assert phi.sum() == 3.0
-
-    def test_index_arithmetic(self):
-        params = init_params(make_vocab(8), position_buckets=4, max_len=4)
-        phi = encode_features(params, NS_CONTEXT, 3, 2)
-        assert set(np.flatnonzero(phi)) == {1, 2 + 3, 2 + 8 + 2}
-
-    def test_distinct_triples_distinct_vectors(self):
-        # Exhaustive over V=4, P=2: every reachable (context, prev, pos)
-        # triple maps to a distinct vector. prev=end is unreachable
-        # mid-sequence (generation stops), so "start" may share its row.
-        params = init_params(make_vocab(4), position_buckets=2, max_len=4)
-        seen = {}
-        for ctx in (TASK_CONTEXT, NS_CONTEXT):
-            prevs = [None] + [t for t in range(4) if t != params.vocab.end_token]
-            for prev in prevs:
-                for pos in range(4):
-                    key = tuple(np.flatnonzero(encode_features(params, ctx, prev, pos)))
-                    bucket = pos * 2 // 4
-                    triple = (ctx, prev, bucket)
-                    if key in seen:
-                        assert seen[key] == triple
-                    seen[key] = triple
-        distinct_triples = {v for v in seen.values()}
-        assert len(seen) == len(distinct_triples)
-
-    def test_position_out_of_range(self):
-        params = init_params(make_vocab(4), position_buckets=2, max_len=4)
-        with pytest.raises(ValueError):
-            encode_features(params, TASK_CONTEXT, None, 4)
-
-    def test_prev_token_out_of_vocab(self):
-        params = init_params(make_vocab(4), position_buckets=2, max_len=4)
-        with pytest.raises(ValueError):
-            feature_slots(params, TASK_CONTEXT, 4, 0)
-
-
 class TestDistribution:
     def test_zero_weights_uniform(self):
         params = init_params(make_vocab(8), max_len=4)
-        p = token_distribution(params, TASK_CONTEXT, None, 0)
+        p = step_probs(params, TASK_CONTEXT, None, 0)
         assert np.allclose(p, 1 / 8, atol=1e-15)
 
     def test_sums_to_one(self):
@@ -89,26 +53,23 @@ class TestDistribution:
             prev = int(rng.integers(0, params.vocab.size - 1))
             pos = int(rng.integers(0, params.max_len))
             ctx = TASK_CONTEXT if rng.random() < 0.5 else NS_CONTEXT
-            p = token_distribution(params, ctx, prev, pos)
+            p = step_probs(params, ctx, prev, pos)
             assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_temperature_preserves_argmax(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             params = random_params(rng)
-            base = token_distribution(params, TASK_CONTEXT, None, 0, temperature=1.0)
+            base = step_probs(params, TASK_CONTEXT, None, 0, temperature=1.0)
             for temp in (0.25, 0.5, 2.0, 7.5):
-                p = token_distribution(params, TASK_CONTEXT, None, 0, temperature=temp)
+                p = step_probs(params, TASK_CONTEXT, None, 0, temperature=temp)
                 assert np.argmax(p) == np.argmax(base)
-
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
     def test_step_table_rejects_non_positive_or_non_finite_temperature(self, temperature):
         params = random_params(np.random.default_rng(3))
         with pytest.raises(ValueError, match="temperature"):
             params.step_table(temperature)
-        with pytest.raises(ValueError, match="temperature"):
-            token_distribution(params, TASK_CONTEXT, None, 0, temperature=temperature)
 
 
 class TestSampling:
@@ -132,7 +93,7 @@ class TestSampling:
         c = sample_completion(params, TASK_CONTEXT, 1e-6, np.random.default_rng(3))
         prev = None
         for pos, tok in enumerate(c.tokens):
-            p = token_distribution(params, TASK_CONTEXT, prev, pos)
+            p = step_probs(params, TASK_CONTEXT, prev, pos)
             assert tok == int(np.argmax(p))
             prev = tok
 
@@ -180,10 +141,12 @@ class TestLogprobs:
             W[f, 2] += delta
             bumped = logprobs(params.with_weights(W), TASK_CONTEXT, tokens)
             for pos in range(len(tokens)):
-                prev = tokens[pos - 1] if pos else None
-                phi = encode_features(params, TASK_CONTEXT, prev, pos)
+                prev = tokens[pos - 1] if pos else params.vocab.end_token
+                bucket = min(pos * params.position_buckets // params.max_len,
+                             params.position_buckets - 1)
+                active = {int(TASK_CONTEXT), 2 + prev, 2 + params.vocab.size + bucket}
                 changed = abs(bumped[pos] - base[pos]) > 0
-                assert changed == bool(phi[f]), (f, pos)
+                assert changed == (f in active), (f, pos)
 
     def test_rejects_out_of_vocab(self):
         params = init_params(make_vocab(4), max_len=4)
@@ -196,41 +159,47 @@ class TestLogprobs:
             logprobs(params, TASK_CONTEXT, (0, 1, 2))
 
 
-class TestGradient:
-    def test_analytic_matches_central_differences(self):
-        # d log p / dW == (onehot - softmax) outer phi, checked by central
-        # finite differences on random small instances.
-        rng = np.random.default_rng(8)
-        h = 1e-6
-        for _ in range(25):
-            params = random_params(rng, size=int(rng.integers(3, 9)),
-                                   buckets=int(rng.integers(1, 5)), max_len=5)
-            n = int(rng.integers(1, 6))
-            tokens = tuple(int(t) for t in rng.integers(0, params.vocab.size, size=n))
-            pos = int(rng.integers(0, n))
-            ctx = TASK_CONTEXT if rng.random() < 0.5 else NS_CONTEXT
-            grad = logprob_grad(params, ctx, tokens, pos)
-            fd = np.zeros_like(grad)
-            for f in range(grad.shape[0]):
-                for v in range(grad.shape[1]):
-                    for sign in (1.0, -1.0):
-                        W = params.W.copy()
-                        W[f, v] += sign * h
-                        lp = logprobs(params.with_weights(W), ctx, tokens)[pos]
-                        fd[f, v] += sign * lp / (2 * h)
-            scale = max(1e-8, np.abs(grad).max(), np.abs(fd).max())
-            assert np.abs(grad - fd).max() / scale <= 1e-6
+class TestTokenSteps:
+    """``token_steps`` edge cases, read through ``logprobs`` and ``make_group``."""
 
-    def test_structure_matches_outer_product(self):
-        rng = np.random.default_rng(9)
-        params = random_params(rng, size=5, max_len=4)
-        tokens = (2, 0)
-        grad = logprob_grad(params, TASK_CONTEXT, tokens, 1)
-        p = token_distribution(params, TASK_CONTEXT, 2, 1)
-        row = -p
-        row[0] += 1.0
-        phi = encode_features(params, TASK_CONTEXT, 2, 1)
-        assert np.allclose(grad, np.outer(phi, row), atol=1e-15)
+    @staticmethod
+    def group(params, sequences):
+        return make_group(params, [Completion(tokens=t, provenance="online", score=float(i))
+                                   for i, t in enumerate(sequences)])
+
+    def test_empty_sequence(self):
+        params = random_params(np.random.default_rng(12), size=5, max_len=4)
+        tokens, prev, buckets = token_steps(params, [()])
+        assert tokens.size == prev.size == buckets.size == 0
+        assert logprobs(params, TASK_CONTEXT, ()).shape == (0,)
+        group = self.group(params, [(), (1, 2)])
+        assert group.tokens.tolist() == [1, 2]
+        assert group.prev.tolist() == [params.vocab.end_token, 1]
+        assert group.old.tobytes() == logprobs(params, TASK_CONTEXT, (1, 2)).tobytes()
+
+    def test_exactly_max_len_accepted_one_more_rejected(self):
+        params = random_params(np.random.default_rng(13), size=5, buckets=3, max_len=4)
+        full = (0, 1, 2, 3)
+        _, _, buckets = token_steps(params, [full])
+        assert buckets.tolist() == [0, 0, 1, 2]
+        assert logprobs(params, TASK_CONTEXT, full).shape == (4,)
+        group = self.group(params, [full, (1,)])
+        assert group.buckets.tolist() == [0, 0, 1, 2, 0]
+        with pytest.raises(ValueError, match="max_len"):
+            logprobs(params, TASK_CONTEXT, full + (0,))
+        with pytest.raises(ValueError, match="max_len"):
+            self.group(params, [full + (0,), (1,)])
+
+    def test_end_token_is_prev_at_each_member_start(self):
+        params = random_params(np.random.default_rng(14), size=5, max_len=4)
+        end = params.vocab.end_token
+        sequences = [(1, 2), (3,), (0, 4, 1)]
+        tokens, prev, _ = token_steps(params, sequences)
+        assert prev.tolist() == [end, 1, end, end, 0, 4]
+        group = self.group(params, sequences)
+        assert group.prev.tolist() == prev.tolist()
+        ref = np.concatenate([logprobs(params, TASK_CONTEXT, t) for t in sequences])
+        assert group.old.tobytes() == ref.tobytes()
 
 
 class TestSerialization:

@@ -98,7 +98,8 @@ class Archive:
 
         Greedy-provenance members are reused, not new, and are rejected;
         every member must already carry a score. With islands enabled the
-        batch lands on the current cursor island unless overridden.
+        batch lands on the current cursor island unless ``island`` names one
+        in ``[0, count)``; any other island raises ArchiveError.
         """
         for c in completions:
             if c.provenance == GREEDY:
@@ -106,6 +107,8 @@ class Archive:
             if c.score is None:
                 raise ArchiveError("cannot insert an unscored completion")
         target = self.cursor if island is None else island
+        if self.islands and not 0 <= target < self.islands.count:
+            raise ArchiveError(f"island {target} is outside [0, {self.islands.count})")
         for c in completions:
             self._append(c, target)
 

@@ -9,22 +9,21 @@ import logging
 import sys
 from pathlib import Path
 
-from .harness import (METHODS, RunConfig, SolvedRun, bootstrap_nearest, build_task,
-                      default_config, emit_trace, run_any, save_run_artifacts, sweep,
-                      sweep_to_csv)
+from .harness import (METHODS, TASK_DEFAULTS, RunConfig, SolvedRun, bootstrap_nearest,
+                      build_task, default_config, emit_trace, run_any, save_run_artifacts,
+                      sweep, sweep_to_csv)
 from .tasks import compute_metrics, load_grid_task
 
 
 def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     # No argparse defaults: only flags the user passed override --config.
-    parser.add_argument("--task", choices=("words", "molecules", "grids"),
-                        help="default: words")
+    parser.add_argument("--task", choices=tuple(TASK_DEFAULTS), help="default: words")
     parser.add_argument("--method", choices=METHODS, help="default: migrate")
     parser.add_argument("--budget", type=int)
     parser.add_argument("--alpha", type=int)
     parser.add_argument("--beta", type=int)
     parser.add_argument("--gamma", type=int)
-    parser.add_argument("--group-size", type=int)
+    parser.add_argument("--group-size", type=int, help="must equal alpha + beta + gamma")
     parser.add_argument("--topk", type=int, dest="top_k")
     parser.add_argument("--mu", type=int)
     parser.add_argument("--eps-low", type=float, dest="eps_low")
@@ -40,16 +39,17 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--exploit-prob", type=float, dest="exploit_prob")
     parser.add_argument("--task-file", dest="task_file")
     parser.add_argument("--bootstrap-params", dest="bootstrap_params")
-    parser.add_argument("--config", help="JSON file mirroring RunConfig; flags override it")
+    parser.add_argument("--config", help="JSON file of RunConfig fields; flags override it and "
+                        "the task's defaults fill the fields neither sets")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Flags passed, over the ``--config`` file's fields, over the task's defaults."""
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     overrides = {name: value for name, value in vars(args).items()
                  if name in fields and value is not None}
     if args.config:
-        base = RunConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-        return RunConfig(**{**base.__dict__, **overrides})
+        overrides = {**json.loads(Path(args.config).read_text(encoding="utf-8")), **overrides}
     return default_config(overrides.pop("task", "words"), overrides.pop("method", "migrate"),
                           **overrides)
 

@@ -180,12 +180,12 @@ def grpo_loss_and_grad(params: PolicyParams, group: Group,
     return diag.loss, _gradient(group, probs, coeffs, params.feature_dim, params.vocab.size), diag
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class Adam:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     _m: np.ndarray | None = field(default=None, repr=False)
     _v: np.ndarray | None = field(default=None, repr=False)
     _t: int = field(default=0, repr=False)
@@ -195,11 +195,11 @@ class Adam:
             self._m = np.zeros_like(W)
             self._v = np.zeros_like(W)
         self._t += 1
-        self._m = self.beta1 * self._m + (1 - self.beta1) * grad
-        self._v = self.beta2 * self._v + (1 - self.beta2) * grad * grad
-        m_hat = self._m / (1 - self.beta1 ** self._t)
-        v_hat = self._v / (1 - self.beta2 ** self._t)
-        return W - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._m = ADAM_BETA1 * self._m + (1 - ADAM_BETA1) * grad
+        self._v = ADAM_BETA2 * self._v + (1 - ADAM_BETA2) * grad * grad
+        m_hat = self._m / (1 - ADAM_BETA1 ** self._t)
+        v_hat = self._v / (1 - ADAM_BETA2 ** self._t)
+        return W - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: float,

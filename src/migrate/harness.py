@@ -24,11 +24,11 @@ import numpy as np
 from .archive import Archive, IslandConfig
 from .completion import OPRO
 from .grpo import Adam, ClipConfig, GrpoDiagnostics, make_group, update_policy
-from .policy import TASK_CONTEXT, PolicyParams, init_params, load_params, save_params
+from .policy import PolicyParams, init_params, load_params, save_params
 from .sampler import MixSpec, construct_group
 from .tasks import (GridTask, SearchTask, TwoObjectiveTask, WordSearchTask, eval_program,
-                    load_grid_task, parse_program, synthesize_embedding_table,
-                    synthesize_grid_task)
+                    load_embedding_table, load_grid_task, parse_program,
+                    synthesize_embedding_table, synthesize_grid_task)
 
 logger = logging.getLogger(__name__)
 
@@ -41,20 +41,20 @@ _STREAM_SAMPLING = 1
 _STREAM_ISLANDS = 2
 _STREAM_WARMSTART = 3
 
-# Per-task defaults; mixes are (alpha, beta, gamma) and mirror the per-task
-# configurations the methods are normally run with.
+# The only run defaults: default_config (and so every --config file) takes a
+# task's entry whole. Mixes are (alpha, beta, gamma); group_size is their sum.
 TASK_DEFAULTS: dict[str, dict] = {
-    "words": dict(group_size=5, budget=1000, warmstart_count=20, top_k=3, mu=2,
+    "words": dict(budget=1000, warmstart_count=20, top_k=3, mu=2,
                   learning_rate=0.3, mutation_rate=0.2, stop_threshold=1.0, opro_depth=10,
                   mixes={"random": (5, 0, 0), "ns": (0, 0, 5), "opro": (0, 0, 5),
                          "grpo": (5, 0, 0), "grpo-greedy": (4, 1, 0),
                          "migrate": (0, 1, 4), "migrate-opro": (0, 1, 4)}),
-    "molecules": dict(group_size=5, budget=200, warmstart_count=3, top_k=1, mu=1,
+    "molecules": dict(budget=200, warmstart_count=3, top_k=1, mu=1,
                       learning_rate=0.35, mutation_rate=0.25, stop_threshold=None, opro_depth=5,
                       mixes={"random": (5, 0, 0), "ns": (3, 0, 2), "opro": (0, 0, 5),
                              "grpo": (5, 0, 0), "grpo-greedy": (4, 1, 0),
                              "migrate": (2, 1, 2), "migrate-opro": (2, 1, 2)}),
-    "grids": dict(group_size=16, budget=1024, warmstart_count=1, top_k=1, mu=1,
+    "grids": dict(budget=1024, warmstart_count=1, top_k=1, mu=1,
                   learning_rate=0.35, mutation_rate=0.25, stop_threshold=1.0, opro_depth=1,
                   mixes={"random": (16, 0, 0), "ns": (12, 0, 4), "opro": (12, 0, 4),
                          "grpo": (16, 0, 0), "grpo-greedy": (15, 1, 0),
@@ -64,7 +64,8 @@ TASK_DEFAULTS: dict[str, dict] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of a single search run. JSON-serializable one-to-one."""
+    """Every knob of a single search run. JSON-serializable one-to-one; build
+    it with ``default_config``, which fills the fields without a default."""
 
     method: str
     task: str
@@ -75,23 +76,23 @@ class RunConfig:
     top_k: int
     budget: int
     warmstart_count: int
-    learning_rate: float = 0.35
-    mu: int = 1
-    eps_low: float = 0.2
-    eps_high: float = 0.28
+    learning_rate: float
+    mu: int
+    mutation_rate: float
+    stop_threshold: float | None
+    opro_depth: int
+    eps_low: float = ClipConfig.eps_low
+    eps_high: float = ClipConfig.eps_high
     temperature: float = 1.0
-    mutation_rate: float = 0.25
-    stop_threshold: float | None = None
     islands: bool = False
-    island_count: int = 4
-    exploit_prob: float = 0.7
-    migration_interval: int = 10
-    migration_fraction: float = 0.25
+    island_count: int = IslandConfig.count
+    exploit_prob: float = IslandConfig.exploit_prob
+    migration_interval: int = IslandConfig.migration_interval
+    migration_fraction: float = IslandConfig.migration_fraction
     seed: int = 0
     task_file: str | None = None
     task_options: dict = field(default_factory=dict)
     bootstrap_params: str | None = None
-    opro_depth: int = 10
     optimizer: str = "sgd"
 
     def __post_init__(self) -> None:
@@ -131,36 +132,24 @@ class RunConfig:
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+    @staticmethod
+    def from_json(text: str) -> "RunConfig":
+        """``default_config`` of a JSON object: fields it omits take the task's defaults."""
+        return default_config(**json.loads(text))
 
 
 def default_config(task: str, method: str, seed: int = 0, **overrides) -> RunConfig:
-    """Per-task, per-method defaults with explicit overrides on top."""
+    """``TASK_DEFAULTS[task]`` with the method's mix, overrides on top. A
+    ``group_size`` override that does not match the mix raises ValueError."""
     if task not in TASK_DEFAULTS:
         raise ValueError(f"unknown task {task!r}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    base = TASK_DEFAULTS[task]
-    alpha, beta, gamma = base["mixes"][method]
-    fields = dict(method=method, task=task, group_size=base["group_size"],
-                  alpha=alpha, beta=beta, gamma=gamma, top_k=base["top_k"],
-                  budget=base["budget"], warmstart_count=base["warmstart_count"],
-                  learning_rate=base["learning_rate"], mutation_rate=base["mutation_rate"],
-                  mu=base["mu"], stop_threshold=base["stop_threshold"],
-                  opro_depth=base["opro_depth"], seed=seed)
-    group_size = overrides.get("group_size", fields["group_size"])
-    if group_size != fields["group_size"] and not {"alpha", "beta", "gamma"} & overrides.keys():
-        # Rescale the default mix shape onto the requested group size.
-        if method in ("random", "grpo"):
-            overrides.setdefault("alpha", group_size)
-            overrides.setdefault("beta", 0)
-            overrides.setdefault("gamma", 0)
-        else:
-            raise ValueError("custom group_size needs explicit alpha/beta/gamma")
-    fields.update(overrides)
-    return RunConfig(**fields)
+    fields = dict(TASK_DEFAULTS[task])
+    alpha, beta, gamma = fields.pop("mixes")[method]
+    fields.update(method=method, task=task, group_size=alpha + beta + gamma,
+                  alpha=alpha, beta=beta, gamma=gamma, seed=seed)
+    return RunConfig(**{**fields, **overrides})
 
 
 @dataclass
@@ -212,9 +201,10 @@ TASK_OPTIONS: dict[str, tuple[str, ...]] = {
 def build_task(config: RunConfig) -> SearchTask:
     """Materialize the task from the config's task-synthesis stream.
 
-    Raises ValueError on a ``task_options`` key the task does not read.
+    ``task_options`` are keyword arguments of the task's constructor. Raises ValueError on
+    a key the task does not read, a molecules ``task_file``, or other options with a words one.
     """
-    opts = config.task_options
+    opts = dict(config.task_options)
     accepted = TASK_OPTIONS[config.task]
     unknown = sorted(set(opts) - set(accepted))
     if unknown:
@@ -222,23 +212,21 @@ def build_task(config: RunConfig) -> SearchTask:
                          f"accepted keys: {', '.join(accepted)}")
     rng = _rng(config.seed, _STREAM_TASK)
     if config.task == "words":
-        if config.task_file:
-            from .tasks import load_embedding_table
-
-            table = load_embedding_table(config.task_file)
-        else:
-            table = synthesize_embedding_table(
-                rng, vocab_size=opts.get("vocab_size", 2000), dim=opts.get("dim", 16),
-                clusters=opts.get("clusters", 12), step_scale=opts.get("step_scale", 0.25))
-        hidden = opts.get("hidden_word")
+        hidden = opts.pop("hidden_word", None)
+        if config.task_file and opts:
+            raise ValueError(f"task_options {sorted(opts)} are not read with a words task_file")
+        table = (load_embedding_table(config.task_file) if config.task_file
+                 else synthesize_embedding_table(rng, **opts))
         if hidden is None:
             hidden = table.words[int(rng.integers(0, table.size))]
         return WordSearchTask(table, hidden, warmstart_count=config.warmstart_count)
     if config.task == "molecules":
-        return TwoObjectiveTask(rng, max_len=opts.get("max_len", 16))
+        if config.task_file:
+            raise ValueError("task 'molecules' is synthesized and reads no task_file")
+        return TwoObjectiveTask(rng, **opts)
     if config.task_file:
-        return load_grid_task(config.task_file, dsl_step_limit=opts.get("dsl_step_limit", 10_000))
-    return synthesize_grid_task(rng, dsl_step_limit=opts.get("dsl_step_limit", 10_000))
+        return load_grid_task(config.task_file, **opts)
+    return synthesize_grid_task(rng, **opts)
 
 
 def _initial_params(config: RunConfig, task: SearchTask) -> PolicyParams:
@@ -281,7 +269,7 @@ def run_any(config: RunConfig) -> Trace:
             if archive.evaluated_count + next_new > config.budget:
                 break
             iteration += 1
-            draft = construct_group(mix, params, archive, TASK_CONTEXT, config.temperature,
+            draft = construct_group(mix, params, archive, config.temperature,
                                     sampling_rng, born_iteration=iteration,
                                     local_kind=local_kind, opro_depth=config.opro_depth,
                                     island_rng=island_rng)
@@ -329,6 +317,8 @@ def run_any(config: RunConfig) -> Trace:
 
 CSV_COLUMNS = ("iteration", "evaluations", "best_so_far", "loss",
                "clip_low_frac", "clip_high_frac")
+SVG_WIDTH, SVG_HEIGHT = 640, 400
+TRACE_STEM = "trace"
 
 
 def _fmt(value) -> str:
@@ -361,9 +351,9 @@ def trace_jsonl(trace: Trace) -> str:
     return "".join(lines)
 
 
-def trace_svg(trace: Trace, width: int = 640, height: int = 400) -> str:
-    """Best-so-far vs evaluations as a single-polyline SVG plot."""
-    pad = 50
+def trace_svg(trace: Trace) -> str:
+    """Best-so-far vs evaluations as a single-polyline SVG_WIDTH x SVG_HEIGHT plot."""
+    width, height, pad = SVG_WIDTH, SVG_HEIGHT, 50
     xs = [r.evaluations for r in trace.records]
     ys = [r.best_so_far for r in trace.records]
     if not xs:
@@ -393,9 +383,8 @@ def trace_svg(trace: Trace, width: int = 640, height: int = 400) -> str:
     )
 
 
-def emit_trace(trace: Trace, formats: tuple[str, ...], out_dir: str | Path,
-               stem: str = "trace") -> list[Path]:
-    """Write trace files atomically; on failure no partial files remain."""
+def emit_trace(trace: Trace, formats: tuple[str, ...], out_dir: str | Path) -> list[Path]:
+    """Write ``trace.<format>`` files atomically; on failure none remains."""
     renderers = {"csv": trace_csv, "jsonl": trace_jsonl, "svg": trace_svg}
     unknown = set(formats) - renderers.keys()
     if unknown:
@@ -407,8 +396,8 @@ def emit_trace(trace: Trace, formats: tuple[str, ...], out_dir: str | Path,
     tmp_paths: list[Path] = []
     try:
         for fmt, content in rendered.items():
-            final = out_dir / f"{stem}.{fmt}"
-            tmp = out_dir / f"{stem}.{fmt}.tmp"
+            final = out_dir / f"{TRACE_STEM}.{fmt}"
+            tmp = out_dir / f"{TRACE_STEM}.{fmt}.tmp"
             tmp.write_text(content, encoding="utf-8")
             tmp_paths.append(tmp)
             written.append(final)
@@ -427,15 +416,8 @@ SWEEP_CHECKPOINTS = (0.25, 0.5, 0.75, 1.0)
 
 
 def _best_at(trace: Trace, evaluations: int) -> float:
-    best = -np.inf
-    for r in trace.records:
-        if r.evaluations <= evaluations:
-            best = r.best_so_far
-        else:
-            break
-    if best == -np.inf and trace.records:
-        best = trace.records[0].best_so_far
-    return best
+    """Best of the first ``evaluations`` archive entries (in evaluation order), or -inf."""
+    return max((c.score for c in trace.archive.entries[:evaluations]), default=-np.inf)
 
 
 #: The RunConfig fields a sweep grid point may set.

@@ -18,8 +18,8 @@ from .archive import Archive
 from .completion import GREEDY, NS, ONLINE, OPRO, Completion
 # ``sample_completion`` (the one-draw form of ``sample_online``) stays
 # importable from here: searchbench/spans.py wraps it under this name.
-from .policy import (ContextKind, PolicyParams, mutate_tokens, sample_completion,  # noqa: F401
-                     sample_tokens)
+from .policy import (TASK_CONTEXT, ContextKind, PolicyParams, mutate_tokens,  # noqa: F401
+                     sample_completion, sample_tokens)
 
 
 @dataclass(frozen=True)
@@ -164,22 +164,23 @@ def propose_trajectory(top_m: list[Completion], gamma: int, mutation_rate: float
     return out
 
 
-def construct_group(mix: MixSpec, params: PolicyParams, archive: Archive,
-                    task_context: ContextKind, temperature: float, rng: np.random.Generator,
-                    *, born_iteration: int = 0, local_kind: str = NS, opro_depth: int = 10,
+def construct_group(mix: MixSpec, params: PolicyParams, archive: Archive, temperature: float,
+                    rng: np.random.Generator, *, born_iteration: int = 0, local_kind: str = NS,
+                    opro_depth: int = 10,
                     island_rng: np.random.Generator | None = None) -> GroupDraft:
-    """Build one group of exactly ``group_size`` members.
+    """Build one group of exactly ``group_size`` members, online ones drawn
+    under the task context.
 
     Cold start (empty archive) backfills every greedy/local slot with extra
     online samples; all of those count as new evaluations. When the archive
     has islands the neighborhood exemplar comes from its island cursor,
-    drawn with ``island_rng``, instead of the global top-k.
+    drawn with ``island_rng`` (ValueError if None), instead of the global top-k.
     """
     alpha, beta, gamma = mix.alpha, mix.beta, mix.gamma
     if len(archive) == 0:
         alpha, beta, gamma = mix.group_size, 0, 0
 
-    online = sample_online(params, task_context, alpha, temperature, rng,
+    online = sample_online(params, TASK_CONTEXT, alpha, temperature, rng,
                            born_iteration=born_iteration)
     greedy = select_greedy(archive, mix.k, beta, rng)
     local: list[Completion] = []
@@ -190,6 +191,8 @@ def construct_group(mix: MixSpec, params: PolicyParams, archive: Archive,
                                        params.vocab.size, born_iteration=born_iteration)
         else:
             if archive.islands:
+                if island_rng is None:
+                    raise ValueError("island_rng is required on an island archive")
                 exemplars = [archive.island_select(island_rng, mix.k)]
             elif greedy:
                 exemplars = greedy

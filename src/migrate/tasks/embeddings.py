@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+WORD_LENGTH = 6  # letters in each synthesized cluster root
+HUB_COUNT = 6  # each cluster's members that later members branch from
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,11 @@ def _mutate_word(word: str, edits: int, rng: np.random.Generator) -> str:
 
 
 def synthesize_embedding_table(rng: np.random.Generator, vocab_size: int = 2000, dim: int = 16,
-                               clusters: int = 12, step_scale: float = 0.25,
-                               word_length: int = 6, hub_count: int = 6) -> EmbeddingTable:
+                               clusters: int = 12, step_scale: float = 0.25) -> EmbeddingTable:
     """Edit-tree clusters: each member is one substitution away from an
     earlier member and its raw vector is the parent's plus a small step.
 
-    Parents are drawn from each cluster's first ``hub_count`` members, so
+    Parents are drawn from each cluster's first ``HUB_COUNT`` members, so
     trees stay shallow and most words sit within a couple of edits of a
     hub. Cluster roots are well-separated Gaussian centers, so similarity
     decays smoothly along each cluster's edit graph while staying low
@@ -110,12 +111,12 @@ def synthesize_embedding_table(rng: np.random.Generator, vocab_size: int = 2000,
     for c in range(clusters):
         stem = ""
         while not stem or stem in seen:
-            stem = "".join(_LETTERS[int(rng.integers(0, 26))] for _ in range(word_length))
+            stem = "".join(_LETTERS[int(rng.integers(0, 26))] for _ in range(WORD_LENGTH))
         cluster_words = [stem]
         raw = [rng.normal(size=dim)]
         seen.add(stem)
         for member in range(1, int(sizes[c])):
-            parent = int(rng.integers(0, min(member, hub_count)))
+            parent = int(rng.integers(0, min(member, HUB_COUNT)))
             edits, attempts, word = 1, 0, ""
             while not word or word in seen:
                 word = _mutate_word(cluster_words[parent], edits, rng)

@@ -22,6 +22,9 @@ from .base import SearchTask
 
 COLORS = 10
 OFFSETS = (-2, -1, 0, 1, 2)
+DSL_STEP_LIMIT = 10_000  # default interpreter budget, in cell steps
+# synthesize_grid_task: train and test pairs, side range, most hidden-program ops
+SYNTH_TRAIN, SYNTH_TEST, SYNTH_MIN_SIDE, SYNTH_MAX_SIDE, SYNTH_PROGRAM_OPS = 3, 1, 3, 8, 3
 
 # op name -> argument kinds ("color" or "offset")
 OPS: dict[str, tuple[str, ...]] = {
@@ -147,7 +150,7 @@ def run_program(program: DslProgram, grid: np.ndarray, step_limit: int) -> np.nd
 class GridTask(SearchTask):
     train_pairs: list[tuple[np.ndarray, np.ndarray]]
     test_pairs: list[tuple[np.ndarray, np.ndarray]]
-    dsl_step_limit: int = 10_000
+    dsl_step_limit: int = DSL_STEP_LIMIT
 
     vocab = GRID_VOCAB
     max_len = 12
@@ -257,30 +260,29 @@ def _as_grid(rows: list[list[int]]) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def grid_task_from_dict(data: dict, dsl_step_limit: int = 10_000) -> GridTask:
+def grid_task_from_dict(data: dict, dsl_step_limit: int = DSL_STEP_LIMIT) -> GridTask:
     train = [(_as_grid(p["input"]), _as_grid(p["output"])) for p in data["train"]]
     test = [(_as_grid(p["input"]), _as_grid(p["output"])) for p in data["test"]]
     return GridTask(train, test, dsl_step_limit=dsl_step_limit)
 
 
-def load_grid_task(path: str | Path, dsl_step_limit: int = 10_000) -> GridTask:
+def load_grid_task(path: str | Path, dsl_step_limit: int = DSL_STEP_LIMIT) -> GridTask:
     """Load a {"train": [...], "test": [...]} grid-pairs JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         return grid_task_from_dict(json.load(fh), dsl_step_limit=dsl_step_limit)
 
 
-def synthesize_grid_task(rng: np.random.Generator, n_train: int = 3, n_test: int = 1,
-                         min_side: int = 3, max_side: int = 8, program_ops: int = 3,
-                         dsl_step_limit: int = 10_000) -> GridTask:
-    """Random solvable task: apply a random hidden program to random inputs.
+def synthesize_grid_task(rng: np.random.Generator,
+                         dsl_step_limit: int = DSL_STEP_LIMIT) -> GridTask:
+    """Random solvable task: apply a random hidden program to random inputs
+    (sizes from the SYNTH_ constants).
 
     Uses the first of up to 20 hidden programs that runs within
     ``dsl_step_limit`` on every input and changes a training input; raises
     ValueError when none does."""
-    max_side = min(max_side, 8)
     for _ in range(20):
         ops: list[tuple[str, tuple[int, ...]]] = []
-        for _ in range(int(rng.integers(1, program_ops + 1))):
+        for _ in range(int(rng.integers(1, SYNTH_PROGRAM_OPS + 1))):
             name = OP_TOKENS[int(rng.integers(0, len(OP_TOKENS)))]
             args: list[int] = []
             for kind in OPS[name]:
@@ -291,15 +293,15 @@ def synthesize_grid_task(rng: np.random.Generator, n_train: int = 3, n_test: int
             ops.append((name, tuple(args)))
         program = DslProgram(tuple(ops))
         pairs = []
-        for _ in range(n_train + n_test):
-            h = int(rng.integers(min_side, max_side + 1))
-            w = int(rng.integers(min_side, max_side + 1))
+        for _ in range(SYNTH_TRAIN + SYNTH_TEST):
+            h = int(rng.integers(SYNTH_MIN_SIDE, SYNTH_MAX_SIDE + 1))
+            w = int(rng.integers(SYNTH_MIN_SIDE, SYNTH_MAX_SIDE + 1))
             grid = np.where(rng.random((h, w)) < 0.5, 0,
                             rng.integers(1, COLORS, size=(h, w))).astype(np.int64)
             pairs.append((grid, run_program(program, grid, dsl_step_limit)))
         if any(out is None for _, out in pairs):
             continue
-        if any(inp.shape != out.shape or np.any(inp != out) for inp, out in pairs[:n_train]):
-            return GridTask(pairs[:n_train], pairs[n_train:], dsl_step_limit=dsl_step_limit)
+        if any(inp.shape != out.shape or np.any(inp != out) for inp, out in pairs[:SYNTH_TRAIN]):
+            return GridTask(pairs[:SYNTH_TRAIN], pairs[SYNTH_TRAIN:], dsl_step_limit=dsl_step_limit)
     raise ValueError(f"none of 20 hidden programs ran within dsl_step_limit="
                      f"{dsl_step_limit} on every input and changed a training input")

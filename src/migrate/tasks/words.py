@@ -24,11 +24,11 @@ from .embeddings import EmbeddingTable
 
 SEPARATOR = " "
 END = "</s>"
+WORDS_PER_COMPLETION = 2
 
 
 class WordSearchTask(SearchTask):
-    def __init__(self, table: EmbeddingTable, hidden_word: str, warmstart_count: int = 20,
-                 words_per_completion: int = 2):
+    def __init__(self, table: EmbeddingTable, hidden_word: str, warmstart_count: int):
         if hidden_word not in table:
             raise ValueError(f"hidden word {hidden_word!r} not in table")
         chars = sorted({ch for word in table.words for ch in word})
@@ -37,10 +37,9 @@ class WordSearchTask(SearchTask):
         self.table = table
         self.hidden_word = hidden_word
         self.warmstart_count = warmstart_count
-        self.words_per_completion = words_per_completion
         self.word_cap = max(len(w) for w in table.words)
         self.vocab = Vocabulary(tuple(chars) + (SEPARATOR, END), end_token=len(chars) + 1)
-        self.max_len = words_per_completion * (self.word_cap + 1) - 1
+        self.max_len = WORDS_PER_COMPLETION * (self.word_cap + 1) - 1
         self._char_index = {ch: i for i, ch in enumerate(chars)}
         self._sep_token = len(chars)
         self._hidden_vec = table.vectors[table.index(hidden_word)]
@@ -51,7 +50,7 @@ class WordSearchTask(SearchTask):
     def decode_words(self, tokens: tuple[int, ...]) -> list[str]:
         """Words in a completion, each capped at the table's longest word."""
         parts = [w for w in self.decode(tokens).split(SEPARATOR) if w]
-        return [w[: self.word_cap] for w in parts[: self.words_per_completion]]
+        return [w[: self.word_cap] for w in parts[:WORDS_PER_COMPLETION]]
 
     def encode_words(self, words: list[str]) -> tuple[int, ...]:
         tokens: list[int] = []
@@ -71,7 +70,7 @@ class WordSearchTask(SearchTask):
         return out
 
     def score_new(self, completions: list[Completion], born_iteration: int) -> list[Completion]:
-        """Re-pair each provenance class's fresh words by descending score."""
+        """Regroup each provenance's fresh words by score, WORDS_PER_COMPLETION per completion."""
         out: list[Completion] = []
         for provenance, segment in _segments(completions):
             words = [w for c in segment for w in self.decode_words(c.tokens)]
@@ -79,10 +78,10 @@ class WordSearchTask(SearchTask):
             order = np.argsort(-scores, kind="stable") if words else []
             ranked = [words[i] for i in order]
             for i in range(len(segment)):
-                pair = ranked[2 * i: 2 * i + 2]
+                pair = ranked[WORDS_PER_COMPLETION * i: WORDS_PER_COMPLETION * (i + 1)]
                 if pair:
                     tokens = self.encode_words(pair)
-                    score = float(scores[order[2 * i]])
+                    score = float(scores[order[WORDS_PER_COMPLETION * i]])
                     text = SEPARATOR.join(pair)
                 else:
                     tokens, score, text = (self.vocab.end_token,), 0.0, ""

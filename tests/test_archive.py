@@ -51,6 +51,16 @@ class TestInsert:
         with pytest.raises(ArchiveError):
             archive.insert([Completion(tokens=(0,), provenance=ONLINE)])
 
+    @pytest.mark.parametrize("island", [-1, 4, 5])
+    def test_rejects_island_outside_range(self, island):
+        # -1 used to land on island 3, and 4 raised a bare IndexError.
+        archive = island_archive(count=4)
+        with pytest.raises(ArchiveError, match=f"island {island}"):
+            archive.insert([scored(0.5)], island=island)
+        assert len(archive) == 0
+        archive.insert([scored(0.5)], island=3)
+        assert archive.island_members(3) == [0]
+
 
 class TestTopK:
     def test_basic_order(self):

@@ -20,6 +20,10 @@ from migrate.tasks import DslProgram, synthesize_grid_task
 
 SMALL_WORDS = {"vocab_size": 60, "dim": 8, "clusters": 6}
 
+# The RunConfig fields without a default, at their words/migrate values.
+PARTIAL_WORDS = {"method": "migrate", "task": "words", "group_size": 5, "alpha": 0, "beta": 1,
+                 "gamma": 4, "top_k": 3, "budget": 1000, "warmstart_count": 20}
+
 
 def words_config(method, **overrides):
     overrides.setdefault("task_options", SMALL_WORDS)
@@ -82,6 +86,19 @@ class TestRunConfig:
     def test_json_round_trip(self):
         cfg = default_config("molecules", "migrate", seed=3)
         assert RunConfig.from_json(cfg.to_json()) == cfg
+
+    def test_partial_json_takes_task_defaults(self):
+        # The file leaves out learning_rate, mu, mutation_rate and
+        # stop_threshold, which used to take RunConfig's own 0.35 / 1 / 0.25
+        # / None instead of the words defaults 0.3 / 2 / 0.2 / 1.0.
+        expected = default_config("words", "migrate")
+        assert RunConfig.from_json(json.dumps(PARTIAL_WORDS)) == expected
+
+    def test_group_size_must_match_mix(self):
+        with pytest.raises(ValueError, match="group_size"):
+            default_config("words", "random", group_size=8)
+        cfg = default_config("words", "random", alpha=8, group_size=8)
+        assert (cfg.alpha, cfg.beta, cfg.gamma, cfg.group_size) == (8, 0, 0, 8)
 
     def test_per_task_defaults(self):
         words = default_config("words", "migrate")
@@ -353,6 +370,36 @@ class TestSweep:
         assert rows == []
         assert any("no seeds" in r.message for r in caplog.records)
 
+    def test_warmstart_optimum_reads_one_at_every_checkpoint(self):
+        # A run stopped by a warm start has no iteration records; its
+        # checkpoints used to read -inf.
+        cfg = words_config("migrate")
+        probe = build_task(cfg)
+        hidden = probe.warmstart(np.random.default_rng([cfg.seed, 3]))[0].text
+        base = words_config("migrate", task_options={**SMALL_WORDS, "hidden_word": hidden})
+        (row,) = sweep(base, [{}], seeds=[cfg.seed])
+        assert row["found_rate"] == 1.0
+        for frac in (25, 50, 75, 100):
+            assert row[f"best_at_{frac}_mean"] == 1.0
+            assert row[f"best_at_{frac}_std"] == 0.0
+
+    @pytest.mark.parametrize("task,method", [("words", "migrate"), ("grids", "migrate"),
+                                             ("molecules", "ns")])
+    def test_checkpoints_match_brute_force_over_entries(self, task, method):
+        from dataclasses import replace
+        overrides = {"task_options": SMALL_WORDS} if task == "words" else {}
+        base = default_config(task, method, budget=50, stop_threshold=None, **overrides)
+        seed = 3
+        (row,) = sweep(base, [{}], seeds=[seed])
+        entries = run_any(replace(base, seed=seed)).archive.entries
+        for frac in (0.25, 0.5, 0.75, 1.0):
+            mark = int(round(frac * base.budget))
+            best = -math.inf
+            for i, c in enumerate(entries):
+                if i < mark and c.score > best:
+                    best = c.score
+            assert row[f"best_at_{int(frac * 100)}_mean"] == best
+
     def test_means_match_single_run_replays(self):
         # Replay oracle: the sweep's aggregates must equal statistics of
         # independently re-run traces.
@@ -573,6 +620,18 @@ class TestConfigFile:
         assert capsys.readouterr().out.splitlines()[0] == "method=grpo task=molecules seed=7"
         assert RunConfig.from_json((out / "config.json").read_text()) == cfg
 
+    def test_partial_config_file_takes_task_defaults(self, tmp_path):
+        from migrate.cli import _config_from_args, build_parser, main
+        partial = {**PARTIAL_WORDS, "budget": 60, "task_options": SMALL_WORDS}
+        cfg_path = tmp_path / "partial.json"
+        cfg_path.write_text(json.dumps(partial))
+        expected = default_config("words", "migrate", budget=60, task_options=SMALL_WORDS)
+        args = build_parser().parse_args(["run", "--config", str(cfg_path)])
+        assert _config_from_args(args) == expected
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text()) == json.loads(expected.to_json())
+
     def test_without_config_file_defaults_to_words_migrate_seed_0(self):
         from migrate.cli import _config_from_args, build_parser
         args = build_parser().parse_args(["run", "--budget", "30"])
@@ -598,6 +657,28 @@ class TestTaskOptions:
         grids = build_task(default_config("grids", "random",
                                           task_options={"dsl_step_limit": 5_000}))
         assert grids.dsl_step_limit == 5_000
+
+    def test_molecules_task_file_rejected(self, tmp_path):
+        # The file was never opened, and the run returned status ok.
+        cfg = default_config("molecules", "random", budget=20,
+                             task_file=str(tmp_path / "missing.json"))
+        with pytest.raises(ValueError, match="task_file"):
+            run_any(cfg)
+
+    def test_words_task_file_rejects_synthesis_options(self, tmp_path):
+        from migrate.tasks import save_embedding_table, synthesize_embedding_table
+        table = synthesize_embedding_table(np.random.default_rng(0), vocab_size=50, dim=4,
+                                           clusters=5)
+        path = tmp_path / "table.txt"
+        save_embedding_table(table, path)
+        # Both options used to be ignored, leaving the file's 50 x 4 table.
+        cfg = words_config("random", task_file=str(path),
+                           task_options={"vocab_size": 9999, "dim": 3})
+        with pytest.raises(ValueError, match=r"\['dim', 'vocab_size'\].*task_file"):
+            build_task(cfg)
+        task = build_task(words_config("random", task_file=str(path),
+                                       task_options={"hidden_word": table.words[3]}))
+        assert task.table.size == 50 and task.hidden_word == table.words[3]
 
     def test_small_dsl_step_limit(self):
         # A hidden program that overruns the limit on some input is redrawn;

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from migrate.archive import Archive
+from migrate.archive import Archive, IslandConfig
 from migrate.completion import GREEDY, NS, ONLINE, OPRO, Completion
 from migrate.policy import TASK_CONTEXT, Vocabulary, init_params
 from migrate.sampler import (MixSpec, construct_group, propose_neighborhood,
@@ -200,7 +200,7 @@ class TestConstructGroup:
         params = make_params()
         archive = filled_archive(list(np.linspace(0.1, 0.9, 6)))
         mix = MixSpec(0, 1, 4, 5, k=3)
-        draft = construct_group(mix, params, archive, TASK_CONTEXT, 1.0,
+        draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(0))
         assert len(draft) == 5
         assert [c.provenance for c in draft.members] == [GREEDY] + [NS] * 4
@@ -209,7 +209,7 @@ class TestConstructGroup:
         params = make_params()
         archive = filled_archive(list(np.linspace(0.1, 0.9, 6)))
         mix = MixSpec(11, 1, 4, 16, k=1)
-        draft = construct_group(mix, params, archive, TASK_CONTEXT, 1.0,
+        draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(1))
         assert len(draft) == 16
         provs = [c.provenance for c in draft.members]
@@ -218,7 +218,7 @@ class TestConstructGroup:
     def test_cold_start_backfills_online(self):
         params = make_params()
         mix = MixSpec(2, 1, 2, 5, k=3)
-        draft = construct_group(mix, params, Archive(), TASK_CONTEXT, 1.0,
+        draft = construct_group(mix, params, Archive(), 1.0,
                                 np.random.default_rng(2))
         assert len(draft) == 5
         assert all(c.provenance == ONLINE for c in draft.members)
@@ -227,7 +227,7 @@ class TestConstructGroup:
         params = make_params()
         archive = filled_archive([0.2, 0.9, 0.5])
         mix = MixSpec(0, 0, 5, 5, k=1)
-        draft = construct_group(mix, params, archive, TASK_CONTEXT, 1.0,
+        draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(3))
         assert len(draft) == 5
         assert all(c.provenance == NS for c in draft.members)
@@ -236,17 +236,27 @@ class TestConstructGroup:
         params = make_params()
         archive = filled_archive([0.2, 0.9, 0.5])
         mix = MixSpec(1, 0, 4, 5, k=1)
-        draft = construct_group(mix, params, archive, TASK_CONTEXT, 1.0,
+        draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(4), local_kind=OPRO, opro_depth=2)
         provs = [c.provenance for c in draft.members]
         assert provs == [ONLINE] + [OPRO] * 4
+
+    def test_island_archive_needs_island_rng(self):
+        archive = Archive(islands=IslandConfig(count=2))
+        archive.insert([scored((1, 2), 0.5)], island=0)
+        mix = MixSpec(0, 1, 4, 5, k=1)
+        with pytest.raises(ValueError, match="island_rng"):
+            construct_group(mix, make_params(), archive, 1.0, np.random.default_rng(0))
+        draft = construct_group(mix, make_params(), archive, 1.0, np.random.default_rng(0),
+                                island_rng=np.random.default_rng(1))
+        assert [c.provenance for c in draft.members] == [GREEDY] + [NS] * 4
 
     def test_new_member_accounting(self):
         params = make_params()
         archive = filled_archive(list(np.linspace(0.1, 0.9, 8)))
         for alpha, beta, gamma in [(0, 1, 4), (2, 1, 2), (11, 1, 4), (3, 2, 3)]:
             mix = MixSpec(alpha, beta, gamma, alpha + beta + gamma, k=2)
-            draft = construct_group(mix, params, archive, TASK_CONTEXT, 1.0,
+            draft = construct_group(mix, params, archive, 1.0,
                                     np.random.default_rng(alpha))
             assert len(draft.online + draft.local) == alpha + gamma
             assert len(draft) == mix.group_size

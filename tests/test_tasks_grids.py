@@ -272,6 +272,11 @@ class TestTaskIO:
             for inp, out in task.train_pairs + task.test_pairs:
                 assert inp.size <= 64 and out.size <= 64
 
+    def test_synthesized_task_uses_default_step_limit(self):
+        from migrate.tasks.grids import DSL_STEP_LIMIT
+        assert synthesize_grid_task(np.random.default_rng(5)).dsl_step_limit == DSL_STEP_LIMIT
+        assert DSL_STEP_LIMIT == 10_000
+
     def test_warmstart_identity_seed(self):
         task = synthesize_grid_task(np.random.default_rng(4))
         warm = task.warmstart(np.random.default_rng(0))

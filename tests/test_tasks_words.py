@@ -176,6 +176,20 @@ class TestScoreNew:
         assert len(out) == 7
         assert all(c.score is not None for c in out)
 
+    def test_words_per_completion_sets_length_decode_and_grouping(self, table, monkeypatch):
+        from migrate.tasks import words
+        monkeypatch.setattr(words, "WORDS_PER_COMPLETION", 3)
+        task = WordSearchTask(table, table.words[17], warmstart_count=20)
+        assert task.max_len == 3 * (task.word_cap + 1) - 1
+        picks = list(table.words[:6])
+        completions = [Completion(tokens=task.encode_words(picks[3 * i: 3 * i + 3]),
+                                  provenance=ONLINE, born_iteration=1) for i in range(2)]
+        out = task.score_new(completions, born_iteration=1)
+        ranked = sorted(picks, key=lambda w: -word_reward(task, w))
+        assert [c.text for c in out] == [" ".join(ranked[:3]), " ".join(ranked[3:])]
+        assert [c.score for c in out] == [word_reward(task, ranked[0]),
+                                          word_reward(task, ranked[3])]
+
     def test_decode_words(self, task, table):
         w1, w2 = table.words[4], table.words[9]
         assert task.decode_words(task.encode_words([w1, w2])) == [w1, w2]

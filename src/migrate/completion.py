@@ -31,7 +31,7 @@ class Completion:
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        self.tokens = tuple(int(t) for t in self.tokens)
+        self.tokens = tuple(map(int, self.tokens))
 
     def set_score(self, value: float) -> None:
         if self.score is not None:

@@ -9,20 +9,24 @@ always taken under the task context regardless of how a member was sampled.
 :func:`make_group` flattens the group to its T tokens once, freezing the
 old log-probs as one gather from the step table; the loss, the gradient,
 the diagnostics and every one of the ``mu`` steps of :func:`update_policy`
-read that one layout.
+read that one layout. A step reads only the T task-context rows of its
+weights, computed from W with :func:`policy.step_rows`, so no table is
+built for weights nobody samples from. The gradient is one
+``np.bincount`` over those rows, whose flat indices into W an update
+computes once for all its steps.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .completion import Completion
 # ``logprobs`` is unused here but stays importable: searchbench/spans.py wraps it.
-from .policy import TASK_CONTEXT, PolicyParams, logprobs, token_steps  # noqa: F401
+from .policy import TASK_CONTEXT, PolicyParams, logprobs, step_rows, token_steps  # noqa: F401
 
 
 class DegenerateGroupError(ValueError):
@@ -65,7 +69,8 @@ class Group:
     """One update group: its N members, and their T tokens flattened in order.
 
     Only ``old`` depends on W: the task-context log-probs frozen under the
-    pre-step policy.
+    pre-step policy. ``(prev, buckets)`` name each token's step, which is
+    all the loss and gradient need to find its three rows of W.
     """
 
     completions: list[Completion]
@@ -75,16 +80,12 @@ class Group:
     buckets: np.ndarray  # (T,) position buckets
     token_advantages: np.ndarray  # (T,) each member's advantage, on its tokens
     old: np.ndarray  # (T,) frozen old log-probs
-    # (T, 3, V + 1) flat indices into W of each token's gradient terms: per
-    # active row (context, previous token, bucket) its V entries, then the
-    # entry of the token itself.
-    grad_index: np.ndarray
 
     def __post_init__(self) -> None:
         T = len(self.tokens)
         if len(self.advantages) != len(self.completions) or any(
                 len(a) != T for a in (self.prev, self.buckets, self.token_advantages,
-                                      self.old, self.grad_index)):
+                                      self.old)):
             raise ValueError("group arrays must have one entry per member or per token")
 
 
@@ -102,10 +103,12 @@ def compute_advantages(rewards: np.ndarray) -> np.ndarray:
     return r - r.mean()
 
 
-def freeze_logprobs(params: PolicyParams, group: Group) -> np.ndarray:
-    """Task-context log-probs of the group's tokens under ``params``."""
-    return np.log(params.step_table(1.0).probs[int(TASK_CONTEXT), group.prev, group.buckets,
-                                               group.tokens])
+def freeze_logprobs(params: PolicyParams, tokens: np.ndarray, prev: np.ndarray,
+                    buckets: np.ndarray) -> np.ndarray:
+    """Task-context log-probs of flattened tokens (see :func:`token_steps`)
+    under ``params``, gathered from its step table, which sampling has
+    usually built already."""
+    return np.log(params.step_table(1.0).probs[int(TASK_CONTEXT), prev, buckets, tokens])
 
 
 def make_group(params: PolicyParams, completions: list[Completion]) -> Group:
@@ -118,35 +121,42 @@ def make_group(params: PolicyParams, completions: list[Completion]) -> Group:
     advantages = compute_advantages(np.asarray(scores, dtype=np.float64))
     sequences = [c.tokens for c in completions]
     tokens, prev, buckets = token_steps(params, sequences)
-    T, V = tokens.size, params.vocab.size
-    rows = np.empty((T, 3), dtype=np.intp)
-    rows[:, 0] = int(TASK_CONTEXT)
-    rows[:, 1] = 2 + prev
-    rows[:, 2] = 2 + V + buckets
+    return Group(list(completions), advantages, tokens, prev, buckets,
+                 np.repeat(advantages, list(map(len, sequences))),
+                 freeze_logprobs(params, tokens, prev, buckets))
+
+
+def _gradient_index(group: Group, V: int) -> np.ndarray:
+    """Flat indices into W of the group's gradient terms, ``(3, T, V + 1)``:
+    per active row block (context, previous token, bucket), the tokens in
+    order, each with the V entries of its row and then its own entry."""
+    T = group.tokens.size
+    rows = np.empty((3, T), dtype=np.intp)
+    rows[0] = int(TASK_CONTEXT)
+    rows[1] = 2 + group.prev
+    rows[2] = 2 + V + group.buckets
     rows *= V
-    grad_index = np.empty((T, 3, V + 1), dtype=np.intp)
-    grad_index[:, :, :V] = rows[:, :, None] + np.arange(V)
-    grad_index[:, :, V] = rows + tokens[:, None]
-    group = Group(list(completions), advantages, tokens, prev, buckets,
-                  np.repeat(advantages, list(map(len, sequences))), np.empty(T), grad_index)
-    return replace(group, old=freeze_logprobs(params, group))
+    index = np.empty((3, T, V + 1), dtype=np.intp)
+    index[:, :, :V] = rows[:, :, None] + np.arange(V)
+    index[:, :, V] = rows + group.tokens
+    return index
 
 
-def _gradient(group: Group, probs: np.ndarray, coeffs: np.ndarray, F: int, V: int) -> np.ndarray:
-    """Dense loss gradient w.r.t. W: each live token adds
+def _gradient(index: np.ndarray, probs: np.ndarray, coeffs: np.ndarray, F: int) -> np.ndarray:
+    """Dense loss gradient w.r.t. W: each token adds
     (coeff / total_len) * (p - onehot(token)) to each of its three rows.
 
-    One ``np.add.at`` over ``group.grad_index`` of the live tokens: ordered
-    by token, then row, then the V entries of ``+scale * p``, then the
-    token's ``-scale``, so each element accumulates in token order,
-    bit-reproducibly.
+    One ``np.bincount`` over :func:`_gradient_index`: per row block, each
+    token's ``+scale * p`` and then its own entry's ``-scale``. The three
+    blocks never share an element, so each element accumulates in token
+    order, bit-reproducibly. A dead token (coeff 0) adds zeros, which change
+    nothing: the sums start at +0.0 and so never hold -0.0.
     """
-    live = np.flatnonzero(coeffs)
-    scale = coeffs[live, None] / float(group.tokens.size)
-    values = np.concatenate([scale * probs[live], -scale], axis=1)
-    grad = np.zeros(F * V)
-    np.add.at(grad, group.grad_index[live].ravel(),
-              np.broadcast_to(values[:, None, :], (live.size, 3, V + 1)).ravel())
+    T, V = probs.shape
+    scale = coeffs[:, None] / float(T)
+    values = np.concatenate([scale * probs, -scale], axis=1)
+    grad = np.bincount(index.ravel(), np.broadcast_to(values, index.shape).ravel(),
+                       minlength=F * V)
     return grad.reshape(F, V)
 
 
@@ -158,10 +168,18 @@ def grpo_loss_and_grad(params: PolicyParams, group: Group,
     objective term is min(rho*A, clip(rho, 1-eps_low, 1+eps_high)*A); its
     gradient flows only when the unclipped branch is selected (ties included).
     """
-    total_len = group.tokens.size
+    probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
+    return _loss_and_grad(group, probs, clip, _gradient_index(group, params.vocab.size),
+                          params.feature_dim)
+
+
+def _loss_and_grad(group: Group, probs: np.ndarray, clip: ClipConfig, index: np.ndarray,
+                   F: int) -> tuple[float, np.ndarray, GrpoDiagnostics]:
+    """:func:`grpo_loss_and_grad` from the (T, V) task-context step
+    distributions ``probs`` of the group's tokens and their gradient ``index``."""
+    total_len, V = probs.shape
     if total_len == 0:
-        return 0.0, np.zeros_like(params.W), GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)
-    probs = params.step_table(1.0).probs[int(TASK_CONTEXT), group.prev, group.buckets]
+        return 0.0, np.zeros((F, V)), GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)
     ratios = np.exp(np.log(probs[np.arange(total_len), group.tokens]) - group.old)
     low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
     unclipped = ratios * group.token_advantages
@@ -177,7 +195,7 @@ def grpo_loss_and_grad(params: PolicyParams, group: Group,
     if not np.isfinite(obj_sum) or not np.all(np.isfinite(ratios)):
         raise NonFiniteLossError("non-finite ratio or loss in group", diag)
     coeffs = np.where(live, unclipped, 0.0)
-    return diag.loss, _gradient(group, probs, coeffs, params.feature_dim, params.vocab.size), diag
+    return diag.loss, _gradient(index, probs, coeffs, F), diag
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -207,8 +225,10 @@ def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: floa
     """Run ``mu`` gradient steps against the group's frozen old log-probs.
 
     Each step is plain SGD, ``W - lr * grad``, unless an ``optimizer`` is
-    given. An all-equal reward group returns the input params unchanged
-    (silent no-op).
+    given. Each step computes its group's rows from its own weights
+    (:func:`policy.step_rows`, the bits of the step table), so no table is
+    built for them. An all-equal reward group returns the input params
+    unchanged (silent no-op).
     """
     if mu < 1:
         raise ValueError("mu must be >= 1")
@@ -216,8 +236,10 @@ def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: floa
         return params, [GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)]
     diags: list[GrpoDiagnostics] = []
     current = params
+    index = _gradient_index(group, params.vocab.size)
     for _ in range(mu):
-        _, grad, diag = grpo_loss_and_grad(current, group, clip)
+        probs = step_rows(current, TASK_CONTEXT, group.prev, group.buckets)
+        _, grad, diag = _loss_and_grad(group, probs, clip, index, params.feature_dim)
         diags.append(diag)
         W = current.W - lr * grad if optimizer is None else optimizer.apply(current.W, grad)
         current = current.with_weights(W)

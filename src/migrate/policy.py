@@ -12,19 +12,20 @@ Feature layout of the weight matrix W (shape F x V, F = 2 + V + P):
 
 A step's logits are the sum of the three active rows, so every step
 distribution the policy can produce fits in one (2, V, P, V) table, and
-that table is the policy's only per-step interface: the distribution of a
-step is ``params.step_table(t).probs[ctx, prev, bucket]``. The table is
-built once per weight matrix and temperature (see
-:meth:`PolicyParams.step_table`) and every per-token operation reads it; a
-token draw is one ``bisect_right`` on one row of the table's running sum,
-and :func:`token_steps` turns token sequences into the ``(tokens, prev,
-buckets)`` indices that log-probs and the GRPO gradient gather with.
+that table is the policy's per-step interface: the distribution of a step
+is ``params.step_table(t).probs[ctx, prev, bucket]``. The table is built
+once per weight matrix and temperature (see :meth:`PolicyParams.step_table`)
+and every per-token operation on a sampled-from policy reads it; a token
+draw is one ``bisect_right`` on one row of the running sum of the drawn
+context, and :func:`token_steps` turns token sequences into the ``(tokens,
+prev, buckets)`` indices that log-probs and the GRPO gradient gather with.
+Weights nobody samples from (an update's steps) skip the table:
+:func:`step_rows` computes just the rows a step reads, with the same bits.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import struct
 from bisect import bisect_right
@@ -88,28 +89,38 @@ class Vocabulary:
         return len(self.tokens)
 
 
+def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
+    """Softmax over the last axis, max-shifted before the temperature divide
+    so near-zero temperatures stay finite and keep the argmax token."""
+    p = np.exp((logits - logits.max(axis=-1, keepdims=True)) / temperature)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
 class StepTable:
     """Every step distribution of one weight matrix at one temperature.
 
     ``probs[ctx, prev, bucket]`` is the softmax over the vocabulary, and
-    ``cdf`` its running sum along the last axis, computed on first use (only
-    token draws read it, one ``bisect_right`` on one row per token, walking
-    left to right). Both arrays are read-only.
+    ``cdf(ctx)`` the running sum of ``probs[ctx]`` along the last axis,
+    computed on first use of that context (only token draws read it, one
+    ``bisect_right`` on one row per token, walking left to right; a search
+    draws from one context only). All arrays are read-only.
     """
 
     def __init__(self, W: np.ndarray, V: int, temperature: float):
-        # Same addition order as one step's logits, (ctx + prev) + bucket, and
-        # the softmax is max-shifted before the temperature divide so
-        # near-zero temperatures stay finite and keep the argmax token.
+        # Same addition order as one step's logits, (ctx + prev) + bucket.
         logits = (W[:2, None, None, :] + W[2:2 + V][None, :, None, :]) + W[2 + V:][None, None]
-        p = np.exp((logits - logits.max(axis=-1, keepdims=True)) / temperature)
-        self.probs = p / p.sum(axis=-1, keepdims=True)
+        self.probs = _softmax(logits, temperature)
         self.probs.setflags(write=False)
+        self._cdfs: dict[int, np.ndarray] = {}
 
-    @functools.cached_property
-    def cdf(self) -> np.ndarray:
-        cdf = np.cumsum(self.probs, axis=-1)
-        cdf.setflags(write=False)
+    def cdf(self, context: ContextKind) -> np.ndarray:
+        """The ``(V, P, V)`` running sum of ``probs[context]``, built on first use."""
+        context = int(context)
+        cdf = self._cdfs.get(context)
+        if cdf is None:
+            cdf = np.cumsum(self.probs[context], axis=-1)
+            cdf.setflags(write=False)
+            self._cdfs[context] = cdf
         return cdf
 
 
@@ -181,7 +192,7 @@ def sample_tokens(params: PolicyParams, context: ContextKind, temperature: float
     ``uniforms`` has shape (n, max_len); row i's column ``pos`` drives
     step ``pos`` of draw i, and each draw stops at the end token.
     """
-    cdf = params.step_table(temperature).cdf[int(context)]
+    cdf = params.step_table(temperature).cdf(context)
     buckets = position_bucket(np.arange(params.max_len), params.position_buckets,
                               params.max_len).tolist()
     end = params.vocab.end_token
@@ -218,7 +229,7 @@ def mutate_tokens(params: PolicyParams, context: ContextKind, temperature: float
     position, conditioned on the (possibly already mutated) previous token.
     Lengths are preserved.
     """
-    cdf = params.step_table(temperature).cdf[int(context)]
+    cdf = params.step_table(temperature).cdf(context)
     # A base longer than max_len keeps its length; its tail shares the last bucket.
     longest = max(map(len, bases), default=0)
     buckets = position_bucket(np.arange(longest), params.position_buckets,
@@ -252,6 +263,14 @@ def token_steps(params: PolicyParams, sequences: list[tuple[int, ...]]
                          f"tokens, each in [0, {V})")
     prev = np.where(positions == 0, params.vocab.end_token, tokens[flat - 1])
     return tokens, prev, position_bucket(positions, params.position_buckets, params.max_len)
+
+
+def step_rows(params: PolicyParams, context: ContextKind, prev: np.ndarray,
+              buckets: np.ndarray) -> np.ndarray:
+    """``params.step_table(1.0).probs[context, prev, buckets]``, bit for bit,
+    softmaxed from just those rows of W without building the table."""
+    W, V = params.W, params.vocab.size
+    return _softmax((W[int(context)] + W[2 + prev]) + W[2 + V + buckets], 1.0)
 
 
 def logprobs(params: PolicyParams, context: ContextKind, tokens: tuple[int, ...]) -> np.ndarray:

@@ -48,7 +48,7 @@ def random_group(params, rng, n, max_tokens=5, old_params=None):
     group = make_group(params, comps)
     if old_params is None:
         return group
-    return replace(group, old=freeze_logprobs(old_params, group))
+    return replace(group, old=freeze_logprobs(old_params, group.tokens, group.prev, group.buckets))
 
 
 def test_criterion_1_gradient_correctness():

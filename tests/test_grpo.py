@@ -33,7 +33,7 @@ def random_group(params, rng, n=4, max_tokens=4, old_params=None):
     group = make_group(params, comps)
     if old_params is None:
         return group
-    return replace(group, old=freeze_logprobs(old_params, group))
+    return replace(group, old=freeze_logprobs(old_params, group.tokens, group.prev, group.buckets))
 
 
 class TestAdvantages:

@@ -3,7 +3,8 @@
 Each reference below is the one-step-at-a-time form of an operation: a
 softmax of the three active W rows, one inverse-CDF draw per step with
 ``searchsorted``, and a per-token loop for the clipped-surrogate terms and
-gradient. The table-driven code must reproduce every bit of it.
+gradient. The table-driven code, and the rows an update's steps compute
+without a table, must reproduce every bit of it.
 """
 
 from dataclasses import replace
@@ -11,10 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from migrate import harness
 from migrate.completion import NS, Completion
-from migrate.grpo import ClipConfig, freeze_logprobs, grpo_loss_and_grad, make_group
-from migrate.policy import (TASK_CONTEXT, ContextKind, Vocabulary, init_params, logprobs,
-                            mutate_tokens, sample_tokens)
+from migrate.grpo import (Adam, ClipConfig, freeze_logprobs, grpo_loss_and_grad, make_group,
+                          update_policy)
+from migrate.policy import (TASK_CONTEXT, ContextKind, StepTable, Vocabulary, init_params,
+                            logprobs, mutate_tokens, sample_tokens, step_rows)
 from migrate.sampler import propose_neighborhood, sample_online
 from migrate.tasks.grids import GRID_VOCAB
 
@@ -68,7 +71,16 @@ def test_table_equals_per_step_softmax(V, P, max_len, temperature):
                 ref = ref_step(params, ctx, prev, pos, temperature)
                 step = (ctx, prev_row, min(pos * P // max_len, P - 1))
                 assert table.probs[step].tobytes() == ref.tobytes()
-                assert table.cdf[step].tobytes() == np.cumsum(ref).tobytes()
+                assert table.cdf(ctx)[step[1:]].tobytes() == np.cumsum(ref).tobytes()
+
+
+@pytest.mark.parametrize("V,P,max_len", CASES)
+def test_gathered_rows_equal_table_rows(V, P, max_len):
+    params = make_params(np.random.default_rng(V * 100 + P + 1), V, P, max_len)
+    prev, buckets = (a.ravel() for a in np.meshgrid(np.arange(V), np.arange(P), indexing="ij"))
+    for ctx in (TASK_CONTEXT, NS_CONTEXT):
+        rows = step_rows(params, ctx, prev, buckets)
+        assert rows.tobytes() == params.step_table(1.0).probs[int(ctx), prev, buckets].tobytes()
 
 
 def test_table_is_cached_per_temperature_and_read_only():
@@ -76,9 +88,11 @@ def test_table_is_cached_per_temperature_and_read_only():
     assert params.step_table(0.7) is params.step_table(0.7)
     assert params.step_table(0.7) is not params.step_table(1.0)
     assert params.with_weights(params.W.copy()).step_table(0.7) is not params.step_table(0.7)
-    for array in (params.step_table().probs, params.step_table().cdf):
+    table = params.step_table()
+    assert table.cdf(NS_CONTEXT) is table.cdf(1) is not table.cdf(TASK_CONTEXT)
+    for array in (table.probs, table.cdf(TASK_CONTEXT), table.cdf(NS_CONTEXT)):
         with pytest.raises(ValueError):
-            array[0, 0, 0, 0] = 1.0
+            array[(0,) * array.ndim] = 1.0
 
 
 @pytest.mark.parametrize("temperature", [1.0, 0.7, 0.05])
@@ -135,7 +149,7 @@ def test_uniform_landing_on_a_cdf_entry_takes_the_right_side_index():
     # Zero weights over V=4: the CDF row is exactly (0.25, 0.5, 0.75, 1.0).
     vocab = Vocabulary(("a", "b", "c", "</s>"), end_token=3)
     params = init_params(vocab, position_buckets=1, max_len=3)
-    assert params.step_table().cdf[0, 3, 0].tolist() == [0.25, 0.5, 0.75, 1.0]
+    assert params.step_table().cdf(0)[3, 0].tolist() == [0.25, 0.5, 0.75, 1.0]
     got, ref = first_draws(params, TASK_CONTEXT, 1.0, [0.0, 0.25, 0.5, 0.75])
     assert got == ref == [0, 1, 2, 3]
 
@@ -250,8 +264,86 @@ def test_gradient_equals_per_token_loop():
                  for n in rng.integers(1, 7, size=int(rng.integers(2, 9)))]
         group = make_group(params, comps)
         if trial % 2:
-            group = replace(group, old=freeze_logprobs(old_params, group))
+            group = replace(group, old=freeze_logprobs(old_params, group.tokens, group.prev,
+                                                       group.buckets))
         loss, grad, _ = grpo_loss_and_grad(params, group, clip)
         ref_loss, ref_grad = ref_loss_and_grad(params, group, clip)
         assert float(loss) == float(ref_loss)
         assert grad.tobytes() == ref_grad.tobytes()
+
+
+def random_group(rng, params, old_params):
+    V = params.vocab.size
+    comps = [Completion(tokens=tuple(int(t) for t in rng.integers(0, V, size=n)),
+                        provenance="online", score=float(rng.normal()))
+             for n in rng.integers(1, 7, size=int(rng.integers(2, 9)))]
+    group = make_group(params, comps)
+    return replace(group, old=freeze_logprobs(old_params, group.tokens, group.prev, group.buckets))
+
+
+@pytest.mark.parametrize("adam", [False, True], ids=["sgd", "adam"])
+def test_update_equals_per_step_reference_loop(adam):
+    # mu=3: steps 2 and 3 read rows computed from the intermediate weights.
+    clip, lr = ClipConfig(), 0.4
+    rng = np.random.default_rng(13 + adam)
+    for _ in range(20):
+        params = make_params(rng, int(rng.integers(2, 12)), P=int(rng.integers(1, 5)),
+                             max_len=6, scale=0.8)
+        old_params = params.with_weights(params.W + rng.normal(scale=0.3, size=params.W.shape))
+        group = random_group(rng, params, old_params)
+        new, diags = update_policy(params, group, clip, lr, 3, Adam(lr) if adam else None)
+        optimizer, current, ref_losses = Adam(lr), params, []
+        for _ in range(3):
+            loss, grad = ref_loss_and_grad(current, group, clip)
+            ref_losses.append(float(loss))
+            W = optimizer.apply(current.W, grad) if adam else current.W - lr * grad
+            current = current.with_weights(W)
+        assert [d.loss for d in diags] == ref_losses
+        assert new.W.tobytes() == current.W.tobytes()
+
+
+def test_dead_tokens_leave_the_gradient_unchanged():
+    # Scores 1, 0, 0.5, 0.5: the last two members have advantage exactly 0,
+    # and old log-probs far from the current ones clip many tokens.
+    clip = ClipConfig()
+    rng = np.random.default_rng(14)
+    seen_clipped = 0
+    for _ in range(20):
+        params = make_params(rng, 9, P=3, max_len=6, scale=0.8)
+        old_params = params.with_weights(params.W + rng.normal(scale=2.0, size=params.W.shape))
+        comps = [Completion(tokens=tuple(int(t) for t in rng.integers(0, 9, size=6)),
+                            provenance="online", score=score) for score in (1.0, 0.0, 0.5, 0.5)]
+        group = make_group(params, comps)
+        group = replace(group, old=freeze_logprobs(old_params, group.tokens, group.prev,
+                                                   group.buckets))
+        assert (group.advantages[2:] == 0.0).all()
+        _, grad, diag = grpo_loss_and_grad(params, group, clip)
+        seen_clipped += diag.clip_low_frac + diag.clip_high_frac > 0
+        assert grad.tobytes() == ref_loss_and_grad(params, group, clip)[1].tobytes()
+        assert not np.signbit(grad[grad == 0.0]).any()
+    assert seen_clipped == 20
+
+
+def test_words_search_builds_one_table_per_update(monkeypatch):
+    """Only sampled-from weights get a step table, and only the drawn
+    (neighborhood) context gets a CDF."""
+    built, updates = [], []
+    init, update = StepTable.__init__, harness.update_policy
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting_update(params, *args, **kwargs):
+        new, diags = update(params, *args, **kwargs)
+        updates.append(new is not params)
+        return new, diags
+
+    monkeypatch.setattr(StepTable, "__init__", counting_init)
+    monkeypatch.setattr(harness, "update_policy", counting_update)
+    config = harness.default_config("words", "migrate", budget=200, stop_threshold=None)
+    assert config.mu == 2
+    harness.run_any(config)
+    assert sum(updates) >= 20
+    assert len(built) <= sum(updates) + 1
+    assert {context for table in built for context in table._cdfs} == {int(NS_CONTEXT)}

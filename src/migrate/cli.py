@@ -9,9 +9,9 @@ import logging
 import sys
 from pathlib import Path
 
-from .harness import (METHODS, TASK_DEFAULTS, RunConfig, SolvedRun, bootstrap_nearest,
-                      build_task, default_config, emit_trace, run_any, save_run_artifacts,
-                      sweep, sweep_to_csv)
+from .harness import (METHODS, TASK_DEFAULTS, TRACE_FORMATS, RunConfig, SolvedRun,
+                      bootstrap_nearest, build_task, default_config, emit_trace, run_any,
+                      save_run_artifacts, sweep, sweep_to_csv)
 from .tasks import compute_metrics, load_grid_task
 
 
@@ -54,12 +54,22 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                           **overrides)
 
 
+def _trace_formats(text: str) -> tuple[str, ...]:
+    """``--formats``: a comma list of trace formats, checked before any search runs."""
+    formats = tuple(text.split(","))
+    unknown = sorted(set(formats) - TRACE_FORMATS.keys())
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown trace formats {unknown}; "
+                                         f"accepted: {', '.join(TRACE_FORMATS)}")
+    return formats
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     trace = run_any(config)
     if args.out:
         out = Path(args.out)
-        emit_trace(trace, tuple(args.formats.split(",")), out)
+        emit_trace(trace, args.formats, out)
         save_run_artifacts(trace, out)
     s = trace.summary
     print(f"method={config.method} task={config.task} seed={config.seed}")
@@ -120,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one search")
     _add_run_overrides(run_p)
     run_p.add_argument("--out", help="directory for trace files and run artifacts")
-    run_p.add_argument("--formats", default="csv,jsonl,svg")
+    run_p.add_argument("--formats", type=_trace_formats, default=",".join(TRACE_FORMATS),
+                       help=f"comma-separated trace formats, from {', '.join(TRACE_FORMATS)}")
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="grid of mix parameters x seeds")

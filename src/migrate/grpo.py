@@ -6,14 +6,16 @@ completion. The loss is the clipped importance-ratio surrogate, normalized
 by the total token count of the group, with no KL term; new log-probs are
 always taken under the task context regardless of how a member was sampled.
 
-:func:`make_group` flattens the group to its T tokens once, freezing the
-old log-probs as one gather from the step table; the loss, the gradient,
-the diagnostics and every one of the ``mu`` steps of :func:`update_policy`
-read that one layout. A step reads only the T task-context rows of its
-weights, computed from W with :func:`policy.step_rows`, so no table is
-built for weights nobody samples from. The gradient is one
-``np.bincount`` over those rows, whose flat indices into W an update
-computes once for all its steps.
+:func:`make_group` flattens the group to its T tokens once and gathers
+their T task-context rows from the step table that sampling built; the old
+log-probs are the log of each token's entry in those rows. The loss, the
+gradient, the diagnostics and every one of the ``mu`` steps of
+:func:`update_policy` read that one layout. A step reads only the T
+task-context rows of its weights: the first step runs under the policy that
+froze the group, so it reads the frozen rows, and each later step computes
+its rows from W with :func:`policy.step_rows`, so no table is built for
+weights nobody samples from. The gradient is one ``np.bincount`` over those
+rows, whose flat indices into W an update computes once for all its steps.
 """
 
 from __future__ import annotations
@@ -68,9 +70,11 @@ class GrpoDiagnostics:
 class Group:
     """One update group: its N members, and their T tokens flattened in order.
 
-    Only ``old`` depends on W: the task-context log-probs frozen under the
-    pre-step policy. ``(prev, buckets)`` name each token's step, which is
-    all the loss and gradient need to find its three rows of W.
+    ``(prev, buckets)`` name each token's step, which is all the loss and
+    gradient need to find its three rows of W. The rest is frozen under
+    ``params``, the pre-step policy: ``rows`` holds the T task-context step
+    distributions (read-only), which an update's first step reads, and
+    ``old`` the log-probs of the tokens, the log of their entries in ``rows``.
     """
 
     completions: list[Completion]
@@ -79,6 +83,8 @@ class Group:
     prev: np.ndarray  # (T,) previous token, the end token at each start
     buckets: np.ndarray  # (T,) position buckets
     token_advantages: np.ndarray  # (T,) each member's advantage, on its tokens
+    params: PolicyParams  # the policy the group was frozen under
+    rows: np.ndarray  # (T, V) task-context step distributions under params
     old: np.ndarray  # (T,) frozen old log-probs
 
     def __post_init__(self) -> None:
@@ -87,6 +93,9 @@ class Group:
                 len(a) != T for a in (self.prev, self.buckets, self.token_advantages,
                                       self.old)):
             raise ValueError("group arrays must have one entry per member or per token")
+        if self.rows.shape != (T, self.params.vocab.size):
+            raise ValueError(f"rows shape {self.rows.shape} != {(T, self.params.vocab.size)}")
+        self.rows.setflags(write=False)
 
 
 def compute_advantages(rewards: np.ndarray) -> np.ndarray:
@@ -103,16 +112,30 @@ def compute_advantages(rewards: np.ndarray) -> np.ndarray:
     return r - r.mean()
 
 
+def _token_picks(tokens: np.ndarray, V: int) -> np.ndarray:
+    """Flat indices of each token's own entry in its row of a ``(T, V)`` block."""
+    return np.arange(0, tokens.size * V, V) + tokens
+
+
+def _freeze(params: PolicyParams, tokens: np.ndarray, prev: np.ndarray,
+            buckets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(T, V)`` task-context rows of flattened tokens under ``params``,
+    gathered from its step table (which sampling has usually built already),
+    and the log of each token's entry in its row."""
+    rows = params.step_table(1.0).probs[int(TASK_CONTEXT), prev, buckets]
+    return rows, np.log(rows.take(_token_picks(tokens, params.vocab.size)))
+
+
 def freeze_logprobs(params: PolicyParams, tokens: np.ndarray, prev: np.ndarray,
                     buckets: np.ndarray) -> np.ndarray:
     """Task-context log-probs of flattened tokens (see :func:`token_steps`)
-    under ``params``, gathered from its step table, which sampling has
-    usually built already."""
-    return np.log(params.step_table(1.0).probs[int(TASK_CONTEXT), prev, buckets, tokens])
+    under ``params``."""
+    return _freeze(params, tokens, prev, buckets)[1]
 
 
 def make_group(params: PolicyParams, completions: list[Completion]) -> Group:
-    """Flatten scored completions into a group, freezing old log-probs now."""
+    """Flatten scored completions into a group, freezing its rows and old
+    log-probs under ``params`` now."""
     scores = []
     for c in completions:
         if c.score is None:
@@ -122,14 +145,14 @@ def make_group(params: PolicyParams, completions: list[Completion]) -> Group:
     sequences = [c.tokens for c in completions]
     tokens, prev, buckets = token_steps(params, sequences)
     return Group(list(completions), advantages, tokens, prev, buckets,
-                 np.repeat(advantages, list(map(len, sequences))),
-                 freeze_logprobs(params, tokens, prev, buckets))
+                 np.repeat(advantages, list(map(len, sequences))), params,
+                 *_freeze(params, tokens, prev, buckets))
 
 
 def _gradient_index(group: Group, V: int) -> np.ndarray:
-    """Flat indices into W of the group's gradient terms, ``(3, T, V + 1)``:
-    per active row block (context, previous token, bucket), the tokens in
-    order, each with the V entries of its row and then its own entry."""
+    """Flat indices into W of the group's gradient terms, ``3 * T * (V + 1)``
+    of them: per active row block (context, previous token, bucket), the
+    tokens in order, each with the V entries of its row and then its own entry."""
     T = group.tokens.size
     rows = np.empty((3, T), dtype=np.intp)
     rows[0] = int(TASK_CONTEXT)
@@ -139,7 +162,7 @@ def _gradient_index(group: Group, V: int) -> np.ndarray:
     index = np.empty((3, T, V + 1), dtype=np.intp)
     index[:, :, :V] = rows[:, :, None] + np.arange(V)
     index[:, :, V] = rows + group.tokens
-    return index
+    return index.ravel()
 
 
 def _gradient(index: np.ndarray, probs: np.ndarray, coeffs: np.ndarray, F: int) -> np.ndarray:
@@ -155,8 +178,7 @@ def _gradient(index: np.ndarray, probs: np.ndarray, coeffs: np.ndarray, F: int) 
     T, V = probs.shape
     scale = coeffs[:, None] / float(T)
     values = np.concatenate([scale * probs, -scale], axis=1)
-    grad = np.bincount(index.ravel(), np.broadcast_to(values, index.shape).ravel(),
-                       minlength=F * V)
+    grad = np.bincount(index, np.concatenate((values,) * 3, axis=None), minlength=F * V)
     return grad.reshape(F, V)
 
 
@@ -168,30 +190,33 @@ def grpo_loss_and_grad(params: PolicyParams, group: Group,
     objective term is min(rho*A, clip(rho, 1-eps_low, 1+eps_high)*A); its
     gradient flows only when the unclipped branch is selected (ties included).
     """
+    V = params.vocab.size
     probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
-    return _loss_and_grad(group, probs, clip, _gradient_index(group, params.vocab.size),
-                          params.feature_dim)
+    return _loss_and_grad(group, probs, clip, _token_picks(group.tokens, V),
+                          _gradient_index(group, V), params.feature_dim)
 
 
-def _loss_and_grad(group: Group, probs: np.ndarray, clip: ClipConfig, index: np.ndarray,
-                   F: int) -> tuple[float, np.ndarray, GrpoDiagnostics]:
+def _loss_and_grad(group: Group, probs: np.ndarray, clip: ClipConfig, picks: np.ndarray,
+                   index: np.ndarray, F: int) -> tuple[float, np.ndarray, GrpoDiagnostics]:
     """:func:`grpo_loss_and_grad` from the (T, V) task-context step
-    distributions ``probs`` of the group's tokens and their gradient ``index``."""
+    distributions ``probs`` of the group's tokens, the flat ``picks`` of the
+    tokens' own entries in them, and the gradient ``index``."""
     total_len, V = probs.shape
     if total_len == 0:
         return 0.0, np.zeros((F, V)), GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)
-    ratios = np.exp(np.log(probs[np.arange(total_len), group.tokens]) - group.old)
+    ratios = np.exp(np.log(probs.take(picks)) - group.old)
     low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
     unclipped = ratios * group.token_advantages
-    clipped = np.clip(ratios, low_edge, high_edge) * group.token_advantages
+    clipped = np.minimum(np.maximum(ratios, low_edge), high_edge) * group.token_advantages
     live = unclipped <= clipped
-    below = ratios < low_edge
+    dead = ~live
+    clipped_low = int(np.count_nonzero(dead & (ratios < low_edge)))
     # A running total in token order, not numpy's pairwise sum.
     obj_sum = functools.reduce(operator.add, np.where(live, unclipped, clipped).tolist(), 0.0)
     diag = GrpoDiagnostics(loss=float(-obj_sum / total_len),
-                           mean_ratio=float(ratios.mean()),
-                           clip_low_frac=float((~live & below).sum()) / total_len,
-                           clip_high_frac=float((~live & ~below).sum()) / total_len)
+                           mean_ratio=float(np.add.reduce(ratios) / total_len),
+                           clip_low_frac=clipped_low / total_len,
+                           clip_high_frac=(int(np.count_nonzero(dead)) - clipped_low) / total_len)
     if not np.isfinite(obj_sum) or not np.all(np.isfinite(ratios)):
         raise NonFiniteLossError("non-finite ratio or loss in group", diag)
     coeffs = np.where(live, unclipped, 0.0)
@@ -224,22 +249,27 @@ def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: floa
                   mu: int, optimizer: Adam | None = None) -> tuple[PolicyParams, list[GrpoDiagnostics]]:
     """Run ``mu`` gradient steps against the group's frozen old log-probs.
 
-    Each step is plain SGD, ``W - lr * grad``, unless an ``optimizer`` is
-    given. Each step computes its group's rows from its own weights
-    (:func:`policy.step_rows`, the bits of the step table), so no table is
-    built for them. An all-equal reward group returns the input params
-    unchanged (silent no-op).
+    ``params`` must be the policy the group was frozen under (ValueError
+    otherwise), so the first step reads the group's frozen rows; each later
+    step computes its rows from its own weights (:func:`policy.step_rows`,
+    the bits of the step table), so no table is built for them. Each step
+    is plain SGD, ``W - lr * grad``, unless an ``optimizer`` is given. An
+    all-equal reward group returns the input params unchanged (silent no-op).
     """
     if mu < 1:
         raise ValueError("mu must be >= 1")
+    if params is not group.params:
+        raise ValueError("update_policy must start from the params the group was frozen under")
     if np.all(group.advantages == 0.0):
         return params, [GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)]
     diags: list[GrpoDiagnostics] = []
-    current = params
-    index = _gradient_index(group, params.vocab.size)
-    for _ in range(mu):
-        probs = step_rows(current, TASK_CONTEXT, group.prev, group.buckets)
-        _, grad, diag = _loss_and_grad(group, probs, clip, index, params.feature_dim)
+    current, probs = params, group.rows
+    V = params.vocab.size
+    picks, index = _token_picks(group.tokens, V), _gradient_index(group, V)
+    for step in range(mu):
+        if step:
+            probs = step_rows(current, TASK_CONTEXT, group.prev, group.buckets)
+        _, grad, diag = _loss_and_grad(group, probs, clip, picks, index, params.feature_dim)
         diags.append(diag)
         W = current.W - lr * grad if optimizer is None else optimizer.apply(current.W, grad)
         current = current.with_weights(W)

@@ -383,15 +383,18 @@ def trace_svg(trace: Trace) -> str:
     )
 
 
+#: The trace formats :func:`emit_trace` writes, each with its renderer.
+TRACE_FORMATS = {"csv": trace_csv, "jsonl": trace_jsonl, "svg": trace_svg}
+
+
 def emit_trace(trace: Trace, formats: tuple[str, ...], out_dir: str | Path) -> list[Path]:
     """Write ``trace.<format>`` files atomically; on failure none remains."""
-    renderers = {"csv": trace_csv, "jsonl": trace_jsonl, "svg": trace_svg}
-    unknown = set(formats) - renderers.keys()
+    unknown = set(formats) - TRACE_FORMATS.keys()
     if unknown:
         raise ValueError(f"unknown trace formats: {sorted(unknown)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rendered = {fmt: renderers[fmt](trace) for fmt in formats}
+    rendered = {fmt: TRACE_FORMATS[fmt](trace) for fmt in formats}
     written: list[Path] = []
     tmp_paths: list[Path] = []
     try:

@@ -19,8 +19,9 @@ and every per-token operation on a sampled-from policy reads it; a token
 draw is one ``bisect_right`` on one row of the running sum of the drawn
 context, and :func:`token_steps` turns token sequences into the ``(tokens,
 prev, buckets)`` indices that log-probs and the GRPO gradient gather with.
-Weights nobody samples from (an update's steps) skip the table:
-:func:`step_rows` computes just the rows a step reads, with the same bits.
+Weights nobody samples from (an update's steps after the first) skip the
+table: :func:`step_rows` computes just the rows a step reads, with the same
+bits.
 """
 
 from __future__ import annotations
@@ -91,9 +92,17 @@ class Vocabulary:
 
 def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
     """Softmax over the last axis, max-shifted before the temperature divide
-    so near-zero temperatures stay finite and keep the argmax token."""
-    p = np.exp((logits - logits.max(axis=-1, keepdims=True)) / temperature)
-    return p / p.sum(axis=-1, keepdims=True)
+    so near-zero temperatures stay finite and keep the argmax token.
+
+    Works in place on the shifted copy, so ``logits`` is not written; at
+    temperature 1.0 the divide is skipped, since ``x / 1.0 == x`` exactly.
+    """
+    p = logits - logits.max(axis=-1, keepdims=True)
+    if temperature != 1.0:
+        p /= temperature
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 class StepTable:
@@ -253,16 +262,23 @@ def token_steps(params: PolicyParams, sequences: list[tuple[int, ...]]
     Raises ValueError when a sequence is longer than ``max_len`` or holds a
     token outside ``[0, V)``.
     """
-    lengths = [len(s) for s in sequences]
-    T, V = sum(lengths), params.vocab.size
-    tokens = np.array([t for s in sequences for t in s], dtype=np.intp)
-    flat = np.arange(T)
-    positions = flat - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    if T and (positions.max() >= params.max_len or tokens.min() < 0 or tokens.max() >= V):
-        raise ValueError(f"sequences must have at most max_len={params.max_len} "
+    end, V, max_len = params.vocab.end_token, params.vocab.size, params.max_len
+    bucket_of = position_bucket(np.arange(max_len), params.position_buckets, max_len).tolist()
+    tokens: list[int] = []
+    prev: list[int] = []
+    buckets: list[int] = []
+    for s in sequences:
+        if s:
+            tokens.extend(s)
+            prev.append(end)
+            prev.extend(s[:-1])
+            buckets.extend(bucket_of[:len(s)])
+    if (max(map(len, sequences), default=0) > max_len
+            or tokens and (min(tokens) < 0 or max(tokens) >= V)):
+        raise ValueError(f"sequences must have at most max_len={max_len} "
                          f"tokens, each in [0, {V})")
-    prev = np.where(positions == 0, params.vocab.end_token, tokens[flat - 1])
-    return tokens, prev, position_bucket(positions, params.position_buckets, params.max_len)
+    return (np.array(tokens, dtype=np.intp), np.array(prev, dtype=np.intp),
+            np.array(buckets, dtype=np.intp))
 
 
 def step_rows(params: PolicyParams, context: ContextKind, prev: np.ndarray,

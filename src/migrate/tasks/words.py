@@ -45,7 +45,7 @@ class WordSearchTask(SearchTask):
         self._hidden_vec = table.vectors[table.index(hidden_word)]
 
     def decode(self, tokens: tuple[int, ...]) -> str:
-        return "".join(self.vocab.tokens[t] for t in self.strip_end(tokens))
+        return "".join(map(self.vocab.tokens.__getitem__, self.strip_end(tokens)))
 
     def decode_words(self, tokens: tuple[int, ...]) -> list[str]:
         """Words in a completion, each capped at the table's longest word."""
@@ -57,7 +57,7 @@ class WordSearchTask(SearchTask):
         for i, word in enumerate(words):
             if i:
                 tokens.append(self._sep_token)
-            tokens.extend(self._char_index[ch] for ch in word)
+            tokens.extend(map(self._char_index.__getitem__, word))
         return tuple(tokens)
 
     def warmstart(self, rng: np.random.Generator) -> list[Completion]:
@@ -106,4 +106,4 @@ def word_reward(task: WordSearchTask, guess: str) -> float:
         return 1.0
     if guess not in task.table:
         return 0.0
-    return float(np.clip(task.table.cosine(guess, task.hidden_word), -1.0, 1.0))
+    return min(max(task.table.cosine(guess, task.hidden_word), -1.0), 1.0)

@@ -567,6 +567,23 @@ class TestCli:
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["eps_low"] == 0.1 and cfg["top_k"] == 2
 
+    def test_unknown_format_fails_before_the_search(self, tmp_path, capsys, monkeypatch):
+        from migrate import cli
+
+        def no_search(config):
+            raise AssertionError("the search ran before --formats was checked")
+
+        monkeypatch.setattr(cli, "run_any", no_search)
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--task", "grids", "--budget", "400", "--formats", "csv,xml",
+                      "--out", str(out)])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "--formats" in message and "'xml'" in message
+        assert "accepted: csv, jsonl, svg" in message
+        assert not out.exists()
+
     def test_sweep_cli(self, tmp_path):
         from migrate.cli import main
         grid_file = tmp_path / "grid.json"

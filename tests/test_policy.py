@@ -201,6 +201,28 @@ class TestTokenSteps:
         ref = np.concatenate([logprobs(params, TASK_CONTEXT, t) for t in sequences])
         assert group.old.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("buckets,max_len", [(1, 1), (1, 5), (3, 4), (4, 9), (6, 6)])
+    def test_equal_per_token_reference_loop(self, buckets, max_len):
+        rng = np.random.default_rng(buckets * 10 + max_len)
+        params = random_params(rng, size=5, buckets=buckets, max_len=max_len)
+        end = params.vocab.end_token
+        for _ in range(30):
+            extra = rng.integers(0, max_len + 1, size=int(rng.integers(0, 5)))
+            lengths = [0, max_len] + list(extra)
+            rng.shuffle(lengths)
+            sequences = [tuple(int(t) for t in rng.integers(0, 5, size=n)) for n in lengths]
+            ref_tokens, ref_prev, ref_buckets = [], [], []
+            for seq in sequences:
+                last = end
+                for pos, tok in enumerate(seq):
+                    ref_tokens.append(tok)
+                    ref_prev.append(last)
+                    ref_buckets.append(min(pos * buckets // max_len, buckets - 1))
+                    last = tok
+            got = token_steps(params, sequences)
+            assert [a.dtype for a in got] == [np.dtype(np.intp)] * 3
+            assert [a.tolist() for a in got] == [ref_tokens, ref_prev, ref_buckets]
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):

@@ -10,8 +10,8 @@ import sys
 from pathlib import Path
 
 from .harness import (METHODS, TASK_DEFAULTS, TRACE_FORMATS, RunConfig, SolvedRun,
-                      bootstrap_nearest, build_task, default_config, emit_trace, run_any,
-                      save_run_artifacts, sweep, sweep_to_csv)
+                      bootstrap_nearest, build_task, check_trace_formats, default_config,
+                      emit_trace, run_any, save_run_artifacts, sweep, sweep_to_csv)
 from .tasks import compute_metrics, load_grid_task
 
 
@@ -57,10 +57,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _trace_formats(text: str) -> tuple[str, ...]:
     """``--formats``: a comma list of trace formats, checked before any search runs."""
     formats = tuple(text.split(","))
-    unknown = sorted(set(formats) - TRACE_FORMATS.keys())
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown trace formats {unknown}; "
-                                         f"accepted: {', '.join(TRACE_FORMATS)}")
+    try:
+        check_trace_formats(formats)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     return formats
 
 

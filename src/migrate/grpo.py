@@ -6,16 +6,14 @@ completion. The loss is the clipped importance-ratio surrogate, normalized
 by the total token count of the group, with no KL term; new log-probs are
 always taken under the task context regardless of how a member was sampled.
 
-:func:`make_group` flattens the group to its T tokens once and gathers
-their T task-context rows from the step table that sampling built; the old
-log-probs are the log of each token's entry in those rows. The loss, the
-gradient, the diagnostics and every one of the ``mu`` steps of
-:func:`update_policy` read that one layout. A step reads only the T
-task-context rows of its weights: the first step runs under the policy that
-froze the group, so it reads the frozen rows, and each later step computes
-its rows from W with :func:`policy.step_rows`, so no table is built for
-weights nobody samples from. The gradient is one ``np.bincount`` over those
-rows, whose flat indices into W an update computes once for all its steps.
+:func:`make_group` flattens the group to its T tokens once, freezing the
+old log-probs as one gather from the step table; the loss, the gradient,
+the diagnostics and every one of the ``mu`` steps of :func:`update_policy`
+read that one layout. A step reads only the T task-context rows of its
+weights, computed from W with :func:`policy.step_rows`, so no table is
+built for weights nobody samples from. The gradient is one
+``np.bincount`` over those rows, whose flat indices into W an update
+computes once for all its steps.
 """
 
 from __future__ import annotations
@@ -70,11 +68,9 @@ class GrpoDiagnostics:
 class Group:
     """One update group: its N members, and their T tokens flattened in order.
 
-    ``(prev, buckets)`` name each token's step, which is all the loss and
-    gradient need to find its three rows of W. The rest is frozen under
-    ``params``, the pre-step policy: ``rows`` holds the T task-context step
-    distributions (read-only), which an update's first step reads, and
-    ``old`` the log-probs of the tokens, the log of their entries in ``rows``.
+    Only ``old`` depends on W: the task-context log-probs frozen under the
+    pre-step policy. ``(prev, buckets)`` name each token's step, which is
+    all the loss and gradient need to find its three rows of W.
     """
 
     completions: list[Completion]
@@ -83,8 +79,6 @@ class Group:
     prev: np.ndarray  # (T,) previous token, the end token at each start
     buckets: np.ndarray  # (T,) position buckets
     token_advantages: np.ndarray  # (T,) each member's advantage, on its tokens
-    params: PolicyParams  # the policy the group was frozen under
-    rows: np.ndarray  # (T, V) task-context step distributions under params
     old: np.ndarray  # (T,) frozen old log-probs
 
     def __post_init__(self) -> None:
@@ -93,9 +87,6 @@ class Group:
                 len(a) != T for a in (self.prev, self.buckets, self.token_advantages,
                                       self.old)):
             raise ValueError("group arrays must have one entry per member or per token")
-        if self.rows.shape != (T, self.params.vocab.size):
-            raise ValueError(f"rows shape {self.rows.shape} != {(T, self.params.vocab.size)}")
-        self.rows.setflags(write=False)
 
 
 def compute_advantages(rewards: np.ndarray) -> np.ndarray:
@@ -117,25 +108,16 @@ def _token_picks(tokens: np.ndarray, V: int) -> np.ndarray:
     return np.arange(0, tokens.size * V, V) + tokens
 
 
-def _freeze(params: PolicyParams, tokens: np.ndarray, prev: np.ndarray,
-            buckets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(T, V)`` task-context rows of flattened tokens under ``params``,
-    gathered from its step table (which sampling has usually built already),
-    and the log of each token's entry in its row."""
-    rows = params.step_table(1.0).probs[int(TASK_CONTEXT), prev, buckets]
-    return rows, np.log(rows.take(_token_picks(tokens, params.vocab.size)))
-
-
 def freeze_logprobs(params: PolicyParams, tokens: np.ndarray, prev: np.ndarray,
                     buckets: np.ndarray) -> np.ndarray:
     """Task-context log-probs of flattened tokens (see :func:`token_steps`)
-    under ``params``."""
-    return _freeze(params, tokens, prev, buckets)[1]
+    under ``params``, gathered from its step table, which sampling has
+    usually built already."""
+    return np.log(params.step_table(1.0).probs[int(TASK_CONTEXT), prev, buckets, tokens])
 
 
 def make_group(params: PolicyParams, completions: list[Completion]) -> Group:
-    """Flatten scored completions into a group, freezing its rows and old
-    log-probs under ``params`` now."""
+    """Flatten scored completions into a group, freezing old log-probs now."""
     scores = []
     for c in completions:
         if c.score is None:
@@ -145,8 +127,8 @@ def make_group(params: PolicyParams, completions: list[Completion]) -> Group:
     sequences = [c.tokens for c in completions]
     tokens, prev, buckets = token_steps(params, sequences)
     return Group(list(completions), advantages, tokens, prev, buckets,
-                 np.repeat(advantages, list(map(len, sequences))), params,
-                 *_freeze(params, tokens, prev, buckets))
+                 np.repeat(advantages, list(map(len, sequences))),
+                 freeze_logprobs(params, tokens, prev, buckets))
 
 
 def _gradient_index(group: Group, V: int) -> np.ndarray:
@@ -249,26 +231,22 @@ def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: floa
                   mu: int, optimizer: Adam | None = None) -> tuple[PolicyParams, list[GrpoDiagnostics]]:
     """Run ``mu`` gradient steps against the group's frozen old log-probs.
 
-    ``params`` must be the policy the group was frozen under (ValueError
-    otherwise), so the first step reads the group's frozen rows; each later
-    step computes its rows from its own weights (:func:`policy.step_rows`,
-    the bits of the step table), so no table is built for them. Each step
-    is plain SGD, ``W - lr * grad``, unless an ``optimizer`` is given. An
-    all-equal reward group returns the input params unchanged (silent no-op).
+    Each step is plain SGD, ``W - lr * grad``, unless an ``optimizer`` is
+    given. Each step computes its group's rows from its own weights
+    (:func:`policy.step_rows`, the bits of the step table), so no table is
+    built for them. An all-equal reward group returns the input params
+    unchanged (silent no-op).
     """
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    if params is not group.params:
-        raise ValueError("update_policy must start from the params the group was frozen under")
     if np.all(group.advantages == 0.0):
         return params, [GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)]
     diags: list[GrpoDiagnostics] = []
-    current, probs = params, group.rows
+    current = params
     V = params.vocab.size
     picks, index = _token_picks(group.tokens, V), _gradient_index(group, V)
-    for step in range(mu):
-        if step:
-            probs = step_rows(current, TASK_CONTEXT, group.prev, group.buckets)
+    for _ in range(mu):
+        probs = step_rows(current, TASK_CONTEXT, group.prev, group.buckets)
         _, grad, diag = _loss_and_grad(group, probs, clip, picks, index, params.feature_dim)
         diags.append(diag)
         W = current.W - lr * grad if optimizer is None else optimizer.apply(current.W, grad)

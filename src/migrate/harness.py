@@ -387,11 +387,16 @@ def trace_svg(trace: Trace) -> str:
 TRACE_FORMATS = {"csv": trace_csv, "jsonl": trace_jsonl, "svg": trace_svg}
 
 
+def check_trace_formats(formats: tuple[str, ...]) -> None:
+    """Raise ValueError naming any format not in :data:`TRACE_FORMATS`."""
+    unknown = sorted(set(formats) - TRACE_FORMATS.keys())
+    if unknown:
+        raise ValueError(f"unknown trace formats {unknown}; accepted: {', '.join(TRACE_FORMATS)}")
+
+
 def emit_trace(trace: Trace, formats: tuple[str, ...], out_dir: str | Path) -> list[Path]:
     """Write ``trace.<format>`` files atomically; on failure none remains."""
-    unknown = set(formats) - TRACE_FORMATS.keys()
-    if unknown:
-        raise ValueError(f"unknown trace formats: {sorted(unknown)}")
+    check_trace_formats(formats)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rendered = {fmt: TRACE_FORMATS[fmt](trace) for fmt in formats}

@@ -1,10 +1,9 @@
-"""An update's first step reads the rows its group froze, with the same bits.
+"""The diagnostics of a GRPO step equal the plain formulas, bit for bit.
 
-``make_group`` keeps the ``(T, V)`` task-context rows it gathers under the
-pre-step policy, and ``update_policy``'s first step reads them in place of
-recomputing them; only later steps call ``step_rows``. The diagnostics of a
-step are checked against the plain formulas (``np.clip``, ``ratios.mean()``
-and boolean sums), bit for bit, on groups with clipped and tied ratios.
+The step clips with ``minimum``/``maximum``, counts clips with
+``count_nonzero`` and takes the mean ratio as ``add.reduce / T``; these
+tests check each diagnostic against ``np.clip``, ``ratios.mean()`` and
+boolean sums on groups with clipped and tied ratios.
 """
 
 import functools
@@ -14,7 +13,6 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from migrate import grpo
 from migrate.completion import Completion
 from migrate.grpo import (ClipConfig, GrpoDiagnostics, NonFiniteLossError, freeze_logprobs,
                           grpo_loss_and_grad, make_group, update_policy)
@@ -75,7 +73,8 @@ def edge_group(rng, params, clip):
     while True:
         group = make_group(params, make_members(rng, params, rng.normal(size=6)))
         old = freeze_logprobs(old_params, group.tokens, group.prev, group.buckets)
-        lp = np.log(group.rows[np.arange(group.tokens.size), group.tokens])
+        probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
+        lp = np.log(probs[np.arange(group.tokens.size), group.tokens])
         free = list(range(group.tokens.size))
         for edge in (1.0 - clip.eps_low, 1.0 + clip.eps_high):
             hit = next((t for t in free if edge_old(lp[t], edge) is not None), None)
@@ -85,85 +84,6 @@ def edge_group(rng, params, clip):
             free.remove(hit)
         else:
             return replace(group, old=old)
-
-
-class TestGroupRows:
-    def test_rows_are_the_table_rows_and_old_their_log(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            params = make_params(rng, V=int(rng.integers(2, 12)), P=int(rng.integers(1, 5)))
-            group = make_group(params, make_members(rng, params, rng.normal(size=4)))
-            ref = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
-            assert group.params is params
-            assert group.rows.tobytes() == ref.tobytes()
-            picked = group.rows[np.arange(group.tokens.size), group.tokens]
-            assert group.old.tobytes() == np.log(picked).tobytes()
-
-    def test_rows_must_be_t_by_v(self):
-        rng = np.random.default_rng(1)
-        params = make_params(rng)
-        group = make_group(params, make_members(rng, params, [1.0, 0.0, 0.5]))
-        for rows in (group.rows[:-1], group.rows[:, :-1], group.rows.ravel(),
-                     np.zeros((group.tokens.size, params.vocab.size + 1))):
-            with pytest.raises(ValueError, match="rows shape"):
-                replace(group, rows=rows)
-
-    def test_rows_are_read_only(self):
-        rng = np.random.default_rng(2)
-        params = make_params(rng)
-        group = make_group(params, make_members(rng, params, [1.0, 0.0]))
-        with pytest.raises(ValueError):
-            group.rows[0, 0] = 1.0
-        copied = replace(group, rows=group.rows.copy())
-        with pytest.raises(ValueError):
-            copied.rows[0, 0] = 1.0
-
-
-class TestFirstStep:
-    @staticmethod
-    def count_step_rows(monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args[0])
-            return step_rows(*args)
-
-        monkeypatch.setattr(grpo, "step_rows", counting)
-        return calls
-
-    @pytest.mark.parametrize("mu,expected", [(1, 0), (2, 1), (3, 2)])
-    def test_only_later_steps_compute_rows(self, monkeypatch, mu, expected):
-        rng = np.random.default_rng(3)
-        params = make_params(rng)
-        group = make_group(params, make_members(rng, params, [1.0, 0.0, 0.5, 0.25]))
-        calls = self.count_step_rows(monkeypatch)
-        new, diags = update_policy(params, group, CLIP, 0.3, mu)
-        assert len(calls) == expected and len(diags) == mu
-        assert all(current is not params for current in calls)
-        assert new is not params
-
-    def test_first_step_equals_recomputed_rows(self):
-        # The frozen rows and step_rows give one step the same bits.
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            params = make_params(rng, V=int(rng.integers(2, 12)), P=int(rng.integers(1, 5)))
-            group = edge_group(rng, params, CLIP)
-            new, (diag,) = update_policy(params, group, CLIP, 0.3, 1)
-            loss, grad, ref_diag = grpo_loss_and_grad(params, group, CLIP)
-            assert bits(diag) == bits(ref_diag) and diag.loss == loss
-            assert new.W.tobytes() == (params.W - 0.3 * grad).tobytes()
-
-    def test_update_from_other_params_rejected(self):
-        rng = np.random.default_rng(5)
-        params = make_params(rng)
-        group = make_group(params, make_members(rng, params, [1.0, 0.0]))
-        for other in (params.with_weights(params.W.copy()),
-                      params.with_weights(params.W + 0.1)):
-            with pytest.raises(ValueError, match="frozen under"):
-                update_policy(other, group, CLIP, 0.3, 2)
-        noop = make_group(params, make_members(rng, params, [0.5, 0.5]))
-        with pytest.raises(ValueError, match="frozen under"):
-            update_policy(params.with_weights(params.W.copy()), noop, CLIP, 0.3, 1)
 
 
 class TestDiagnostics:
@@ -192,7 +112,8 @@ class TestDiagnostics:
             params = make_params(rng)
             group = make_group(params, make_members(rng, params, [score, 0.0, 0.0]))
             group.old[0] = -np.inf
-            ref = ref_diagnostics(group.rows, group, CLIP)
+            probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
+            ref = ref_diagnostics(probs, group, CLIP)
             for run in (lambda: grpo_loss_and_grad(params, group, CLIP),
                         lambda: update_policy(params, group, CLIP, 0.3, 2)):
                 with pytest.raises(NonFiniteLossError) as err:

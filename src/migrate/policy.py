@@ -19,9 +19,8 @@ and every per-token operation on a sampled-from policy reads it; a token
 draw is one ``bisect_right`` on one row of the running sum of the drawn
 context, and :func:`token_steps` turns token sequences into the ``(tokens,
 prev, buckets)`` indices that log-probs and the GRPO gradient gather with.
-Weights nobody samples from (an update's steps after the first) skip the
-table: :func:`step_rows` computes just the rows a step reads, with the same
-bits.
+Weights nobody samples from (an update's steps) skip the table:
+:func:`step_rows` computes just the rows a step reads, with the same bits.
 """
 
 from __future__ import annotations

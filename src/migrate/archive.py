@@ -30,7 +30,7 @@ class ArchiveError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class IslandConfig:
     count: int = 4
     exploit_prob: float = 0.7
@@ -39,7 +39,7 @@ class IslandConfig:
 
     def __post_init__(self) -> None:
         if self.count < 1:
-            raise ValueError("island count must be >= 1")
+            raise ValueError("island_count must be >= 1")
         if not 0 <= self.exploit_prob <= 1:
             raise ValueError("exploit_prob must be in [0, 1]")
         if self.migration_interval < 1:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
 from pathlib import Path
 
-from .harness import (METHODS, TASK_DEFAULTS, TRACE_FORMATS, RunConfig, SolvedRun,
+from .harness import (CONFIG_KEYS, METHODS, TASK_DEFAULTS, TRACE_FORMATS, RunConfig, SolvedRun,
                       bootstrap_nearest, build_task, check_trace_formats, default_config,
                       emit_trace, run_any, save_run_artifacts, sweep, sweep_to_csv)
 from .tasks import compute_metrics, load_grid_task
@@ -23,7 +22,6 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=int)
     parser.add_argument("--beta", type=int)
     parser.add_argument("--gamma", type=int)
-    parser.add_argument("--group-size", type=int, help="must equal alpha + beta + gamma")
     parser.add_argument("--topk", type=int, dest="top_k")
     parser.add_argument("--mu", type=int)
     parser.add_argument("--eps-low", type=float, dest="eps_low")
@@ -39,19 +37,24 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--exploit-prob", type=float, dest="exploit_prob")
     parser.add_argument("--task-file", dest="task_file")
     parser.add_argument("--bootstrap-params", dest="bootstrap_params")
-    parser.add_argument("--config", help="JSON file of RunConfig fields; flags override it and "
-                        "the task's defaults fill the fields neither sets")
+    parser.add_argument("--config", help="JSON file of flat config keys; flags override it and "
+                        "the task's defaults fill the keys neither sets")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Flags passed, over the ``--config`` file's fields, over the task's defaults."""
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    """Flags passed, over the ``--config`` file's keys, over the task's
+    defaults; a config they do not build exits with code 2."""
     overrides = {name: value for name, value in vars(args).items()
-                 if name in fields and value is not None}
-    if args.config:
-        overrides = {**json.loads(Path(args.config).read_text(encoding="utf-8")), **overrides}
-    return default_config(overrides.pop("task", "words"), overrides.pop("method", "migrate"),
-                          **overrides)
+                 if name in CONFIG_KEYS and value is not None}
+    try:
+        if args.config:
+            overrides = {**json.loads(Path(args.config).read_text(encoding="utf-8")),
+                         **overrides}
+        return default_config(overrides.pop("task", "words"),
+                              overrides.pop("method", "migrate"), **overrides)
+    except ValueError as err:
+        print(f"migrate {args.command}: error: {err}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _trace_formats(text: str) -> tuple[str, ...]:

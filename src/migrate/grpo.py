@@ -19,6 +19,7 @@ computes once for all its steps.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -54,6 +55,25 @@ class ClipConfig:
             raise ValueError("eps_low must be in (0, 1)")
         if self.eps_high <= 0:
             raise ValueError("eps_high must be positive")
+
+
+@dataclass(frozen=True)
+class UpdateSpec:
+    """The update a test-time-training run takes after every group: ``mu``
+    clipped steps of ``optimizer`` ("sgd" or "adam") at ``learning_rate``."""
+
+    learning_rate: float
+    mu: int
+    optimizer: str = "sgd"
+    clip: ClipConfig = ClipConfig()
+
+    def __post_init__(self) -> None:
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if self.mu < 1:
+            raise ValueError("mu must be >= 1")
+        if self.optimizer not in ("sgd", "adam"):
+            raise ValueError("optimizer must be 'sgd' or 'adam'")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ reported in the in-memory summary only, never written to files.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import logging
@@ -22,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .archive import Archive, IslandConfig
-from .completion import OPRO
-from .grpo import Adam, ClipConfig, GrpoDiagnostics, make_group, update_policy
+from .grpo import Adam, ClipConfig, GrpoDiagnostics, UpdateSpec, make_group, update_policy
 from .policy import PolicyParams, init_params, load_params, save_params
 from .sampler import MixSpec, construct_group
 from .tasks import (GridTask, SearchTask, TwoObjectiveTask, WordSearchTask, eval_program,
@@ -33,6 +31,7 @@ from .tasks import (GridTask, SearchTask, TwoObjectiveTask, WordSearchTask, eval
 logger = logging.getLogger(__name__)
 
 TTT_METHODS = ("grpo", "grpo-greedy", "migrate", "migrate-opro")
+OPRO_METHODS = ("opro", "migrate-opro")
 METHODS = ("random", "ns", "opro") + TTT_METHODS
 
 # Sub-stream tags fanned out from the master seed.
@@ -42,7 +41,8 @@ _STREAM_ISLANDS = 2
 _STREAM_WARMSTART = 3
 
 # The only run defaults: default_config (and so every --config file) takes a
-# task's entry whole. Mixes are (alpha, beta, gamma); group_size is their sum.
+# task's entry whole, each key into the part that reads it. Mixes are
+# (alpha, beta, gamma); the group size is their sum.
 TASK_DEFAULTS: dict[str, dict] = {
     "words": dict(budget=1000, warmstart_count=20, top_k=3, mu=2,
                   learning_rate=0.3, mutation_rate=0.2, stop_threshold=1.0, opro_depth=10,
@@ -61,95 +61,129 @@ TASK_DEFAULTS: dict[str, dict] = {
                          "migrate": (11, 1, 4), "migrate-opro": (11, 1, 4)}),
 }
 
+# The flat config keys by the part that reads them: the one vocabulary of
+# default_config, --config files, CLI flags and sweep points. A key names its
+# part's field, but as _FIELD renames it; the key "islands" turns islands on.
+PART_KEYS = {
+    "run": ("method", "task", "seed", "budget", "warmstart_count", "stop_threshold",
+            "temperature", "task_file", "task_options", "bootstrap_params"),
+    "mix": ("alpha", "beta", "gamma", "top_k", "mutation_rate"),
+    "update": ("learning_rate", "mu", "optimizer"),
+    "clip": ("eps_low", "eps_high"),
+    "islands": ("island_count", "exploit_prob", "migration_interval", "migration_fraction"),
+    "opro_depth": ("opro_depth",),
+}
+CONFIG_KEYS = {"islands": "run", **{key: part for part, keys in PART_KEYS.items() for key in keys}}
+_FIELD = {"top_k": "k", "island_count": "count"}
+
+
+def _check_keys(keys, method: str, islands: bool, accepted=CONFIG_KEYS) -> None:
+    """Raise ValueError on a key outside ``accepted``, or on one for a part
+    that a ``method`` config with or without ``islands`` does not have."""
+    lacks = {"update": method not in TTT_METHODS, "clip": method not in TTT_METHODS,
+             "islands": not islands, "opro_depth": method not in OPRO_METHODS}
+    for key in keys:
+        if key not in accepted:
+            raise ValueError(f"unknown config key {key!r}; accepted keys: {', '.join(accepted)}")
+        part = CONFIG_KEYS[key]
+        if lacks.get(part):
+            where = " without islands=True" if part == "islands" else ""
+            raise ValueError(f"config key {key!r} sets the {part} part, which this "
+                             f"{method!r} config{where} does not have")
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of a single search run. JSON-serializable one-to-one; build
-    it with ``default_config``, which fills the fields without a default."""
+    """One search run: its settings and the parts its method reads, built by
+    ``default_config`` from flat keys. ``update`` is present exactly for
+    TTT_METHODS, ``islands`` when the archive has islands, and ``opro_depth``
+    (how many top entries trajectory proposals recombine) exactly for
+    OPRO_METHODS."""
 
     method: str
     task: str
-    group_size: int
-    alpha: int
-    beta: int
-    gamma: int
-    top_k: int
     budget: int
     warmstart_count: int
-    learning_rate: float
-    mu: int
-    mutation_rate: float
     stop_threshold: float | None
-    opro_depth: int
-    eps_low: float = ClipConfig.eps_low
-    eps_high: float = ClipConfig.eps_high
+    mix: MixSpec
+    update: UpdateSpec | None = None
+    islands: IslandConfig | None = None
+    opro_depth: int | None = None
     temperature: float = 1.0
-    islands: bool = False
-    island_count: int = IslandConfig.count
-    exploit_prob: float = IslandConfig.exploit_prob
-    migration_interval: int = IslandConfig.migration_interval
-    migration_fraction: float = IslandConfig.migration_fraction
     seed: int = 0
     task_file: str | None = None
     task_options: dict = field(default_factory=dict)
     bootstrap_params: str | None = None
-    optimizer: str = "sgd"
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.task not in TASK_DEFAULTS:
             raise ValueError(f"unknown task {self.task!r}")
-        self.mix()  # raises ValueError on an invalid group mix
         if self.budget <= self.warmstart_count:
             raise ValueError("budget must exceed warmstart_count")
-        if self.mu < 1:
-            raise ValueError("mu must be >= 1")
         if not 0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature!r}")
-        if self.island_count < 1:
-            raise ValueError("island_count must be >= 1")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        if self.opro_depth < 1:
+        if ((self.update is None) == (self.method in TTT_METHODS)
+                or (self.opro_depth is None) == (self.method in OPRO_METHODS)):
+            raise ValueError(f"a {self.method!r} config must have an update exactly when it is "
+                             f"in TTT_METHODS, and an opro_depth exactly when in OPRO_METHODS")
+        if self.opro_depth is not None and self.opro_depth < 1:
             raise ValueError("opro_depth must be >= 1")
-        self.clip_config()  # raises ValueError on invalid clip edges
-        self.island_config()  # raises ValueError on invalid island settings
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
 
-    def mix(self) -> MixSpec:
-        return MixSpec(self.alpha, self.beta, self.gamma, self.group_size,
-                       self.top_k, self.mutation_rate)
+    # searchbench/run.py reads these two: a full iteration evaluates alpha + gamma.
+    @property
+    def alpha(self) -> int:
+        return self.mix.alpha
 
-    def clip_config(self) -> ClipConfig:
-        return ClipConfig(self.eps_low, self.eps_high)
+    @property
+    def gamma(self) -> int:
+        return self.mix.gamma
 
-    def island_config(self) -> IslandConfig:
-        return IslandConfig(self.island_count, self.exploit_prob,
-                            self.migration_interval, self.migration_fraction)
+    def flat(self) -> dict:
+        """This config in the flat keys of ``default_config``; a part it lacks adds none."""
+        holders = {"run": self, "mix": self.mix, "update": self.update,
+                   "clip": self.update and self.update.clip, "islands": self.islands,
+                   "opro_depth": None if self.opro_depth is None else self}
+        keys = {"islands": self.islands is not None}
+        for part, holder in holders.items():
+            if holder is not None:
+                keys.update((k, getattr(holder, _FIELD.get(k, k))) for k in PART_KEYS[part])
+        return keys
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        return json.dumps(self.flat(), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
-        """``default_config`` of a JSON object: fields it omits take the task's defaults."""
+        """``default_config`` of a JSON object: keys it omits take the task's defaults."""
         return default_config(**json.loads(text))
 
 
 def default_config(task: str, method: str, seed: int = 0, **overrides) -> RunConfig:
-    """``TASK_DEFAULTS[task]`` with the method's mix, overrides on top. A
-    ``group_size`` override that does not match the mix raises ValueError."""
+    """``TASK_DEFAULTS[task]`` with the method's mix and the flat-key
+    ``overrides`` on top, each key put into the part that reads it. A key
+    outside CONFIG_KEYS, or one for a part the config does not have (see
+    RunConfig), raises ValueError, and so does a part that rejects its values."""
     if task not in TASK_DEFAULTS:
         raise ValueError(f"unknown task {task!r}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    fields = dict(TASK_DEFAULTS[task])
-    alpha, beta, gamma = fields.pop("mixes")[method]
-    fields.update(method=method, task=task, group_size=alpha + beta + gamma,
-                  alpha=alpha, beta=beta, gamma=gamma, seed=seed)
-    return RunConfig(**{**fields, **overrides})
+    _check_keys(overrides, method, bool(overrides.get("islands")))
+    defaults = TASK_DEFAULTS[task]
+    keys = {**dict(zip(("alpha", "beta", "gamma"), defaults["mixes"][method])), **defaults,
+            "seed": seed, **overrides}
+
+    def part(name: str) -> dict:
+        return {_FIELD.get(key, key): keys[key] for key in PART_KEYS[name] if key in keys}
+
+    update = None
+    if method in TTT_METHODS:
+        update = UpdateSpec(**part("update"), clip=ClipConfig(**part("clip")))
+    return RunConfig(method=method, task=task, **part("run"), mix=MixSpec(**part("mix")),
+                     update=update,
+                     islands=IslandConfig(**part("islands")) if keys.get("islands") else None,
+                     opro_depth=keys["opro_depth"] if method in OPRO_METHODS else None)
 
 
 @dataclass
@@ -238,26 +272,23 @@ def _initial_params(config: RunConfig, task: SearchTask) -> PolicyParams:
 
 
 def run_any(config: RunConfig) -> Trace:
-    """Run one search; test-time-training methods update the policy after
-    every group, baselines keep the initial one."""
+    """Run one search; with an update (the test-time-training methods) the
+    policy is updated after every group, otherwise it stays the initial one."""
     started = time.perf_counter()
-    is_ttt = config.method in TTT_METHODS
     task = build_task(config)
     params = _initial_params(config, task)
     sampling_rng = _rng(config.seed, _STREAM_SAMPLING)
     island_rng = _rng(config.seed, _STREAM_ISLANDS)
-    archive = Archive(islands=config.island_config() if config.islands else None)
+    mix, update, islands = config.mix, config.update, config.islands
+    archive = Archive(islands=islands)
 
     warm = task.warmstart(_rng(config.seed, _STREAM_WARMSTART))[: config.warmstart_count]
     for i, c in enumerate(warm):
-        archive.insert([c], island=i % config.island_count)
+        archive.insert([c], island=i % islands.count if islands else None)
 
-    mix = config.mix()
-    clip = config.clip_config()
-    local_kind = OPRO if config.method in ("opro", "migrate-opro") else "ns"
     optimizer = None
-    if is_ttt and config.optimizer == "adam":
-        optimizer = Adam(config.learning_rate)
+    if update is not None and update.optimizer == "adam":
+        optimizer = Adam(update.learning_rate)
 
     records: list[IterationRecord] = []
     found = config.stop_threshold is not None and archive.best_score >= config.stop_threshold
@@ -271,8 +302,7 @@ def run_any(config: RunConfig) -> Trace:
             iteration += 1
             draft = construct_group(mix, params, archive, config.temperature,
                                     sampling_rng, born_iteration=iteration,
-                                    local_kind=local_kind, opro_depth=config.opro_depth,
-                                    island_rng=island_rng)
+                                    opro_depth=config.opro_depth, island_rng=island_rng)
             fresh = task.score_new(draft.online + draft.local, iteration)
             online_scored = fresh[: len(draft.online)]
             local_scored = fresh[len(draft.online):]
@@ -287,15 +317,15 @@ def run_any(config: RunConfig) -> Trace:
             if config.stop_threshold is not None and archive.best_score >= config.stop_threshold:
                 found = True
                 break
-            if is_ttt:
+            if update is not None:
                 group = make_group(params, group_members)
-                params, diags = update_policy(params, group, clip, config.learning_rate,
-                                              config.mu, optimizer=optimizer)
+                params, diags = update_policy(params, group, update.clip, update.learning_rate,
+                                              update.mu, optimizer=optimizer)
                 last: GrpoDiagnostics = diags[-1]
                 record.loss = last.loss
                 record.clip_low_frac = last.clip_low_frac
                 record.clip_high_frac = last.clip_high_frac
-            if config.islands and iteration % config.migration_interval == 0:
+            if islands and iteration % islands.migration_interval == 0:
                 archive.migrate()
     except Exception as exc:  # partial trace with error status
         status, error = "error", f"{type(exc).__name__}: {exc}"
@@ -428,13 +458,8 @@ def _best_at(trace: Trace, evaluations: int) -> float:
     return max((c.score for c in trace.archive.entries[:evaluations]), default=-np.inf)
 
 
-#: The RunConfig fields a sweep grid point may set.
+#: The config keys a sweep grid point may set.
 SWEEP_FIELDS = ("alpha", "beta", "gamma", "mutation_rate", "exploit_prob")
-
-
-def _sweep_run(args: tuple[RunConfig, dict, int]) -> Trace:
-    base, point, seed = args
-    return run_any(replace(base, seed=seed, **point))
 
 
 def _sweep_workers() -> int:
@@ -454,9 +479,12 @@ def _sweep_workers() -> int:
 def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     """Run every (grid point x seed) combination and aggregate best-so-far.
 
-    A grid key outside ``SWEEP_FIELDS`` raises ValueError. Invalid points
-    (those ``RunConfig`` rejects, e.g. a mix that does not sum to the group
-    size) are skipped with a logged reason.
+    A point's keys override ``base.flat()`` through ``default_config``, so a
+    point may change the group size. A grid key outside ``SWEEP_FIELDS``, or
+    one for a part ``base`` does not have (``exploit_prob`` without islands),
+    raises ValueError before any run. Invalid points (those
+    ``default_config`` rejects, e.g. a mix with no new sample) are skipped
+    with a logged reason.
     Each row carries mean/std of best-so-far at quarter-budget checkpoints
     plus the found rate. MIGRATE_WORKERS > 1 runs points in that many
     parallel processes; aggregation order is independent of scheduling. A
@@ -465,36 +493,31 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     """
     workers = _sweep_workers()
     for point in grid:
-        unknown = sorted(point.keys() - set(SWEEP_FIELDS))
-        if unknown:
-            raise ValueError(f"unknown sweep grid key {unknown[0]!r}; "
-                             f"accepted keys: {', '.join(SWEEP_FIELDS)}")
+        _check_keys(point, base.method, base.islands is not None, SWEEP_FIELDS)
     if not seeds:
         logger.warning("sweep called with no seeds; returning an empty table")
         return []
-    jobs: list[tuple[RunConfig, dict, int]] = []
-    valid_points: list[dict] = []
+    keys = base.flat()
+    configs: list[RunConfig] = []
     for point in grid:
         try:
-            replace(base, **point)
+            configs.append(default_config(**{**keys, **point}))
         except ValueError as exc:
             logger.warning("skipping sweep point %s: %s", point, exc)
-            continue
-        valid_points.append(point)
-        jobs.extend((base, point, seed) for seed in seeds)
+    jobs = [replace(config, seed=seed) for config in configs for seed in seeds]
 
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_sweep_run, jobs))
+            traces = list(pool.map(run_any, jobs))
     else:
-        traces = [_sweep_run(job) for job in jobs]
+        traces = [run_any(job) for job in jobs]
 
     rows: list[dict] = []
-    for p_idx, point in enumerate(valid_points):
+    for p_idx, config in enumerate(configs):
         group = traces[p_idx * len(seeds): (p_idx + 1) * len(seeds)]
-        cfg = replace(base, **point)
-        row: dict = {name: getattr(cfg, name) for name in SWEEP_FIELDS}
+        point_keys = config.flat()
+        row: dict = {name: point_keys.get(name) for name in SWEEP_FIELDS}
         row["seeds"] = len(seeds)
         row["found_rate"] = float(np.mean([t.summary.found for t in group]))
         for frac in SWEEP_CHECKPOINTS:
@@ -566,6 +589,6 @@ def save_run_artifacts(trace: Trace, out_dir: str | Path) -> None:
               "tokens": [] if best is None else list(best.tokens),
               "found": trace.summary.found}
     (out_dir / "best.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    if trace.config.method in TTT_METHODS:
+    if trace.config.update is not None:
         (out_dir / "params.mgp").write_bytes(save_params(trace.final_params))
     trace.archive.dump_jsonl(out_dir / "archive.jsonl")

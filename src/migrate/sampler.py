@@ -24,28 +24,28 @@ from .policy import (TASK_CONTEXT, ContextKind, PolicyParams, mutate_tokens,  # 
 
 @dataclass(frozen=True)
 class MixSpec:
-    """Group composition knobs; alpha + beta + gamma must equal group_size."""
+    """Group composition: ``alpha`` online, ``beta`` greedy (from the top
+    ``k``) and ``gamma`` local members, so a group holds their sum."""
 
     alpha: int
     beta: int
     gamma: int
-    group_size: int
     k: int = 1
     mutation_rate: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.group_size < 1:
-            raise ValueError("group_size must be >= 1")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("alpha, beta, gamma must be >= 0")
-        if self.alpha + self.beta + self.gamma != self.group_size:
-            raise ValueError("alpha + beta + gamma must equal group_size")
         if self.alpha + self.gamma < 1:
             raise ValueError("at least one new sample per iteration is required")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0 < self.mutation_rate <= 1:
             raise ValueError("mutation_rate must be in (0, 1]")
+
+    @property
+    def group_size(self) -> int:
+        return self.alpha + self.beta + self.gamma
 
 
 @dataclass
@@ -165,16 +165,19 @@ def propose_trajectory(top_m: list[Completion], gamma: int, mutation_rate: float
 
 
 def construct_group(mix: MixSpec, params: PolicyParams, archive: Archive, temperature: float,
-                    rng: np.random.Generator, *, born_iteration: int = 0, local_kind: str = NS,
-                    opro_depth: int = 10,
+                    rng: np.random.Generator, *, born_iteration: int = 0,
+                    opro_depth: int | None = None,
                     island_rng: np.random.Generator | None = None) -> GroupDraft:
-    """Build one group of exactly ``group_size`` members, online ones drawn
-    under the task context.
+    """Build one group of exactly ``mix.group_size`` members, online ones
+    drawn under the task context.
 
-    Cold start (empty archive) backfills every greedy/local slot with extra
-    online samples; all of those count as new evaluations. When the archive
-    has islands the neighborhood exemplar comes from its island cursor,
-    drawn with ``island_rng`` (ValueError if None), instead of the global top-k.
+    Local members are trajectory recombinations of the archive's top
+    ``opro_depth`` entries, or neighborhood proposals when ``opro_depth`` is
+    None. Cold start (empty archive) backfills every greedy/local slot with
+    extra online samples; all of those count as new evaluations. When the
+    archive has islands the neighborhood exemplar comes from its island
+    cursor, drawn with ``island_rng`` (ValueError if None), instead of the
+    global top-k.
     """
     alpha, beta, gamma = mix.alpha, mix.beta, mix.gamma
     if len(archive) == 0:
@@ -185,7 +188,7 @@ def construct_group(mix: MixSpec, params: PolicyParams, archive: Archive, temper
     greedy = select_greedy(archive, mix.k, beta, rng)
     local: list[Completion] = []
     if gamma > 0:
-        if local_kind == OPRO:
+        if opro_depth is not None:
             top_m = archive.topk(opro_depth)
             local = propose_trajectory(top_m, gamma, mix.mutation_rate, rng,
                                        params.vocab.size, born_iteration=born_iteration)

@@ -128,11 +128,14 @@ def test_criterion_3_group_budget_contracts():
         warm_cap = {"words": 5, "molecules": 3, "grids": 1}[task]
         warm = int(rng.integers(0, warm_cap + 1))
         budget = warm + int(rng.integers(n, 5 * n))
+        seed = int(rng.integers(0, 2**31))
+        top_k = int(rng.integers(1, 4))
+        islands = bool(rng.integers(0, 2))
+        island_count = int(rng.integers(2, 5))
+        island_keys = dict(islands=True, island_count=island_count) if islands else {}
         cfg = default_config(
-            task, method, seed=int(rng.integers(0, 2**31)),
-            group_size=n, alpha=alpha, beta=beta, gamma=gamma,
-            budget=budget, warmstart_count=warm, top_k=int(rng.integers(1, 4)),
-            islands=bool(rng.integers(0, 2)), island_count=int(rng.integers(2, 5)),
+            task, method, seed=seed, alpha=alpha, beta=beta, gamma=gamma,
+            budget=budget, warmstart_count=warm, top_k=top_k, **island_keys,
             stop_threshold=None,
             task_options={"vocab_size": 40, "dim": 6, "clusters": 4} if task == "words" else {})
         trace = run_any(cfg)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from migrate.tasks import DslProgram, synthesize_grid_task
 
 SMALL_WORDS = {"vocab_size": 60, "dim": 8, "clusters": 6}
 
-# The RunConfig fields without a default, at their words/migrate values.
-PARTIAL_WORDS = {"method": "migrate", "task": "words", "group_size": 5, "alpha": 0, "beta": 1,
+# A partial words/migrate config file: its mix, top_k, budget and warm starts.
+PARTIAL_WORDS = {"method": "migrate", "task": "words", "alpha": 0, "beta": 1,
                  "gamma": 4, "top_k": 3, "budget": 1000, "warmstart_count": 20}
 
 
@@ -32,10 +33,6 @@ def words_config(method, **overrides):
 
 
 class TestRunConfig:
-    def test_mix_must_sum(self):
-        with pytest.raises(ValueError):
-            default_config("words", "migrate", alpha=3, beta=3, gamma=3)
-
     @pytest.mark.parametrize("overrides", [{"mutation_rate": 0.0},
                                            {"alpha": -1, "beta": 2, "gamma": 4},
                                            {"top_k": 0}])
@@ -46,7 +43,7 @@ class TestRunConfig:
     def test_island_count_positive(self):
         # Warm starts are dealt round-robin over island_count islands.
         with pytest.raises(ValueError, match="island_count"):
-            default_config("words", "migrate", island_count=0)
+            default_config("words", "migrate", islands=True, island_count=0)
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_temperature_rejected(self, temperature):
@@ -94,22 +91,51 @@ class TestRunConfig:
         expected = default_config("words", "migrate")
         assert RunConfig.from_json(json.dumps(PARTIAL_WORDS)) == expected
 
-    def test_group_size_must_match_mix(self):
-        with pytest.raises(ValueError, match="group_size"):
-            default_config("words", "random", group_size=8)
-        cfg = default_config("words", "random", alpha=8, group_size=8)
-        assert (cfg.alpha, cfg.beta, cfg.gamma, cfg.group_size) == (8, 0, 0, 8)
+    def test_group_size_is_the_mix_sum(self):
+        # A group_size had to be passed with any mix that changed the sum.
+        cfg = default_config("words", "migrate", alpha=3, beta=1, gamma=4,
+                             task_options=SMALL_WORDS, budget=100, stop_threshold=None)
+        assert cfg.mix.group_size == 8
+        trace = run_any(cfg)
+        assert len(trace.records) == (100 - 20) // 7
+        assert all((r.group_size, r.new_count) == (8, 7) for r in trace.records)
+        with pytest.raises(ValueError, match=r"unknown config key 'group_size'.*alpha, beta"):
+            default_config("words", "random", group_size=5)
+
+    @pytest.mark.parametrize("key,value", [("optimizer", "adam"), ("mu", 3),
+                                           ("learning_rate", 5.0), ("eps_high", 0.9),
+                                           ("opro_depth", 2), ("exploit_prob", 0.1)])
+    def test_key_for_an_absent_part_rejected(self, key, value):
+        # random reads no update, no OPRO depth and, without islands=True,
+        # no island setting; each of these used to run as if it applied.
+        with pytest.raises(ValueError, match=f"'{key}' sets the .* part, which this 'random'"):
+            default_config("molecules", "random", **{key: value})
+
+    def test_parts_follow_the_method(self):
+        cfg = default_config("grids", "migrate-opro", islands=True, island_count=3, mu=2)
+        assert cfg.update.mu == 2 and cfg.islands.count == 3 and cfg.opro_depth == 1
+        plain = default_config("grids", "ns")
+        assert (plain.update, plain.islands, plain.opro_depth) == (None, None, None)
+        with pytest.raises(ValueError, match="'migration_interval'.*islands=True"):
+            default_config("grids", "migrate", migration_interval=3)
+
+    def test_parts_are_frozen(self):
+        cfg = default_config("grids", "migrate", islands=True)
+        with pytest.raises(FrozenInstanceError):
+            cfg.islands.count = 2
+        with pytest.raises(FrozenInstanceError):
+            cfg.update.mu = 5
 
     def test_per_task_defaults(self):
         words = default_config("words", "migrate")
-        assert (words.alpha, words.beta, words.gamma) == (0, 1, 4)
-        assert words.budget == 1000 and words.mu == 2 and words.top_k == 3
+        assert (words.mix.alpha, words.mix.beta, words.mix.gamma) == (0, 1, 4)
+        assert words.budget == 1000 and words.update.mu == 2 and words.mix.k == 3
         mols = default_config("molecules", "migrate")
-        assert (mols.alpha, mols.beta, mols.gamma) == (2, 1, 2)
-        assert mols.budget == 200 and mols.mu == 1 and mols.top_k == 1
+        assert (mols.mix.alpha, mols.mix.beta, mols.mix.gamma) == (2, 1, 2)
+        assert mols.budget == 200 and mols.update.mu == 1 and mols.mix.k == 1
         grids = default_config("grids", "migrate")
-        assert (grids.alpha, grids.beta, grids.gamma) == (11, 1, 4)
-        assert grids.budget == 1024 and grids.group_size == 16
+        assert (grids.mix.alpha, grids.mix.beta, grids.mix.gamma) == (11, 1, 4)
+        assert grids.budget == 1024 and grids.mix.group_size == 16
 
 
 class TestBudgetLoop:
@@ -157,7 +183,7 @@ class TestBudgetLoop:
         trace = run_any(cfg)
         first = trace.records[0]
         assert all(p == "online" for _, _, p in first.new_completions)
-        assert first.new_count == cfg.group_size
+        assert first.new_count == cfg.mix.group_size
 
     def test_early_stop_undershoots_budget(self):
         cfg = words_config("migrate", seed=11, budget=400, warmstart_count=20,
@@ -177,7 +203,7 @@ class TestBudgetLoop:
 class TestMethodEquivalences:
     def test_grpo_is_all_online_mix(self):
         base = words_config("grpo", seed=2)
-        explicit = words_config("migrate", seed=2, alpha=base.group_size, beta=0, gamma=0)
+        explicit = words_config("migrate", seed=2, alpha=base.mix.group_size, beta=0, gamma=0)
         a, b = run_any(base), run_any(explicit)
         assert trace_csv(a) == trace_csv(b)
 
@@ -231,7 +257,7 @@ class TestIslandMembership:
                              islands=True, migration_interval=1)
         archive = run_any(cfg).archive
         assert len(archive) == archive.evaluated_count
-        for island in range(cfg.island_count):
+        for island in range(cfg.islands.count):
             ranked = [i for _, _, i in archive._island_rank[island]]
             assert len(ranked) == len(set(ranked)) == len(archive.island_members(island))
         for k in (1, 3, 10, 50):
@@ -344,7 +370,7 @@ class TestSweep:
 
     def test_invalid_point_skipped(self, caplog):
         base = words_config("migrate", budget=40, warmstart_count=5)
-        grid = [{"alpha": 9, "beta": 9, "gamma": 9}, {"alpha": 0, "beta": 1, "gamma": 4}]
+        grid = [{"alpha": 0, "beta": 1, "gamma": 0}, {"alpha": 0, "beta": 1, "gamma": 4}]
         rows = sweep(base, grid, seeds=[1])
         assert len(rows) == 1
 
@@ -355,6 +381,22 @@ class TestSweep:
             rows = sweep(base, [{"exploit_prob": 0.5}, {"exploit_prob": 1.5}], [1])
         assert [r["exploit_prob"] for r in rows] == [0.5]
         assert any("exploit_prob" in r.message for r in caplog.records)
+
+    def test_point_may_change_the_group_size(self):
+        base = words_config("migrate", budget=40, warmstart_count=5)
+        (row,) = sweep(base, [{"alpha": 3, "beta": 1, "gamma": 4}], seeds=[1])
+        assert (row["alpha"], row["beta"], row["gamma"], row["seeds"]) == (3, 1, 4, 1)
+
+    def test_key_for_an_absent_part_raises_before_any_run(self, monkeypatch):
+        from migrate import harness
+
+        def no_search(config):
+            raise AssertionError("a search ran before the grid was checked")
+
+        monkeypatch.setattr(harness, "run_any", no_search)
+        base = words_config("migrate", budget=40, warmstart_count=5)
+        with pytest.raises(ValueError, match="'exploit_prob'.*islands=True"):
+            sweep(base, [{"alpha": 0, "beta": 1, "gamma": 4}, {"exploit_prob": 0.5}], seeds=[1])
 
     def test_unknown_grid_key_raises(self):
         base = words_config("migrate", budget=40, warmstart_count=5)
@@ -403,14 +445,13 @@ class TestSweep:
     def test_means_match_single_run_replays(self):
         # Replay oracle: the sweep's aggregates must equal statistics of
         # independently re-run traces.
-        from dataclasses import replace
         base = words_config("migrate", budget=40, warmstart_count=5)
         point = {"alpha": 0, "beta": 1, "gamma": 4}
         seeds = [7, 8]
         (row,) = sweep(base, [point], seeds=seeds)
         finals = []
         for seed in seeds:
-            cfg = replace(base, seed=seed, **point)
+            cfg = default_config(**{**base.flat(), **point, "seed": seed})
             finals.append(run_any(cfg).records[-1].best_so_far)
         assert row["best_at_100_mean"] == pytest.approx(np.mean(finals), abs=1e-15)
         assert row["best_at_100_std"] == pytest.approx(np.std(finals), abs=1e-15)
@@ -560,7 +601,7 @@ class TestCli:
         from migrate.cli import main
         out = tmp_path / "run2"
         code = main(["run", "--task", "molecules", "--method", "grpo", "--budget", "25",
-                     "--alpha", "5", "--beta", "0", "--gamma", "0", "--group-size", "5",
+                     "--alpha", "5", "--beta", "0", "--gamma", "0",
                      "--topk", "2", "--mu", "1", "--eps-low", "0.1", "--eps-high", "0.3",
                      "--seed", "1", "--out", str(out)])
         assert code == 0
@@ -583,6 +624,23 @@ class TestCli:
         assert "--formats" in message and "'xml'" in message
         assert "accepted: csv, jsonl, svg" in message
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--gamma", "0"], "at least one new sample"),
+        (["--task", "molecules", "--method", "random", "--mu", "3"], "'mu'.*update part"),
+        (["--islands", "--island-count", "0"], "island_count must be >= 1"),
+    ])
+    def test_config_error_exits_2_before_the_search(self, argv, message, capsys, monkeypatch):
+        from migrate import cli
+
+        def no_search(config):
+            raise AssertionError("the search ran with a config it should reject")
+
+        monkeypatch.setattr(cli, "run_any", no_search)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--budget", "30", *argv])
+        assert err.value.code == 2
+        assert re.search(f"migrate run: error: .*{message}", capsys.readouterr().err)
 
     def test_sweep_cli(self, tmp_path):
         from migrate.cli import main
@@ -648,6 +706,16 @@ class TestConfigFile:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert json.loads((out / "config.json").read_text()) == json.loads(expected.to_json())
+
+    def test_unknown_key_in_config_file_exits_2(self, tmp_path, capsys):
+        from migrate.cli import main
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**PARTIAL_WORDS, "group_size": 5}))
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert "unknown config key 'group_size'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_without_config_file_defaults_to_words_migrate_seed_0(self):
         from migrate.cli import _config_from_args, build_parser

@@ -1,11 +1,16 @@
-"""The names the benchmark harness looks up or patches must exist."""
+"""The names the benchmark harness looks up or patches must exist, and its
+workloads must pass its own output and parse-back checks."""
 
+import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 import migrate
+from migrate.harness import emit_trace, run_any, save_run_artifacts
 
-SPANS = Path(__file__).resolve().parents[1] / "searchbench" / "spans.py"
+SEARCHBENCH = Path(__file__).resolve().parents[1] / "searchbench"
+SPANS = SEARCHBENCH / "spans.py"
 
 
 def test_benchmark_boundaries_resolve():
@@ -20,3 +25,23 @@ def test_benchmark_boundaries_resolve():
 def test_package_exports_resolve():
     for name in migrate.__all__:
         assert hasattr(migrate, name), name
+
+
+def test_benchmark_workloads_pass_its_checks(tmp_path, monkeypatch):
+    # What the benchmark reads of a config and its run: the evaluations of a
+    # full iteration (alpha + gamma), the budget, and config.json's round trip.
+    spec = importlib.util.spec_from_file_location("searchbench_run", SEARCHBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    # Registered before it runs: its @dataclass looks the module up by name.
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    assert len(run.WORKLOADS) == 3
+    for name, workload in run.WORKLOADS.items():
+        workload = dataclasses.replace(workload, overrides={**workload.overrides, "budget": 200})
+        config = run.make_config(workload, 0)
+        trace = run_any(config)
+        out = tmp_path / name
+        emit_trace(trace, run.TRACE_FORMATS, out)
+        save_run_artifacts(trace, out)
+        assert run.check_outputs(config, trace) == [], name
+        assert run.parse_back(out, config) == [], name

@@ -342,7 +342,7 @@ def test_words_search_builds_one_table_per_update(monkeypatch):
     monkeypatch.setattr(StepTable, "__init__", counting_init)
     monkeypatch.setattr(harness, "update_policy", counting_update)
     config = harness.default_config("words", "migrate", budget=200, stop_threshold=None)
-    assert config.mu == 2
+    assert config.update.mu == 2
     harness.run_any(config)
     assert sum(updates) >= 20
     assert len(built) <= sum(updates) + 1

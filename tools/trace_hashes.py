@@ -2,7 +2,9 @@
 
 Runs every task x method at seeds 1 and 2 under four variants (defaults,
 islands migrating every third iteration, temperature 0.6, and Adam with
-mu=3), each at budget 300 with early stopping off. Each line hashes the
+mu=3), each at budget 300 with early stopping off. A method without an
+update (random, ns, opro) runs its Adam variant at the defaults, so that
+line repeats its default line. Each line hashes the
 trace CSV and JSONL, every archive entry's (text, score, provenance,
 born_iteration) and the bytes of the final weight matrix.
 
@@ -21,8 +23,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from migrate.harness import (METHODS, TASK_DEFAULTS, default_config, run_any,  # noqa: E402
-                             trace_csv, trace_jsonl)
+from migrate.harness import (METHODS, TASK_DEFAULTS, TTT_METHODS, default_config,  # noqa: E402
+                             run_any, trace_csv, trace_jsonl)
 
 SEEDS = (1, 2)
 VARIANTS = {
@@ -52,6 +54,8 @@ def main() -> None:
         for method in METHODS:
             for seed in SEEDS:
                 for name, overrides in VARIANTS.items():
+                    if name == "adam-mu3" and method not in TTT_METHODS:
+                        overrides = {}
                     digest = trace_hash(task, method, seed, overrides)
                     print(f"{digest}  {task} {method} seed={seed} {name}", flush=True)
 

@@ -7,10 +7,12 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .harness import (CONFIG_KEYS, METHODS, TASK_DEFAULTS, TRACE_FORMATS, RunConfig, SolvedRun,
-                      bootstrap_nearest, build_task, check_trace_formats, default_config,
-                      emit_trace, run_any, save_run_artifacts, sweep, sweep_to_csv)
+                      bootstrap_nearest, build_task, check_sweep, check_trace_formats,
+                      default_config, emit_trace, run_any, save_run_artifacts, sweep,
+                      sweep_to_csv)
 from .tasks import compute_metrics, load_grid_task
 
 
@@ -41,6 +43,12 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
                         "the task's defaults fill the keys neither sets")
 
 
+def _exit_2(args: argparse.Namespace, err: ValueError) -> NoReturn:
+    """End a command whose settings are invalid, before any search runs."""
+    print(f"migrate {args.command}: error: {err}", file=sys.stderr)
+    raise SystemExit(2) from None
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Flags passed, over the ``--config`` file's keys, over the task's
     defaults; a config they do not build exits with code 2."""
@@ -48,13 +56,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                  if name in CONFIG_KEYS and value is not None}
     try:
         if args.config:
-            overrides = {**json.loads(Path(args.config).read_text(encoding="utf-8")),
-                         **overrides}
+            keys = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            if not isinstance(keys, dict):
+                raise ValueError(f"--config must hold a JSON object, not a {type(keys).__name__}")
+            overrides = {**keys, **overrides}
         return default_config(overrides.pop("task", "words"),
                               overrides.pop("method", "migrate"), **overrides)
     except ValueError as err:
-        print(f"migrate {args.command}: error: {err}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _exit_2(args, err)
 
 
 def _trace_formats(text: str) -> tuple[str, ...]:
@@ -87,8 +96,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
-    grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else []
+    try:
+        grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        check_sweep(base, grid)
+    except ValueError as err:
+        _exit_2(args, err)
     rows = sweep(base, grid, seeds)
     out = Path(args.out) if args.out else Path("sweep.csv")
     if out.is_dir():

@@ -6,14 +6,15 @@ completion. The loss is the clipped importance-ratio surrogate, normalized
 by the total token count of the group, with no KL term; new log-probs are
 always taken under the task context regardless of how a member was sampled.
 
-:func:`make_group` flattens the group to its T tokens once, freezing the
-old log-probs as one gather from the step table; the loss, the gradient,
-the diagnostics and every one of the ``mu`` steps of :func:`update_policy`
-read that one layout. A step reads only the T task-context rows of its
-weights, computed from W with :func:`policy.step_rows`, so no table is
-built for weights nobody samples from. The gradient is one
-``np.bincount`` over those rows, whose flat indices into W an update
-computes once for all its steps.
+:func:`make_group` flattens the group to its T tokens once; the loss, the
+gradient, the diagnostics and every one of the ``mu`` steps of
+:func:`update_policy` read that one layout. A step reads only the T
+task-context rows of its weights, computed from W with
+:func:`policy.step_rows`. The old policy is the one that sampled the group,
+which is the weights an update starts from, so the frozen old log-probs
+are the first step's own log-probs (every first-step ratio is exactly 1).
+The gradient is one ``np.bincount`` over those rows, whose flat indices
+into W an update computes once for all its steps.
 """
 
 from __future__ import annotations
@@ -88,9 +89,8 @@ class GrpoDiagnostics:
 class Group:
     """One update group: its N members, and their T tokens flattened in order.
 
-    Only ``old`` depends on W: the task-context log-probs frozen under the
-    pre-step policy. ``(prev, buckets)`` name each token's step, which is
-    all the loss and gradient need to find its three rows of W.
+    Nothing here depends on W. ``(prev, buckets)`` name each token's step,
+    which is all the loss and gradient need to find its three rows of W.
     """
 
     completions: list[Completion]
@@ -99,13 +99,11 @@ class Group:
     prev: np.ndarray  # (T,) previous token, the end token at each start
     buckets: np.ndarray  # (T,) position buckets
     token_advantages: np.ndarray  # (T,) each member's advantage, on its tokens
-    old: np.ndarray  # (T,) frozen old log-probs
 
     def __post_init__(self) -> None:
         T = len(self.tokens)
         if len(self.advantages) != len(self.completions) or any(
-                len(a) != T for a in (self.prev, self.buckets, self.token_advantages,
-                                      self.old)):
+                len(a) != T for a in (self.prev, self.buckets, self.token_advantages)):
             raise ValueError("group arrays must have one entry per member or per token")
 
 
@@ -128,27 +126,15 @@ def _token_picks(tokens: np.ndarray, V: int) -> np.ndarray:
     return np.arange(0, tokens.size * V, V) + tokens
 
 
-def freeze_logprobs(params: PolicyParams, tokens: np.ndarray, prev: np.ndarray,
-                    buckets: np.ndarray) -> np.ndarray:
-    """Task-context log-probs of flattened tokens (see :func:`token_steps`)
-    under ``params``, gathered from its step table, which sampling has
-    usually built already."""
-    return np.log(params.step_table(1.0).probs[int(TASK_CONTEXT), prev, buckets, tokens])
-
-
 def make_group(params: PolicyParams, completions: list[Completion]) -> Group:
-    """Flatten scored completions into a group, freezing old log-probs now."""
-    scores = []
-    for c in completions:
-        if c.score is None:
-            raise ValueError("all group members must be scored")
-        scores.append(c.score)
-    advantages = compute_advantages(np.asarray(scores, dtype=np.float64))
+    """Flatten scored completions into a group."""
+    if any(c.score is None for c in completions):
+        raise ValueError("all group members must be scored")
+    advantages = compute_advantages([c.score for c in completions])
     sequences = [c.tokens for c in completions]
     tokens, prev, buckets = token_steps(params, sequences)
     return Group(list(completions), advantages, tokens, prev, buckets,
-                 np.repeat(advantages, list(map(len, sequences))),
-                 freeze_logprobs(params, tokens, prev, buckets))
+                 np.repeat(advantages, list(map(len, sequences))))
 
 
 def _gradient_index(group: Group, V: int) -> np.ndarray:
@@ -184,9 +170,12 @@ def _gradient(index: np.ndarray, probs: np.ndarray, coeffs: np.ndarray, F: int) 
     return grad.reshape(F, V)
 
 
-def grpo_loss_and_grad(params: PolicyParams, group: Group,
-                       clip: ClipConfig) -> tuple[float, np.ndarray, GrpoDiagnostics]:
-    """Loss, exact dense gradient w.r.t. W, and step diagnostics.
+def grpo_loss_and_grad(params: PolicyParams, group: Group, clip: ClipConfig,
+                       old: np.ndarray | None = None
+                       ) -> tuple[float, np.ndarray, GrpoDiagnostics]:
+    """Loss, exact dense gradient w.r.t. W, and step diagnostics, against
+    the (T,) frozen old log-probs ``old`` (by default ``params``' own, so
+    every ratio is 1). Raises ValueError when ``old`` does not have T entries.
 
     For a token with advantage A and ratio rho = exp(new - old), the
     objective term is min(rho*A, clip(rho, 1-eps_low, 1+eps_high)*A); its
@@ -194,19 +183,23 @@ def grpo_loss_and_grad(params: PolicyParams, group: Group,
     """
     V = params.vocab.size
     probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
-    return _loss_and_grad(group, probs, clip, _token_picks(group.tokens, V),
+    new = np.log(probs.take(_token_picks(group.tokens, V)))
+    if old is not None and len(old) != len(new):
+        raise ValueError(f"old has {len(old)} log-probs for a group of {len(new)} tokens")
+    return _loss_and_grad(group, probs, new, new if old is None else old, clip,
                           _gradient_index(group, V), params.feature_dim)
 
 
-def _loss_and_grad(group: Group, probs: np.ndarray, clip: ClipConfig, picks: np.ndarray,
-                   index: np.ndarray, F: int) -> tuple[float, np.ndarray, GrpoDiagnostics]:
+def _loss_and_grad(group: Group, probs: np.ndarray, new: np.ndarray, old: np.ndarray,
+                   clip: ClipConfig, index: np.ndarray, F: int
+                   ) -> tuple[float, np.ndarray, GrpoDiagnostics]:
     """:func:`grpo_loss_and_grad` from the (T, V) task-context step
-    distributions ``probs`` of the group's tokens, the flat ``picks`` of the
-    tokens' own entries in them, and the gradient ``index``."""
+    distributions ``probs`` of the group's tokens, the tokens' ``new`` and
+    ``old`` log-probs, and the gradient ``index``."""
     total_len, V = probs.shape
     if total_len == 0:
         return 0.0, np.zeros((F, V)), GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)
-    ratios = np.exp(np.log(probs.take(picks)) - group.old)
+    ratios = np.exp(new - old)
     low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
     unclipped = ratios * group.token_advantages
     clipped = np.minimum(np.maximum(ratios, low_edge), high_edge) * group.token_advantages
@@ -249,13 +242,13 @@ class Adam:
 
 def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: float,
                   mu: int, optimizer: Adam | None = None) -> tuple[PolicyParams, list[GrpoDiagnostics]]:
-    """Run ``mu`` gradient steps against the group's frozen old log-probs.
+    """Run ``mu`` gradient steps against the old log-probs of ``params``,
+    the weights that sampled the group, taken from the first step's rows.
 
     Each step is plain SGD, ``W - lr * grad``, unless an ``optimizer`` is
-    given. Each step computes its group's rows from its own weights
-    (:func:`policy.step_rows`, the bits of the step table), so no table is
-    built for them. An all-equal reward group returns the input params
-    unchanged (silent no-op).
+    given. Each step computes its group's rows from its own weights with
+    :func:`policy.step_rows`. An all-equal reward group returns the input
+    params unchanged (silent no-op).
     """
     if mu < 1:
         raise ValueError("mu must be >= 1")
@@ -265,9 +258,12 @@ def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: floa
     current = params
     V = params.vocab.size
     picks, index = _token_picks(group.tokens, V), _gradient_index(group, V)
+    old = None
     for _ in range(mu):
         probs = step_rows(current, TASK_CONTEXT, group.prev, group.buckets)
-        _, grad, diag = _loss_and_grad(group, probs, clip, picks, index, params.feature_dim)
+        new = np.log(probs.take(picks))
+        old = new if old is None else old
+        _, grad, diag = _loss_and_grad(group, probs, new, old, clip, index, params.feature_dim)
         diags.append(diag)
         W = current.W - lr * grad if optimizer is None else optimizer.apply(current.W, grad)
         current = current.with_weights(W)

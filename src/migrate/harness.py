@@ -61,6 +61,13 @@ TASK_DEFAULTS: dict[str, dict] = {
                          "migrate": (11, 1, 4), "migrate-opro": (11, 1, 4)}),
 }
 
+# The task_options keys each task reads.
+TASK_OPTIONS: dict[str, tuple[str, ...]] = {
+    "words": ("clusters", "dim", "hidden_word", "step_scale", "vocab_size"),
+    "molecules": ("max_len",),
+    "grids": ("dsl_step_limit",),
+}
+
 # The flat config keys by the part that reads them: the one vocabulary of
 # default_config, --config files, CLI flags and sweep points. A key names its
 # part's field, but as _FIELD renames it; the key "islands" turns islands on.
@@ -98,7 +105,7 @@ class RunConfig:
     ``default_config`` from flat keys. ``update`` is present exactly for
     TTT_METHODS, ``islands`` when the archive has islands, and ``opro_depth``
     (how many top entries trajectory proposals recombine) exactly for
-    OPRO_METHODS."""
+    OPRO_METHODS. ``task_options`` may hold only the task's TASK_OPTIONS keys."""
 
     method: str
     task: str
@@ -130,6 +137,12 @@ class RunConfig:
                              f"in TTT_METHODS, and an opro_depth exactly when in OPRO_METHODS")
         if self.opro_depth is not None and self.opro_depth < 1:
             raise ValueError("opro_depth must be >= 1")
+        if not isinstance(self.task_options, dict):
+            raise ValueError(f"task_options must be an object, got {self.task_options!r}")
+        unknown = sorted(set(self.task_options) - set(TASK_OPTIONS[self.task]))
+        if unknown:
+            raise ValueError(f"unknown task_options key {unknown[0]!r} for task {self.task!r}; "
+                             f"accepted keys: {', '.join(TASK_OPTIONS[self.task])}")
 
     # searchbench/run.py reads these two: a full iteration evaluates alpha + gamma.
     @property
@@ -224,26 +237,13 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
-# The task_options keys each task reads.
-TASK_OPTIONS: dict[str, tuple[str, ...]] = {
-    "words": ("clusters", "dim", "hidden_word", "step_scale", "vocab_size"),
-    "molecules": ("max_len",),
-    "grids": ("dsl_step_limit",),
-}
-
-
 def build_task(config: RunConfig) -> SearchTask:
     """Materialize the task from the config's task-synthesis stream.
 
-    ``task_options`` are keyword arguments of the task's constructor. Raises ValueError on
-    a key the task does not read, a molecules ``task_file``, or other options with a words one.
+    ``task_options`` are keyword arguments of the task's constructor (RunConfig checks
+    their keys). Raises ValueError on a molecules ``task_file``, or options with a words one.
     """
     opts = dict(config.task_options)
-    accepted = TASK_OPTIONS[config.task]
-    unknown = sorted(set(opts) - set(accepted))
-    if unknown:
-        raise ValueError(f"unknown task_options key {unknown[0]!r} for task {config.task!r}; "
-                         f"accepted keys: {', '.join(accepted)}")
     rng = _rng(config.seed, _STREAM_TASK)
     if config.task == "words":
         hidden = opts.pop("hidden_word", None)
@@ -462,9 +462,14 @@ def _best_at(trace: Trace, evaluations: int) -> float:
 SWEEP_FIELDS = ("alpha", "beta", "gamma", "mutation_rate", "exploit_prob")
 
 
-def _sweep_workers() -> int:
-    """Sweep worker processes from MIGRATE_WORKERS; unset or empty means 1.
-    A non-empty MIGRATE_THREADS (the old name) is rejected, not read."""
+def check_sweep(base: RunConfig, grid: list[dict]) -> int:
+    """:func:`sweep`'s checks, made before any run: ValueError unless ``grid``
+    is a list of objects, or on a bad MIGRATE_WORKERS or any MIGRATE_THREADS
+    (see there). Returns the worker count; unset or empty MIGRATE_WORKERS is 1."""
+    if not isinstance(grid, list) or not all(isinstance(point, dict) for point in grid):
+        raise ValueError("a sweep grid must be a list of objects of config keys")
+    for point in grid:
+        _check_keys(point, base.method, base.islands is not None, SWEEP_FIELDS)
     if os.environ.get("MIGRATE_THREADS"):
         raise ValueError("MIGRATE_THREADS is no longer read; set MIGRATE_WORKERS "
                          "(the number of sweep worker processes) instead")
@@ -480,20 +485,18 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     """Run every (grid point x seed) combination and aggregate best-so-far.
 
     A point's keys override ``base.flat()`` through ``default_config``, so a
-    point may change the group size. A grid key outside ``SWEEP_FIELDS``, or
-    one for a part ``base`` does not have (``exploit_prob`` without islands),
-    raises ValueError before any run. Invalid points (those
-    ``default_config`` rejects, e.g. a mix with no new sample) are skipped
-    with a logged reason.
+    point may change the group size. A grid key outside ``SWEEP_FIELDS``,
+    or one for a part ``base`` does not have (``exploit_prob`` without
+    islands), raises ValueError before any run (:func:`check_sweep`).
+    Invalid points (those ``default_config`` rejects, e.g. a mix with no new
+    sample) are skipped with a logged reason.
     Each row carries mean/std of best-so-far at quarter-budget checkpoints
     plus the found rate. MIGRATE_WORKERS > 1 runs points in that many
     parallel processes; aggregation order is independent of scheduling. A
     MIGRATE_WORKERS that is set but not an integer >= 1, or a non-empty
     MIGRATE_THREADS (the old name), raises ValueError.
     """
-    workers = _sweep_workers()
-    for point in grid:
-        _check_keys(point, base.method, base.islands is not None, SWEEP_FIELDS)
+    workers = check_sweep(base, grid)
     if not seeds:
         logger.warning("sweep called with no seeds; returning an empty table")
         return []

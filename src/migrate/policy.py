@@ -10,17 +10,14 @@ Feature layout of the weight matrix W (shape F x V, F = 2 + V + P):
   row 2..2+V-1    previous token (the end token's row doubles as "start")
   row 2+V..F-1    position bucket, min(pos * P // max_len, P - 1)
 
-A step's logits are the sum of the three active rows, so every step
-distribution the policy can produce fits in one (2, V, P, V) table, and
-that table is the policy's per-step interface: the distribution of a step
-is ``params.step_table(t).probs[ctx, prev, bucket]``. The table is built
-once per weight matrix and temperature (see :meth:`PolicyParams.step_table`)
-and every per-token operation on a sampled-from policy reads it; a token
-draw is one ``bisect_right`` on one row of the running sum of the drawn
-context, and :func:`token_steps` turns token sequences into the ``(tokens,
+A step's logits are the sum of the three active rows, formed in one place,
+:func:`step_rows`, which softmaxes just the ``(prev, bucket)`` rows it is
+asked for. A token draw is one ``bisect_right`` on one row of the running
+sum of the drawn context, built once per weight matrix, context and
+temperature from ``step_rows`` over every ``(prev, bucket)`` pair (see
+:meth:`PolicyParams.cdf`); a search draws from one context only, so it pays
+for that one. :func:`token_steps` turns token sequences into the ``(tokens,
 prev, buckets)`` indices that log-probs and the GRPO gradient gather with.
-Weights nobody samples from (an update's steps) skip the table:
-:func:`step_rows` computes just the rows a step reads, with the same bits.
 """
 
 from __future__ import annotations
@@ -89,64 +86,21 @@ class Vocabulary:
         return len(self.tokens)
 
 
-def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """Softmax over the last axis, max-shifted before the temperature divide
-    so near-zero temperatures stay finite and keep the argmax token.
-
-    Works in place on the shifted copy, so ``logits`` is not written; at
-    temperature 1.0 the divide is skipped, since ``x / 1.0 == x`` exactly.
-    """
-    p = logits - logits.max(axis=-1, keepdims=True)
-    if temperature != 1.0:
-        p /= temperature
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
-
-
-class StepTable:
-    """Every step distribution of one weight matrix at one temperature.
-
-    ``probs[ctx, prev, bucket]`` is the softmax over the vocabulary, and
-    ``cdf(ctx)`` the running sum of ``probs[ctx]`` along the last axis,
-    computed on first use of that context (only token draws read it, one
-    ``bisect_right`` on one row per token, walking left to right; a search
-    draws from one context only). All arrays are read-only.
-    """
-
-    def __init__(self, W: np.ndarray, V: int, temperature: float):
-        # Same addition order as one step's logits, (ctx + prev) + bucket.
-        logits = (W[:2, None, None, :] + W[2:2 + V][None, :, None, :]) + W[2 + V:][None, None]
-        self.probs = _softmax(logits, temperature)
-        self.probs.setflags(write=False)
-        self._cdfs: dict[int, np.ndarray] = {}
-
-    def cdf(self, context: ContextKind) -> np.ndarray:
-        """The ``(V, P, V)`` running sum of ``probs[context]``, built on first use."""
-        context = int(context)
-        cdf = self._cdfs.get(context)
-        if cdf is None:
-            cdf = np.cumsum(self.probs[context], axis=-1)
-            cdf.setflags(write=False)
-            self._cdfs[context] = cdf
-        return cdf
-
-
 @dataclass(frozen=True)
 class PolicyParams:
     """Immutable weight matrix plus the feature layout it is defined over.
 
     ``W`` has shape (F, V) with F = 2 + V + position_buckets; see the module
     docstring for the row layout. Updates always build a new instance, so
-    params can be shared freely across readers, and the step tables cached
-    on an instance live exactly as long as it does.
+    params can be shared freely across readers, and the CDFs cached on an
+    instance live exactly as long as it does.
     """
 
     W: np.ndarray
     vocab: Vocabulary
     position_buckets: int
     max_len: int
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cdfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         expected = (self.feature_dim, self.vocab.size)
@@ -165,15 +119,21 @@ class PolicyParams:
     def with_weights(self, W: np.ndarray) -> "PolicyParams":
         return PolicyParams(W, self.vocab, self.position_buckets, self.max_len)
 
-    def step_table(self, temperature: float = 1.0) -> StepTable:
-        """The step table at ``temperature`` (finite and > 0), built on first use."""
-        table = self._tables.get(temperature)
-        if table is None:
+    def cdf(self, context: ContextKind, temperature: float = 1.0) -> np.ndarray:
+        """The read-only ``(V, P, V)`` running sum, along the last axis, of
+        ``context``'s step distributions at ``temperature`` (finite and > 0),
+        built on first use from :func:`step_rows` over every (prev, bucket)."""
+        key = (int(context), temperature)
+        cdf = self._cdfs.get(key)
+        if cdf is None:
             if not 0 < temperature < math.inf:
                 raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
-            table = StepTable(self.W, self.vocab.size, temperature)
-            self._tables[temperature] = table
-        return table
+            V, P = self.vocab.size, self.position_buckets
+            rows = step_rows(self, context, *np.divmod(np.arange(V * P), P), temperature)
+            cdf = np.cumsum(rows, axis=-1).reshape(V, P, V)
+            cdf.setflags(write=False)
+            self._cdfs[key] = cdf
+        return cdf
 
 
 def init_params(vocab: Vocabulary, position_buckets: int = 4, max_len: int = 8) -> PolicyParams:
@@ -200,7 +160,7 @@ def sample_tokens(params: PolicyParams, context: ContextKind, temperature: float
     ``uniforms`` has shape (n, max_len); row i's column ``pos`` drives
     step ``pos`` of draw i, and each draw stops at the end token.
     """
-    cdf = params.step_table(temperature).cdf(context)
+    cdf = params.cdf(context, temperature)
     buckets = position_bucket(np.arange(params.max_len), params.position_buckets,
                               params.max_len).tolist()
     end = params.vocab.end_token
@@ -237,7 +197,7 @@ def mutate_tokens(params: PolicyParams, context: ContextKind, temperature: float
     position, conditioned on the (possibly already mutated) previous token.
     Lengths are preserved.
     """
-    cdf = params.step_table(temperature).cdf(context)
+    cdf = params.cdf(context, temperature)
     # A base longer than max_len keeps its length; its tail shares the last bucket.
     longest = max(map(len, bases), default=0)
     buckets = position_bucket(np.arange(longest), params.position_buckets,
@@ -257,7 +217,7 @@ def token_steps(params: PolicyParams, sequences: list[tuple[int, ...]]
     """The steps of token ``sequences``, flattened in order: ``(tokens, prev,
     buckets)``, where ``prev`` is the end token at each sequence start.
 
-    A step's distribution is ``step_table(t).probs[ctx, prev, bucket]``.
+    A step's distribution is ``step_rows(params, ctx, prev, buckets)``.
     Raises ValueError when a sequence is longer than ``max_len`` or holds a
     token outside ``[0, V)``.
     """
@@ -281,17 +241,29 @@ def token_steps(params: PolicyParams, sequences: list[tuple[int, ...]]
 
 
 def step_rows(params: PolicyParams, context: ContextKind, prev: np.ndarray,
-              buckets: np.ndarray) -> np.ndarray:
-    """``params.step_table(1.0).probs[context, prev, buckets]``, bit for bit,
-    softmaxed from just those rows of W without building the table."""
+              buckets: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """The ``(len(prev), V)`` step distributions of ``context`` at the steps
+    ``(prev, buckets)``: the softmax at ``temperature`` of the logits
+    ``(W[ctx] + W[2+prev]) + W[2+V+bucket]``, the one place they are formed.
+
+    The max shift comes before the temperature divide, so near-zero
+    temperatures stay finite and keep the argmax token; at temperature 1.0
+    the divide is skipped, since ``x / 1.0 == x`` exactly.
+    """
     W, V = params.W, params.vocab.size
-    return _softmax((W[int(context)] + W[2 + prev]) + W[2 + V + buckets], 1.0)
+    p = (W[int(context)] + W[2 + prev]) + W[2 + V + buckets]
+    p -= p.max(axis=-1, keepdims=True)
+    if temperature != 1.0:
+        p /= temperature
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def logprobs(params: PolicyParams, context: ContextKind, tokens: tuple[int, ...]) -> np.ndarray:
     """Per-token log-probabilities of ``tokens`` under the given context."""
     tokens, prev, buckets = token_steps(params, [tokens])
-    return np.log(params.step_table(1.0).probs[int(context), prev, buckets, tokens])
+    return np.log(step_rows(params, context, prev, buckets)[np.arange(tokens.size), tokens])
 
 
 def save_params(params: PolicyParams) -> bytes:

@@ -6,16 +6,14 @@ final test checks the whole module's wall time.
 
 import time
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 
 from migrate.archive import Archive, IslandConfig
 from migrate.completion import ONLINE, Completion
-from migrate.grpo import ClipConfig, freeze_logprobs, grpo_loss_and_grad, make_group, \
-    update_policy
+from migrate.grpo import ClipConfig, grpo_loss_and_grad, make_group, update_policy
 from migrate.harness import default_config, run_any, trace_csv, trace_jsonl
-from migrate.policy import Vocabulary, init_params
+from migrate.policy import TASK_CONTEXT, Vocabulary, init_params, logprobs
 from migrate.tasks import (DslProgram, GridTask, compute_metrics, eval_program,
                            parse_program, run_program, scalarize, synthesize_grid_task)
 from migrate.tasks.grids import OFFSETS, OPS, OP_TOKENS
@@ -38,17 +36,20 @@ def random_params(rng, size, max_len=5):
     return base.with_weights(rng.normal(scale=0.6, size=base.W.shape))
 
 
-def random_group(params, rng, n, max_tokens=5, old_params=None):
+def random_group(params, rng, n, max_tokens=5):
     comps = []
     for i in range(n):
         length = int(rng.integers(1, max_tokens + 1))
         tokens = tuple(int(t) for t in rng.integers(0, params.vocab.size, size=length))
         comps.append(Completion(tokens=tokens, provenance=ONLINE, born_iteration=1,
                                 text=str(i), score=float(rng.normal())))
-    group = make_group(params, comps)
-    if old_params is None:
-        return group
-    return replace(group, old=freeze_logprobs(old_params, group.tokens, group.prev, group.buckets))
+    return make_group(params, comps)
+
+
+def old_logprobs(old_params, group):
+    """The group's task-context log-probs under ``old_params``, member by member."""
+    return np.concatenate([logprobs(old_params, TASK_CONTEXT, c.tokens)
+                           for c in group.completions])
 
 
 def test_criterion_1_gradient_correctness():
@@ -63,8 +64,9 @@ def test_criterion_1_gradient_correctness():
         params = random_params(rng, size=int(rng.integers(3, 9)))
         old_params = params if trial % 4 == 0 else \
             params.with_weights(params.W + rng.normal(scale=0.5, size=params.W.shape))
-        group = random_group(params, rng, n=int(rng.integers(2, 7)), old_params=old_params)
-        _, grad, diag = grpo_loss_and_grad(params, group, CLIP)
+        group = random_group(params, rng, n=int(rng.integers(2, 7)))
+        old = old_logprobs(old_params, group)
+        _, grad, diag = grpo_loss_and_grad(params, group, CLIP, old)
         saturated += diag.clip_low_frac > 0 or diag.clip_high_frac > 0
         fd = np.zeros_like(grad)
         for f in range(grad.shape[0]):
@@ -72,7 +74,7 @@ def test_criterion_1_gradient_correctness():
                 for sign in (1.0, -1.0):
                     W = params.W.copy()
                     W[f, v] += sign * h
-                    loss, _, _ = grpo_loss_and_grad(params.with_weights(W), group, CLIP)
+                    loss, _, _ = grpo_loss_and_grad(params.with_weights(W), group, CLIP, old)
                     fd[f, v] += sign * loss / (2 * h)
         scale = max(1e-8, np.abs(grad).max(), np.abs(fd).max())
         worst = max(worst, np.abs(grad - fd).max() / scale)
@@ -100,7 +102,7 @@ def test_criterion_2_structural_checks():
         auto, _ = update_policy(params, group, CLIP, lr=lr, mu=2)
         _, g1, _ = grpo_loss_and_grad(params, group, CLIP)
         step1 = params.with_weights(params.W - lr * g1)
-        _, g2, _ = grpo_loss_and_grad(step1, group, CLIP)
+        _, g2, _ = grpo_loss_and_grad(step1, group, CLIP, old_logprobs(params, group))
         manual = step1.W - lr * g2
         ok &= auto.W.tobytes() == manual.tobytes()
     report(2, ok, "sum(adv)<=1e-12, ratio-1 objectives agree <=1e-12, "

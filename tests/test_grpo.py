@@ -1,12 +1,12 @@
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from migrate.completion import Completion
 from migrate.grpo import (Adam, ClipConfig, DegenerateGroupError, NonFiniteLossError,
-                          compute_advantages, freeze_logprobs, grpo_loss_and_grad,
-                          make_group, update_policy)
+                          compute_advantages, grpo_loss_and_grad, make_group,
+                          update_policy)
 from migrate.policy import TASK_CONTEXT, Vocabulary, init_params, logprobs
 
 CLIP = ClipConfig()
@@ -21,19 +21,22 @@ def random_params(rng, size=6, max_len=5, scale=0.6):
     return base.with_weights(rng.normal(scale=scale, size=base.W.shape))
 
 
-def random_group(params, rng, n=4, max_tokens=4, old_params=None):
-    """Group with rewards drawn at random; old log-probs frozen under
-    old_params (defaults to params, giving ratio-1 groups)."""
+def random_group(params, rng, n=4, max_tokens=4):
+    """Group with rewards drawn at random."""
     comps = []
     for i in range(n):
         length = int(rng.integers(1, max_tokens + 1))
         tokens = tuple(int(t) for t in rng.integers(0, params.vocab.size, size=length))
         comps.append(Completion(tokens=tokens, provenance="online", born_iteration=1,
                                 text=str(i), score=float(rng.normal())))
-    group = make_group(params, comps)
-    if old_params is None:
-        return group
-    return replace(group, old=freeze_logprobs(old_params, group.tokens, group.prev, group.buckets))
+    return make_group(params, comps)
+
+
+def old_logprobs(old_params, group):
+    """The group's task-context log-probs under ``old_params``, member by
+    member: the ``old`` of an off-policy step."""
+    return np.concatenate([logprobs(old_params, TASK_CONTEXT, c.tokens)
+                           for c in group.completions])
 
 
 class TestAdvantages:
@@ -89,8 +92,8 @@ class TestLoss:
         other = Completion(tokens=(2,), provenance="online", text="y", score=0.0)
         group = make_group(params, [comp, other])
         rho = 1 + CLIP.eps_high + 0.5
-        group = replace(group, old=group.old + np.array([-1.0, 1.0]) * np.log(rho))
-        loss, grad, diag = grpo_loss_and_grad(params, group, CLIP)
+        old = old_logprobs(params, group) + np.array([-1.0, 1.0]) * np.log(rho)
+        loss, grad, diag = grpo_loss_and_grad(params, group, CLIP, old)
         # token 1: adv +0.5 at ratio ~1.78 -> clipped high; token 2: adv -0.5
         # at ratio ~0.56 -> clipped low. Both gradients vanish.
         expected = -((1 + CLIP.eps_high) * 0.5 + (1 - CLIP.eps_low) * -0.5) / 2
@@ -109,8 +112,9 @@ class TestLoss:
             params = random_params(rng, size=size)
             old_params = params if trial % 3 == 0 else \
                 params.with_weights(params.W + rng.normal(scale=0.4, size=params.W.shape))
-            group = random_group(params, rng, n=int(rng.integers(2, 5)), old_params=old_params)
-            loss, grad, diag = grpo_loss_and_grad(params, group, CLIP)
+            group = random_group(params, rng, n=int(rng.integers(2, 5)))
+            old = old_logprobs(old_params, group)
+            loss, grad, diag = grpo_loss_and_grad(params, group, CLIP, old)
             checked_clipped += diag.clip_low_frac > 0 or diag.clip_high_frac > 0
             fd = np.zeros_like(grad)
             for f in range(grad.shape[0]):
@@ -118,7 +122,7 @@ class TestLoss:
                     for sign in (1.0, -1.0):
                         W = params.W.copy()
                         W[f, v] += sign * h
-                        l2, _, _ = grpo_loss_and_grad(params.with_weights(W), group, CLIP)
+                        l2, _, _ = grpo_loss_and_grad(params.with_weights(W), group, CLIP, old)
                         fd[f, v] += sign * l2 / (2 * h)
             scale = max(1e-8, np.abs(grad).max(), np.abs(fd).max())
             assert np.abs(grad - fd).max() / scale <= 1e-6
@@ -138,9 +142,10 @@ class TestLoss:
         rng = np.random.default_rng(4)
         params = random_params(rng)
         group = random_group(params, rng)
-        group.old[0] = -np.inf  # ratio -> exp(+inf)
+        old = old_logprobs(params, group)
+        old[0] = -np.inf  # ratio -> exp(+inf)
         with pytest.raises(NonFiniteLossError) as err:
-            grpo_loss_and_grad(params, group, CLIP)
+            grpo_loss_and_grad(params, group, CLIP, old)
         assert err.value.diagnostics is not None
 
 
@@ -178,9 +183,24 @@ class TestUpdate:
             auto, _ = update_policy(params, group, CLIP, lr=lr, mu=2)
             _, g1, _ = grpo_loss_and_grad(params, group, CLIP)
             step1 = params.with_weights(params.W - lr * g1)
-            _, g2, _ = grpo_loss_and_grad(step1, group, CLIP)
+            _, g2, _ = grpo_loss_and_grad(step1, group, CLIP, old_logprobs(params, group))
             step2 = step1.with_weights(step1.W - lr * g2)
             assert auto.W.tobytes() == step2.W.tobytes()
+
+    def test_first_step_is_on_policy_whatever_weights_built_the_group(self):
+        # The old policy is the weights the update starts from, so the first
+        # step's ratios are exactly 1 even for a group flattened under others.
+        rng = np.random.default_rng(13)
+        for trial in range(40):
+            params = random_params(rng, size=int(rng.integers(3, 9)))
+            group = random_group(random_params(rng, size=params.vocab.size), rng,
+                                 n=int(rng.integers(2, 7)))
+            _, _, diag = grpo_loss_and_grad(params, group, CLIP)
+            _, (first, _) = update_policy(params, group, CLIP, lr=0.3, mu=2,
+                                          optimizer=Adam(0.3) if trial % 2 else None)
+            assert [float.hex(v) for v in astuple(first)] == [float.hex(v) for v in astuple(diag)]
+            assert first.mean_ratio == 1.0
+            assert first.clip_low_frac == first.clip_high_frac == 0.0
 
     def test_original_params_unmodified(self):
         rng = np.random.default_rng(8)
@@ -247,7 +267,7 @@ class TestGroupInvariants:
         comps = [Completion(tokens=(0, 1), provenance="online", text="a", score=1.0),
                  Completion(tokens=(2,), provenance="online", text="b", score=0.0)]
         with pytest.raises(ValueError):
-            replace(make_group(params, comps), old=np.zeros(1))
+            grpo_loss_and_grad(params, make_group(params, comps), CLIP, old=np.zeros(1))
 
     @pytest.mark.parametrize("tokens", [(0, 1, 2, 0), (4,), (-1,)],
                              ids=["too-long", "too-large", "negative"])

@@ -60,6 +60,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             default_config("words", "migrate", seed=1, budget=100, learning_rate=learning_rate)
 
+    def test_huge_learning_rate_ends_the_run_with_error(self):
+        # The first update leaves weights so large that the next group's
+        # log-probs are not finite; the run keeps the records made so far.
+        with np.errstate(all="ignore"):
+            trace = run_any(default_config("words", "migrate", learning_rate=1e308, budget=200))
+        assert trace.summary.status == "error"
+        assert trace.summary.error.startswith("NonFiniteLossError")
+        assert trace.records and trace.summary.iterations == len(trace.records)
+
     def test_opro_depth_positive(self):
         with pytest.raises(ValueError, match="opro_depth"):
             default_config("words", "migrate-opro", opro_depth=0)
@@ -642,6 +651,32 @@ class TestCli:
         assert err.value.code == 2
         assert re.search(f"migrate run: error: .*{message}", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("grid,env,message", [
+        ([{"exploit_prob": 0.5}], {}, "'exploit_prob' sets the islands part"),
+        ([{"alpha": 0, "beta": 1, "gamma": 4}], {"MIGRATE_WORKERS": "abc"},
+         "MIGRATE_WORKERS must be an integer"),
+        ({"alpha": 0}, {}, "grid must be a list of objects"),
+    ], ids=["absent-part", "bad-workers", "not-a-list"])
+    def test_sweep_setting_error_exits_2_before_any_search(self, grid, env, message, tmp_path,
+                                                           capsys, monkeypatch):
+        from migrate import cli, harness
+
+        def no_search(config):
+            raise AssertionError("the sweep ran a search with settings it should reject")
+
+        monkeypatch.setattr(harness, "run_any", no_search)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["sweep", "--task", "molecules", "--budget", "25", "--grid", str(grid_file),
+                      "--seeds", "1", "--out", str(out)])
+        assert err.value.code == 2
+        assert re.search(f"migrate sweep: error: .*{message}", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_sweep_cli(self, tmp_path):
         from migrate.cli import main
         grid_file = tmp_path / "grid.json"
@@ -717,6 +752,29 @@ class TestConfigFile:
         assert "unknown config key 'group_size'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("keys,message", [
+        ([1, 2], "--config must hold a JSON object, not a list"),
+        ({"task": "molecules", "method": "random", "task_options": {"bogus": 1}},
+         "unknown task_options key 'bogus' for task 'molecules'"),
+        ({"task": "molecules", "method": "random", "task_options": 5},
+         "task_options must be an object, got 5"),
+    ], ids=["not-an-object", "unknown-task-option", "task-options-not-an-object"])
+    def test_invalid_config_file_exits_2_before_the_search(self, keys, message, tmp_path,
+                                                           capsys, monkeypatch):
+        from migrate import cli
+
+        def no_search(config):
+            raise AssertionError("the search ran with a config it should reject")
+
+        monkeypatch.setattr(cli, "run_any", no_search)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(keys))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert f"migrate run: error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_without_config_file_defaults_to_words_migrate_seed_0(self):
         from migrate.cli import _config_from_args, build_parser
         args = build_parser().parse_args(["run", "--budget", "30"])
@@ -725,13 +783,12 @@ class TestConfigFile:
 
 class TestTaskOptions:
     def test_unknown_key_rejected_with_accepted_keys(self):
-        cfg = words_config("random", task_options={**SMALL_WORDS, "vocab_szie": 10})
         with pytest.raises(ValueError, match=r"'vocab_szie'.*vocab_size") as err:
-            build_task(cfg)
+            words_config("random", task_options={**SMALL_WORDS, "vocab_szie": 10})
         for key in ("clusters", "dim", "hidden_word", "step_scale"):
             assert key in str(err.value)
         with pytest.raises(ValueError, match="'vocab_size'"):
-            build_task(default_config("molecules", "random", task_options={"vocab_size": 10}))
+            default_config("molecules", "random", task_options={"vocab_size": 10})
 
     def test_valid_keys_apply(self):
         words = build_task(words_config("random", task_options={

@@ -6,7 +6,7 @@ from migrate.grpo import make_group
 from migrate.policy import (TASK_CONTEXT, ContextKind, ParamsFormatError, ParamsNonFiniteError,
                             ParamsTruncatedError, ParamsVersionError, PolicyParams, Vocabulary,
                             init_params, load_params, logprobs, position_bucket,
-                            sample_completion, save_params, token_steps)
+                            sample_completion, save_params, step_rows, token_steps)
 
 NS_CONTEXT = ContextKind.NEIGHBORHOOD
 
@@ -23,11 +23,18 @@ def random_params(rng, size=6, buckets=3, max_len=5, scale=0.7):
 
 
 def step_probs(params, ctx, prev, pos, temperature=1.0):
-    """The step distribution at (ctx, prev, pos), read from the step table;
+    """The step distribution at (ctx, prev, pos), read from ``step_rows``;
     ``prev=None`` is the first step."""
     prev = params.vocab.end_token if prev is None else prev
     bucket = position_bucket(pos, params.position_buckets, params.max_len)
-    return params.step_table(temperature).probs[int(ctx), prev, bucket]
+    return step_rows(params, ctx, np.array([prev]), np.array([bucket]), temperature)[0]
+
+
+def first_step_old(params, group):
+    """The old log-probs an update of ``group`` from ``params`` takes from
+    its first step's rows."""
+    probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
+    return np.log(probs[np.arange(group.tokens.size), group.tokens])
 
 
 class TestVocabulary:
@@ -69,7 +76,7 @@ class TestDistribution:
     def test_step_table_rejects_non_positive_or_non_finite_temperature(self, temperature):
         params = random_params(np.random.default_rng(3))
         with pytest.raises(ValueError, match="temperature"):
-            params.step_table(temperature)
+            params.cdf(TASK_CONTEXT, temperature)
 
 
 class TestSampling:
@@ -175,7 +182,8 @@ class TestTokenSteps:
         group = self.group(params, [(), (1, 2)])
         assert group.tokens.tolist() == [1, 2]
         assert group.prev.tolist() == [params.vocab.end_token, 1]
-        assert group.old.tobytes() == logprobs(params, TASK_CONTEXT, (1, 2)).tobytes()
+        assert first_step_old(params, group).tobytes() == \
+            logprobs(params, TASK_CONTEXT, (1, 2)).tobytes()
 
     def test_exactly_max_len_accepted_one_more_rejected(self):
         params = random_params(np.random.default_rng(13), size=5, buckets=3, max_len=4)
@@ -199,7 +207,7 @@ class TestTokenSteps:
         group = self.group(params, sequences)
         assert group.prev.tolist() == prev.tolist()
         ref = np.concatenate([logprobs(params, TASK_CONTEXT, t) for t in sequences])
-        assert group.old.tobytes() == ref.tobytes()
+        assert first_step_old(params, group).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("buckets,max_len", [(1, 1), (1, 5), (3, 4), (4, 9), (6, 6)])
     def test_equal_per_token_reference_loop(self, buckets, max_len):

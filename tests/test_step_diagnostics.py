@@ -7,16 +7,17 @@ boolean sums on groups with clipped and tied ratios.
 """
 
 import functools
+import math
 import operator
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from migrate.completion import Completion
-from migrate.grpo import (ClipConfig, GrpoDiagnostics, NonFiniteLossError, freeze_logprobs,
-                          grpo_loss_and_grad, make_group, update_policy)
-from migrate.policy import TASK_CONTEXT, Vocabulary, init_params, step_rows
+from migrate.grpo import (ClipConfig, GrpoDiagnostics, NonFiniteLossError, grpo_loss_and_grad,
+                          make_group, update_policy)
+from migrate.policy import TASK_CONTEXT, Vocabulary, init_params, logprobs, step_rows
 
 CLIP = ClipConfig()
 
@@ -34,10 +35,17 @@ def make_members(rng, params, scores):
             for n, score in zip(rng.integers(1, max_len + 1, size=len(scores)), scores)]
 
 
-def ref_diagnostics(probs, group, clip):
-    """The step diagnostics by the plain formulas, from the (T, V) rows ``probs``."""
+def old_logprobs(old_params, group):
+    """The group's task-context log-probs under ``old_params``, member by member."""
+    return np.concatenate([logprobs(old_params, TASK_CONTEXT, c.tokens)
+                           for c in group.completions])
+
+
+def ref_diagnostics(probs, group, old, clip):
+    """The step diagnostics by the plain formulas, from the (T, V) rows
+    ``probs`` and the old log-probs ``old``."""
     T = group.tokens.size
-    ratios = np.exp(np.log(probs[np.arange(T), group.tokens]) - group.old)
+    ratios = np.exp(np.log(probs[np.arange(T), group.tokens]) - old)
     low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
     unclipped = ratios * group.token_advantages
     clipped = np.clip(ratios, low_edge, high_edge) * group.token_advantages
@@ -67,12 +75,12 @@ def edge_old(lp, ratio):
 
 
 def edge_group(rng, params, clip):
-    """A group with one token on each clip edge, exactly, and the others frozen
-    under perturbed weights, so both clip sides occur too."""
+    """A group and its old log-probs: one token on each clip edge, exactly,
+    and the others frozen under perturbed weights, so both clip sides occur too."""
     old_params = params.with_weights(params.W + rng.normal(scale=1.5, size=params.W.shape))
     while True:
         group = make_group(params, make_members(rng, params, rng.normal(size=6)))
-        old = freeze_logprobs(old_params, group.tokens, group.prev, group.buckets)
+        old = old_logprobs(old_params, group)
         probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
         lp = np.log(probs[np.arange(group.tokens.size), group.tokens])
         free = list(range(group.tokens.size))
@@ -83,40 +91,58 @@ def edge_group(rng, params, clip):
             old[hit] = edge_old(lp[hit], edge)
             free.remove(hit)
         else:
-            return replace(group, old=old)
+            return group, old
 
 
 class TestDiagnostics:
     def test_equal_the_plain_formulas_bit_for_bit(self):
         rng = np.random.default_rng(6)
-        clipped_low = clipped_high = 0
+        clipped_low = clipped_high = off_policy = 0
         for _ in range(40):
             params = make_params(rng, V=int(rng.integers(2, 12)), P=int(rng.integers(1, 5)))
-            group = edge_group(rng, params, CLIP)
+            group, old = edge_group(rng, params, CLIP)
             probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
-            ref = ref_diagnostics(probs, group, CLIP)
-            _, _, diag = grpo_loss_and_grad(params, group, CLIP)
+            ref = ref_diagnostics(probs, group, old, CLIP)
+            _, _, diag = grpo_loss_and_grad(params, group, CLIP, old)
             assert bits(diag) == bits(ref)
-            _, (first,) = update_policy(params, group, CLIP, 0.3, 1)
-            assert bits(first) == bits(ref)
-            ratios = np.exp(np.log(probs[np.arange(group.tokens.size), group.tokens])
-                            - group.old)
+            # The update's second step, against the first step's log-probs.
+            _, (_, second) = update_policy(params, group, CLIP, 0.3, 2)
+            _, grad, _ = grpo_loss_and_grad(params, group, CLIP)
+            step1 = params.with_weights(params.W - 0.3 * grad)
+            ref_second = ref_diagnostics(step_rows(step1, TASK_CONTEXT, group.prev,
+                                                   group.buckets),
+                                         group, old_logprobs(params, group), CLIP)
+            assert bits(second) == bits(ref_second)
+            off_policy += second.mean_ratio != 1.0
+            ratios = np.exp(np.log(probs[np.arange(group.tokens.size), group.tokens]) - old)
             assert (ratios == 1.0 - CLIP.eps_low).any() and (ratios == 1.0 + CLIP.eps_high).any()
             clipped_low += diag.clip_low_frac > 0
             clipped_high += diag.clip_high_frac > 0
-        assert clipped_low and clipped_high
+        assert clipped_low and clipped_high and off_policy >= 30
 
     def test_non_finite_old_logprob_raises_with_diagnostics(self):
         rng = np.random.default_rng(7)
         for score in (1.0, -1.0):  # the -inf token's advantage, either sign
             params = make_params(rng)
             group = make_group(params, make_members(rng, params, [score, 0.0, 0.0]))
-            group.old[0] = -np.inf
+            old = old_logprobs(params, group)
+            old[0] = -np.inf
             probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
-            ref = ref_diagnostics(probs, group, CLIP)
-            for run in (lambda: grpo_loss_and_grad(params, group, CLIP),
-                        lambda: update_policy(params, group, CLIP, 0.3, 2)):
-                with pytest.raises(NonFiniteLossError) as err:
-                    run()
-                assert bits(err.value.diagnostics) == bits(ref)
-                assert err.value.diagnostics.mean_ratio == np.inf
+            ref = ref_diagnostics(probs, group, old, CLIP)
+            with pytest.raises(NonFiniteLossError) as err:
+                grpo_loss_and_grad(params, group, CLIP, old)
+            assert bits(err.value.diagnostics) == bits(ref)
+            assert err.value.diagnostics.mean_ratio == np.inf
+            # Under weights where the first token's probability underflows
+            # to 0, the update's own old log-prob is -inf too: ratio nan.
+            W = params.W.copy()
+            W[int(TASK_CONTEXT), group.tokens[0]] = -1e4
+            underflow = params.with_weights(W)
+            probs = step_rows(underflow, TASK_CONTEXT, group.prev, group.buckets)
+            assert probs[0, group.tokens[0]] == 0.0
+            with np.errstate(divide="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteLossError) as err:
+                ref = ref_diagnostics(probs, group, old_logprobs(underflow, group), CLIP)
+                update_policy(underflow, group, CLIP, 0.3, 2)
+            assert bits(err.value.diagnostics) == bits(ref)
+            assert math.isnan(err.value.diagnostics.mean_ratio)

@@ -1,22 +1,19 @@
-"""The step table against straight per-step references, bit for bit.
+"""Step rows and draw CDFs against straight per-step references, bit for bit.
 
 Each reference below is the one-step-at-a-time form of an operation: a
 softmax of the three active W rows, one inverse-CDF draw per step with
 ``searchsorted``, and a per-token loop for the clipped-surrogate terms and
-gradient. The table-driven code, and the rows an update's steps compute
-without a table, must reproduce every bit of it.
+gradient. The rows ``step_rows`` gathers, the CDFs draws read and the
+update's steps must reproduce every bit of it.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from migrate import harness
 from migrate.completion import NS, Completion
-from migrate.grpo import (Adam, ClipConfig, freeze_logprobs, grpo_loss_and_grad, make_group,
-                          update_policy)
-from migrate.policy import (TASK_CONTEXT, ContextKind, StepTable, Vocabulary, init_params,
+from migrate.grpo import Adam, ClipConfig, grpo_loss_and_grad, make_group, update_policy
+from migrate.policy import (TASK_CONTEXT, ContextKind, PolicyParams, Vocabulary, init_params,
                             logprobs, mutate_tokens, sample_tokens, step_rows)
 from migrate.sampler import propose_neighborhood, sample_online
 from migrate.tasks.grids import GRID_VOCAB
@@ -55,6 +52,18 @@ def ref_sample(params, ctx, temperature, rng):
     return tuple(out)
 
 
+def all_steps(params):
+    """``(prev, buckets)`` of every step, prev-major."""
+    V, P = params.vocab.size, params.position_buckets
+    return tuple(a.ravel() for a in np.meshgrid(np.arange(V), np.arange(P), indexing="ij"))
+
+
+def old_logprobs(old_params, group):
+    """The group's task-context log-probs under ``old_params``, member by member."""
+    return np.concatenate([logprobs(old_params, TASK_CONTEXT, c.tokens)
+                           for c in group.completions])
+
+
 CASES = [(V, P, max_len) for V in (2, 5, 28, GRID_VOCAB.size) for P, max_len in ((1, 3), (4, 9))]
 
 
@@ -62,35 +71,38 @@ CASES = [(V, P, max_len) for V in (2, 5, 28, GRID_VOCAB.size) for P, max_len in 
 @pytest.mark.parametrize("V,P,max_len", CASES)
 def test_table_equals_per_step_softmax(V, P, max_len, temperature):
     params = make_params(np.random.default_rng(V * 100 + P), V, P, max_len)
-    table = params.step_table(temperature)
-    assert table.probs.shape == (2, V, P, V)
     for ctx in (0, 1):
+        cdf = params.cdf(ctx, temperature)
+        assert cdf.shape == (V, P, V)
         for prev in [None] + list(range(V)):
             prev_row = params.vocab.end_token if prev is None else prev
             for pos in range(max_len):
                 ref = ref_step(params, ctx, prev, pos, temperature)
-                step = (ctx, prev_row, min(pos * P // max_len, P - 1))
-                assert table.probs[step].tobytes() == ref.tobytes()
-                assert table.cdf(ctx)[step[1:]].tobytes() == np.cumsum(ref).tobytes()
+                step = (prev_row, min(pos * P // max_len, P - 1))
+                row = step_rows(params, ctx, np.array(step[:1]), np.array(step[1:]), temperature)
+                assert row[0].tobytes() == ref.tobytes()
+                assert cdf[step].tobytes() == np.cumsum(ref).tobytes()
 
 
 @pytest.mark.parametrize("V,P,max_len", CASES)
 def test_gathered_rows_equal_table_rows(V, P, max_len):
     params = make_params(np.random.default_rng(V * 100 + P + 1), V, P, max_len)
-    prev, buckets = (a.ravel() for a in np.meshgrid(np.arange(V), np.arange(P), indexing="ij"))
+    prev, buckets = all_steps(params)
     for ctx in (TASK_CONTEXT, NS_CONTEXT):
         rows = step_rows(params, ctx, prev, buckets)
-        assert rows.tobytes() == params.step_table(1.0).probs[int(ctx), prev, buckets].tobytes()
+        for i in range(prev.size):
+            one = step_rows(params, ctx, prev[i:i + 1], buckets[i:i + 1])
+            assert rows[i].tobytes() == one[0].tobytes()
 
 
 def test_table_is_cached_per_temperature_and_read_only():
     params = make_params(np.random.default_rng(0), 6)
-    assert params.step_table(0.7) is params.step_table(0.7)
-    assert params.step_table(0.7) is not params.step_table(1.0)
-    assert params.with_weights(params.W.copy()).step_table(0.7) is not params.step_table(0.7)
-    table = params.step_table()
-    assert table.cdf(NS_CONTEXT) is table.cdf(1) is not table.cdf(TASK_CONTEXT)
-    for array in (table.probs, table.cdf(TASK_CONTEXT), table.cdf(NS_CONTEXT)):
+    assert params.cdf(NS_CONTEXT, 0.7) is params.cdf(NS_CONTEXT, 0.7)
+    assert params.cdf(NS_CONTEXT, 0.7) is not params.cdf(NS_CONTEXT, 1.0)
+    assert params.with_weights(params.W.copy()).cdf(NS_CONTEXT, 0.7) \
+        is not params.cdf(NS_CONTEXT, 0.7)
+    assert params.cdf(NS_CONTEXT) is params.cdf(1) is not params.cdf(TASK_CONTEXT)
+    for array in (params.cdf(TASK_CONTEXT), params.cdf(NS_CONTEXT)):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
 
@@ -124,7 +136,7 @@ def test_zero_uniform_skips_leading_zero_probability_tokens():
     W = params.W.copy()
     W[0, :2] = -1e4  # exp underflows: tokens 0 and 1 get probability exactly 0
     params = params.with_weights(W)
-    assert (params.step_table().probs[0, :, :, :2] == 0.0).all()
+    assert (params.cdf(TASK_CONTEXT)[:, :, :2] == 0.0).all()
     got, ref = first_draws(params, TASK_CONTEXT, 1.0, [0.0])
     assert got == ref and got[0] >= 2
     mutated = mutate_tokens(params, TASK_CONTEXT, 1.0, [(0, 1, 0)], [np.zeros(3)],
@@ -134,7 +146,8 @@ def test_zero_uniform_skips_leading_zero_probability_tokens():
 
 def test_underflowed_rows_draw_as_the_reference():
     params = make_params(np.random.default_rng(9), 28, P=3, max_len=7, scale=40.0)
-    assert (params.step_table(0.05).probs == 0.0).mean() > 0.5
+    assert np.mean([(step_rows(params, ctx, *all_steps(params), 0.05) == 0.0).mean()
+                    for ctx in (TASK_CONTEXT, NS_CONTEXT)]) > 0.5
     us = np.random.default_rng(10).random(200).tolist() + [0.0, 1.0 - 2 ** -53]
     got, ref = first_draws(params, NS_CONTEXT, 0.05, us)
     assert got == ref
@@ -149,7 +162,7 @@ def test_uniform_landing_on_a_cdf_entry_takes_the_right_side_index():
     # Zero weights over V=4: the CDF row is exactly (0.25, 0.5, 0.75, 1.0).
     vocab = Vocabulary(("a", "b", "c", "</s>"), end_token=3)
     params = init_params(vocab, position_buckets=1, max_len=3)
-    assert params.step_table().cdf(0)[3, 0].tolist() == [0.25, 0.5, 0.75, 1.0]
+    assert params.cdf(0)[3, 0].tolist() == [0.25, 0.5, 0.75, 1.0]
     got, ref = first_draws(params, TASK_CONTEXT, 1.0, [0.0, 0.25, 0.5, 0.75])
     assert got == ref == [0, 1, 2, 3]
 
@@ -221,17 +234,24 @@ def test_frozen_group_logprobs_equal_per_member_logprobs():
         comps = [Completion(tokens=tuple(int(t) for t in rng.integers(0, V, size=n)),
                             provenance="online", score=float(rng.normal())) for n in lengths]
         ref = np.concatenate([logprobs(params, TASK_CONTEXT, c.tokens) for c in comps])
-        assert make_group(params, comps).old.tobytes() == ref.tobytes()
+        group = make_group(params, comps)
+        # The update's old log-probs: its first step's rows, at its tokens.
+        probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
+        assert np.log(probs[np.arange(ref.size), group.tokens]).tobytes() == ref.tobytes()
+        _, _, diag = grpo_loss_and_grad(params, group, ClipConfig())
+        assert grpo_loss_and_grad(params, group, ClipConfig(), ref)[2] == diag
+        assert diag.mean_ratio == 1.0
 
 
-def ref_loss_and_grad(params, group, clip):
-    """Per-token loop: running objective sum and per-row gradient updates."""
+def ref_loss_and_grad(params, group, old, clip):
+    """Per-token loop against old log-probs ``old``: running objective sum
+    and per-row gradient updates."""
     V, P, F = params.vocab.size, params.position_buckets, params.feature_dim
     total = sum(len(c.tokens) for c in group.completions)
     grad = np.zeros((F, V))
     obj_sum = 0.0
     lengths = [len(c.tokens) for c in group.completions]
-    olds = np.split(group.old, np.cumsum(lengths)[:-1])
+    olds = np.split(old, np.cumsum(lengths)[:-1])
     for comp, adv, old in zip(group.completions, group.advantages, olds):
         prev = None
         for pos, tok in enumerate(comp.tokens):
@@ -263,38 +283,36 @@ def test_gradient_equals_per_token_loop():
                             provenance="online", score=float(rng.normal()))
                  for n in rng.integers(1, 7, size=int(rng.integers(2, 9)))]
         group = make_group(params, comps)
-        if trial % 2:
-            group = replace(group, old=freeze_logprobs(old_params, group.tokens, group.prev,
-                                                       group.buckets))
-        loss, grad, _ = grpo_loss_and_grad(params, group, clip)
-        ref_loss, ref_grad = ref_loss_and_grad(params, group, clip)
+        old = old_logprobs(old_params if trial % 2 else params, group)
+        loss, grad, _ = grpo_loss_and_grad(params, group, clip, old if trial % 2 else None)
+        ref_loss, ref_grad = ref_loss_and_grad(params, group, old, clip)
         assert float(loss) == float(ref_loss)
         assert grad.tobytes() == ref_grad.tobytes()
 
 
-def random_group(rng, params, old_params):
+def random_group(rng, params):
     V = params.vocab.size
     comps = [Completion(tokens=tuple(int(t) for t in rng.integers(0, V, size=n)),
                         provenance="online", score=float(rng.normal()))
              for n in rng.integers(1, 7, size=int(rng.integers(2, 9)))]
-    group = make_group(params, comps)
-    return replace(group, old=freeze_logprobs(old_params, group.tokens, group.prev, group.buckets))
+    return make_group(params, comps)
 
 
 @pytest.mark.parametrize("adam", [False, True], ids=["sgd", "adam"])
 def test_update_equals_per_step_reference_loop(adam):
-    # mu=3: steps 2 and 3 read rows computed from the intermediate weights.
+    # mu=3: steps 2 and 3 read rows computed from the intermediate weights,
+    # against the first step's log-probs.
     clip, lr = ClipConfig(), 0.4
     rng = np.random.default_rng(13 + adam)
     for _ in range(20):
         params = make_params(rng, int(rng.integers(2, 12)), P=int(rng.integers(1, 5)),
                              max_len=6, scale=0.8)
-        old_params = params.with_weights(params.W + rng.normal(scale=0.3, size=params.W.shape))
-        group = random_group(rng, params, old_params)
+        group = random_group(rng, params)
         new, diags = update_policy(params, group, clip, lr, 3, Adam(lr) if adam else None)
         optimizer, current, ref_losses = Adam(lr), params, []
+        old = old_logprobs(params, group)
         for _ in range(3):
-            loss, grad = ref_loss_and_grad(current, group, clip)
+            loss, grad = ref_loss_and_grad(current, group, old, clip)
             ref_losses.append(float(loss))
             W = optimizer.apply(current.W, grad) if adam else current.W - lr * grad
             current = current.with_weights(W)
@@ -314,36 +332,37 @@ def test_dead_tokens_leave_the_gradient_unchanged():
         comps = [Completion(tokens=tuple(int(t) for t in rng.integers(0, 9, size=6)),
                             provenance="online", score=score) for score in (1.0, 0.0, 0.5, 0.5)]
         group = make_group(params, comps)
-        group = replace(group, old=freeze_logprobs(old_params, group.tokens, group.prev,
-                                                   group.buckets))
+        old = old_logprobs(old_params, group)
         assert (group.advantages[2:] == 0.0).all()
-        _, grad, diag = grpo_loss_and_grad(params, group, clip)
+        _, grad, diag = grpo_loss_and_grad(params, group, clip, old)
         seen_clipped += diag.clip_low_frac + diag.clip_high_frac > 0
-        assert grad.tobytes() == ref_loss_and_grad(params, group, clip)[1].tobytes()
+        assert grad.tobytes() == ref_loss_and_grad(params, group, old, clip)[1].tobytes()
         assert not np.signbit(grad[grad == 0.0]).any()
     assert seen_clipped == 20
 
 
-def test_words_search_builds_one_table_per_update(monkeypatch):
-    """Only sampled-from weights get a step table, and only the drawn
-    (neighborhood) context gets a CDF."""
+def test_words_search_builds_no_task_context_cdf(monkeypatch):
+    """A words search draws only from the neighborhood context, so it builds
+    no task-context CDF, and at most one CDF per weights it samples from."""
     built, updates = [], []
-    init, update = StepTable.__init__, harness.update_policy
+    cdf, update = PolicyParams.cdf, harness.update_policy
 
-    def counting_init(self, *args):
-        built.append(self)
-        init(self, *args)
+    def counting_cdf(params, context, temperature=1.0):
+        if (int(context), temperature) not in params._cdfs:
+            built.append((params, int(context)))
+        return cdf(params, context, temperature)
 
     def counting_update(params, *args, **kwargs):
         new, diags = update(params, *args, **kwargs)
         updates.append(new is not params)
         return new, diags
 
-    monkeypatch.setattr(StepTable, "__init__", counting_init)
+    monkeypatch.setattr(PolicyParams, "cdf", counting_cdf)
     monkeypatch.setattr(harness, "update_policy", counting_update)
     config = harness.default_config("words", "migrate", budget=200, stop_threshold=None)
     assert config.update.mu == 2
     harness.run_any(config)
     assert sum(updates) >= 20
     assert len(built) <= sum(updates) + 1
-    assert {context for table in built for context in table._cdfs} == {int(NS_CONTEXT)}
+    assert {context for _, context in built} == {int(NS_CONTEXT)}
+    assert len({id(params) for params, _ in built}) == len(built)

@@ -6,15 +6,16 @@ completion. The loss is the clipped importance-ratio surrogate, normalized
 by the total token count of the group, with no KL term; new log-probs are
 always taken under the task context regardless of how a member was sampled.
 
-:func:`make_group` flattens the group to its T tokens once; the loss, the
-gradient, the diagnostics and every one of the ``mu`` steps of
-:func:`update_policy` read that one layout. A step reads only the T
-task-context rows of its weights, computed from W with
-:func:`policy.step_rows`. The old policy is the one that sampled the group,
-which is the weights an update starts from, so the frozen old log-probs
-are the first step's own log-probs (every first-step ratio is exactly 1).
-The gradient is one ``np.bincount`` over those rows, whose flat indices
-into W an update computes once for all its steps.
+:func:`make_group` flattens the group to its T tokens once. One step
+function, ``_step``, serves :func:`grpo_loss_and_grad` and each of the ``mu``
+steps of :func:`update_policy`: from the weight array W alone it computes
+the T task-context rows with :func:`policy.step_rows`, the new log-probs,
+the loss, the gradient and the diagnostics. The old policy is the one that
+sampled the group, which is the weights an update starts from, so the
+frozen old log-probs are the first step's own log-probs (every first-step
+ratio is exactly 1). The gradient is one ``np.bincount`` over those rows,
+whose flat indices into W an update computes once for all its steps. An
+update steps on plain arrays and builds one :class:`PolicyParams` at the end.
 """
 
 from __future__ import annotations
@@ -181,24 +182,26 @@ def grpo_loss_and_grad(params: PolicyParams, group: Group, clip: ClipConfig,
     objective term is min(rho*A, clip(rho, 1-eps_low, 1+eps_high)*A); its
     gradient flows only when the unclipped branch is selected (ties included).
     """
+    if old is not None and len(old) != group.tokens.size:
+        raise ValueError(f"old has {len(old)} log-probs for a group of {group.tokens.size} tokens")
     V = params.vocab.size
-    probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
-    new = np.log(probs.take(_token_picks(group.tokens, V)))
-    if old is not None and len(old) != len(new):
-        raise ValueError(f"old has {len(old)} log-probs for a group of {len(new)} tokens")
-    return _loss_and_grad(group, probs, new, new if old is None else old, clip,
-                          _gradient_index(group, V), params.feature_dim)
+    grad, diag, _ = _step(params.W, group, clip, old, _token_picks(group.tokens, V),
+                          _gradient_index(group, V))
+    return diag.loss, grad, diag
 
 
-def _loss_and_grad(group: Group, probs: np.ndarray, new: np.ndarray, old: np.ndarray,
-                   clip: ClipConfig, index: np.ndarray, F: int
-                   ) -> tuple[float, np.ndarray, GrpoDiagnostics]:
-    """:func:`grpo_loss_and_grad` from the (T, V) task-context step
-    distributions ``probs`` of the group's tokens, the tokens' ``new`` and
-    ``old`` log-probs, and the gradient ``index``."""
-    total_len, V = probs.shape
+def _step(W: np.ndarray, group: Group, clip: ClipConfig, old: np.ndarray | None,
+          picks: np.ndarray, index: np.ndarray
+          ) -> tuple[np.ndarray, GrpoDiagnostics, np.ndarray]:
+    """One GRPO step at the weights ``W``: :func:`grpo_loss_and_grad`'s
+    gradient and diagnostics, from the group's token ``picks`` and gradient
+    ``index``, and the old log-probs it used (``W``'s own when ``old`` is None)."""
+    probs = step_rows(W, TASK_CONTEXT, group.prev, group.buckets)
+    new = np.log(probs.take(picks))
+    old = new if old is None else old
+    total_len = new.size
     if total_len == 0:
-        return 0.0, np.zeros((F, V)), GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)
+        return np.zeros_like(W), GrpoDiagnostics(0.0, 1.0, 0.0, 0.0), old
     ratios = np.exp(new - old)
     low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
     unclipped = ratios * group.token_advantages
@@ -215,7 +218,7 @@ def _loss_and_grad(group: Group, probs: np.ndarray, new: np.ndarray, old: np.nda
     if not np.isfinite(obj_sum) or not np.all(np.isfinite(ratios)):
         raise NonFiniteLossError("non-finite ratio or loss in group", diag)
     coeffs = np.where(live, unclipped, 0.0)
-    return diag.loss, _gradient(index, probs, coeffs, F), diag
+    return _gradient(index, probs, coeffs, W.shape[0]), diag, old
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -246,25 +249,19 @@ def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: floa
     the weights that sampled the group, taken from the first step's rows.
 
     Each step is plain SGD, ``W - lr * grad``, unless an ``optimizer`` is
-    given. Each step computes its group's rows from its own weights with
-    :func:`policy.step_rows`. An all-equal reward group returns the input
-    params unchanged (silent no-op).
+    given, on the weight array alone; the new params are built (and their
+    weights checked finite) once, at the end. An all-equal reward group
+    returns the input params unchanged (silent no-op).
     """
     if mu < 1:
         raise ValueError("mu must be >= 1")
     if np.all(group.advantages == 0.0):
         return params, [GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)]
-    diags: list[GrpoDiagnostics] = []
-    current = params
     V = params.vocab.size
     picks, index = _token_picks(group.tokens, V), _gradient_index(group, V)
-    old = None
+    W, old, diags = params.W, None, []
     for _ in range(mu):
-        probs = step_rows(current, TASK_CONTEXT, group.prev, group.buckets)
-        new = np.log(probs.take(picks))
-        old = new if old is None else old
-        _, grad, diag = _loss_and_grad(group, probs, new, old, clip, index, params.feature_dim)
+        grad, diag, old = _step(W, group, clip, old, picks, index)
         diags.append(diag)
-        W = current.W - lr * grad if optimizer is None else optimizer.apply(current.W, grad)
-        current = current.with_weights(W)
-    return current, diags
+        W = W - lr * grad if optimizer is None else optimizer.apply(W, grad)
+    return params.with_weights(W), diags

@@ -105,7 +105,8 @@ class RunConfig:
     ``default_config`` from flat keys. ``update`` is present exactly for
     TTT_METHODS, ``islands`` when the archive has islands, and ``opro_depth``
     (how many top entries trajectory proposals recombine) exactly for
-    OPRO_METHODS. ``task_options`` may hold only the task's TASK_OPTIONS keys."""
+    OPRO_METHODS. ``task_options`` may hold only the task's TASK_OPTIONS keys (only
+    ``hidden_word`` with a words ``task_file``); molecules reads no ``task_file``."""
 
     method: str
     task: str
@@ -143,6 +144,11 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown task_options key {unknown[0]!r} for task {self.task!r}; "
                              f"accepted keys: {', '.join(TASK_OPTIONS[self.task])}")
+        if self.task_file and self.task == "molecules":
+            raise ValueError("task 'molecules' is synthesized and reads no task_file")
+        synthesis = sorted(set(self.task_options) - {"hidden_word"})
+        if self.task_file and self.task == "words" and synthesis:
+            raise ValueError(f"task_options {synthesis} are not read with a words task_file")
 
     # searchbench/run.py reads these two: a full iteration evaluates alpha + gamma.
     @property
@@ -241,22 +247,18 @@ def build_task(config: RunConfig) -> SearchTask:
     """Materialize the task from the config's task-synthesis stream.
 
     ``task_options`` are keyword arguments of the task's constructor (RunConfig checks
-    their keys). Raises ValueError on a molecules ``task_file``, or options with a words one.
+    their keys, and which of them a ``task_file`` leaves unread).
     """
     opts = dict(config.task_options)
     rng = _rng(config.seed, _STREAM_TASK)
     if config.task == "words":
         hidden = opts.pop("hidden_word", None)
-        if config.task_file and opts:
-            raise ValueError(f"task_options {sorted(opts)} are not read with a words task_file")
         table = (load_embedding_table(config.task_file) if config.task_file
                  else synthesize_embedding_table(rng, **opts))
         if hidden is None:
             hidden = table.words[int(rng.integers(0, table.size))]
         return WordSearchTask(table, hidden, warmstart_count=config.warmstart_count)
     if config.task == "molecules":
-        if config.task_file:
-            raise ValueError("task 'molecules' is synthesized and reads no task_file")
         return TwoObjectiveTask(rng, **opts)
     if config.task_file:
         return load_grid_task(config.task_file, **opts)
@@ -345,6 +347,7 @@ def run_any(config: RunConfig) -> Trace:
 
 # --- trace emission ---------------------------------------------------------
 
+# The per-iteration fields of the CSV and JSONL traces, in column order.
 CSV_COLUMNS = ("iteration", "evaluations", "best_so_far", "loss",
                "clip_low_frac", "clip_high_frac")
 SVG_WIDTH, SVG_HEIGHT = 640, 400
@@ -364,21 +367,15 @@ def trace_csv(trace: Trace) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in trace.records:
-        writer.writerow([_fmt(r.iteration), _fmt(r.evaluations), _fmt(r.best_so_far),
-                         _fmt(r.loss), _fmt(r.clip_low_frac), _fmt(r.clip_high_frac)])
+        writer.writerow([_fmt(getattr(r, c)) for c in CSV_COLUMNS])
     return buf.getvalue()
 
 
 def trace_jsonl(trace: Trace) -> str:
-    lines = []
-    for r in trace.records:
-        lines.append(json.dumps({
-            "iteration": r.iteration, "evaluations": r.evaluations,
-            "best_so_far": r.best_so_far, "loss": r.loss,
-            "clip_low_frac": r.clip_low_frac, "clip_high_frac": r.clip_high_frac,
-            "new": [{"text": t, "score": s, "provenance": p} for t, s, p in r.new_completions],
-        }, separators=(",", ":")) + "\n")
-    return "".join(lines)
+    return "".join(json.dumps({
+        **{c: getattr(r, c) for c in CSV_COLUMNS},
+        "new": [{"text": t, "score": s, "provenance": p} for t, s, p in r.new_completions],
+    }, separators=(",", ":")) + "\n" for r in trace.records)
 
 
 def trace_svg(trace: Trace) -> str:

@@ -11,13 +11,14 @@ Feature layout of the weight matrix W (shape F x V, F = 2 + V + P):
   row 2+V..F-1    position bucket, min(pos * P // max_len, P - 1)
 
 A step's logits are the sum of the three active rows, formed in one place,
-:func:`step_rows`, which softmaxes just the ``(prev, bucket)`` rows it is
+:func:`step_rows`, which reads only the weight array W (so the GRPO update
+steps on plain arrays) and softmaxes just the ``(prev, bucket)`` rows it is
 asked for. A token draw is one ``bisect_right`` on one row of the running
 sum of the drawn context, built once per weight matrix, context and
 temperature from ``step_rows`` over every ``(prev, bucket)`` pair (see
-:meth:`PolicyParams.cdf`); a search draws from one context only, so it pays
-for that one. :func:`token_steps` turns token sequences into the ``(tokens,
-prev, buckets)`` indices that log-probs and the GRPO gradient gather with.
+:meth:`PolicyParams.cdf`); a search draws from one context only, so it pays for
+that one. :func:`token_steps` turns token sequences into the ``(tokens, prev,
+buckets)`` indices that log-probs and the GRPO gradient gather with.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class PolicyParams:
             if not 0 < temperature < math.inf:
                 raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
             V, P = self.vocab.size, self.position_buckets
-            rows = step_rows(self, context, *np.divmod(np.arange(V * P), P), temperature)
+            rows = step_rows(self.W, context, *np.divmod(np.arange(V * P), P), temperature)
             cdf = np.cumsum(rows, axis=-1).reshape(V, P, V)
             cdf.setflags(write=False)
             self._cdfs[key] = cdf
@@ -217,7 +218,7 @@ def token_steps(params: PolicyParams, sequences: list[tuple[int, ...]]
     """The steps of token ``sequences``, flattened in order: ``(tokens, prev,
     buckets)``, where ``prev`` is the end token at each sequence start.
 
-    A step's distribution is ``step_rows(params, ctx, prev, buckets)``.
+    A step's distribution is ``step_rows(params.W, ctx, prev, buckets)``.
     Raises ValueError when a sequence is longer than ``max_len`` or holds a
     token outside ``[0, V)``.
     """
@@ -240,17 +241,17 @@ def token_steps(params: PolicyParams, sequences: list[tuple[int, ...]]
             np.array(buckets, dtype=np.intp))
 
 
-def step_rows(params: PolicyParams, context: ContextKind, prev: np.ndarray,
+def step_rows(W: np.ndarray, context: ContextKind, prev: np.ndarray,
               buckets: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """The ``(len(prev), V)`` step distributions of ``context`` at the steps
-    ``(prev, buckets)``: the softmax at ``temperature`` of the logits
-    ``(W[ctx] + W[2+prev]) + W[2+V+bucket]``, the one place they are formed.
+    """The ``(len(prev), V)`` step distributions under the ``(F, V)`` weights ``W``
+    of ``context`` at the steps ``(prev, buckets)``: the softmax at ``temperature``
+    of the logits ``(W[ctx] + W[2+prev]) + W[2+V+bucket]``, formed only here.
 
     The max shift comes before the temperature divide, so near-zero
     temperatures stay finite and keep the argmax token; at temperature 1.0
     the divide is skipped, since ``x / 1.0 == x`` exactly.
     """
-    W, V = params.W, params.vocab.size
+    V = W.shape[1]
     p = (W[int(context)] + W[2 + prev]) + W[2 + V + buckets]
     p -= p.max(axis=-1, keepdims=True)
     if temperature != 1.0:
@@ -263,7 +264,7 @@ def step_rows(params: PolicyParams, context: ContextKind, prev: np.ndarray,
 def logprobs(params: PolicyParams, context: ContextKind, tokens: tuple[int, ...]) -> np.ndarray:
     """Per-token log-probabilities of ``tokens`` under the given context."""
     tokens, prev, buckets = token_steps(params, [tokens])
-    return np.log(step_rows(params, context, prev, buckets)[np.arange(tokens.size), tokens])
+    return np.log(step_rows(params.W, context, prev, buckets)[np.arange(tokens.size), tokens])
 
 
 def save_params(params: PolicyParams) -> bytes:

@@ -53,6 +53,8 @@ def is_valid(text: str) -> bool:
 
 class TwoObjectiveTask(SearchTask):
     def __init__(self, rng: np.random.Generator, max_len: int = 16):
+        if max_len < 1:
+            raise ValueError(f"molecules max_len must be >= 1, got {max_len!r}")
         self.vocab = Vocabulary(CHARS + (END,), end_token=len(CHARS))
         self.max_len = max_len
         self.seen: set[str] = set()

@@ -7,7 +7,7 @@ from migrate.completion import Completion
 from migrate.grpo import (Adam, ClipConfig, DegenerateGroupError, NonFiniteLossError,
                           compute_advantages, grpo_loss_and_grad, make_group,
                           update_policy)
-from migrate.policy import TASK_CONTEXT, Vocabulary, init_params, logprobs
+from migrate.policy import TASK_CONTEXT, PolicyParams, Vocabulary, init_params, logprobs
 
 CLIP = ClipConfig()
 
@@ -219,6 +219,23 @@ class TestUpdate:
         assert new.W.shape == params.W.shape
         assert len(diags) == 2
         assert not np.array_equal(new.W, params.W)
+
+    @pytest.mark.parametrize("mu", [1, 2, 3])
+    @pytest.mark.parametrize("adam", [False, True], ids=["sgd", "adam"])
+    def test_update_builds_one_params_whatever_mu(self, mu, adam, monkeypatch):
+        # The steps run on the weight array; only the result is wrapped
+        # (and checked finite), not every intermediate W.
+        rng = np.random.default_rng(11)
+        params = random_params(rng)
+        group = random_group(params, rng)
+        built = []
+        check = PolicyParams.__post_init__
+        monkeypatch.setattr(PolicyParams, "__post_init__",
+                            lambda self: (built.append(self), check(self)))
+        new, diags = update_policy(params, group, CLIP, lr=0.3, mu=mu,
+                                   optimizer=Adam(0.3) if adam else None)
+        assert len(diags) == mu
+        assert len(built) == 1 and built[0] is new
 
     def test_mu_must_be_positive(self):
         rng = np.random.default_rng(10)

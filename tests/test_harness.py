@@ -651,14 +651,16 @@ class TestCli:
         assert err.value.code == 2
         assert re.search(f"migrate run: error: .*{message}", capsys.readouterr().err)
 
-    @pytest.mark.parametrize("grid,env,message", [
-        ([{"exploit_prob": 0.5}], {}, "'exploit_prob' sets the islands part"),
+    @pytest.mark.parametrize("grid,env,message,argv", [
+        ([{"exploit_prob": 0.5}], {}, "'exploit_prob' sets the islands part", []),
         ([{"alpha": 0, "beta": 1, "gamma": 4}], {"MIGRATE_WORKERS": "abc"},
-         "MIGRATE_WORKERS must be an integer"),
-        ({"alpha": 0}, {}, "grid must be a list of objects"),
-    ], ids=["absent-part", "bad-workers", "not-a-list"])
-    def test_sweep_setting_error_exits_2_before_any_search(self, grid, env, message, tmp_path,
-                                                           capsys, monkeypatch):
+         "MIGRATE_WORKERS must be an integer", []),
+        ({"alpha": 0}, {}, "grid must be a list of objects", []),
+        ([{"alpha": 0, "beta": 1, "gamma": 4}], {},
+         "task 'molecules' is synthesized and reads no task_file", ["--task-file", "nofile.json"]),
+    ], ids=["absent-part", "bad-workers", "not-a-list", "unread-task-file"])
+    def test_sweep_setting_error_exits_2_before_any_search(self, grid, env, message, argv,
+                                                           tmp_path, capsys, monkeypatch):
         from migrate import cli, harness
 
         def no_search(config):
@@ -672,7 +674,7 @@ class TestCli:
         out = tmp_path / "sweep.csv"
         with pytest.raises(SystemExit) as err:
             cli.main(["sweep", "--task", "molecules", "--budget", "25", "--grid", str(grid_file),
-                      "--seeds", "1", "--out", str(out)])
+                      "--seeds", "1", "--out", str(out), *argv])
         assert err.value.code == 2
         assert re.search(f"migrate sweep: error: .*{message}", capsys.readouterr().err)
         assert not out.exists()
@@ -758,7 +760,13 @@ class TestConfigFile:
          "unknown task_options key 'bogus' for task 'molecules'"),
         ({"task": "molecules", "method": "random", "task_options": 5},
          "task_options must be an object, got 5"),
-    ], ids=["not-an-object", "unknown-task-option", "task-options-not-an-object"])
+        ({"task": "molecules", "method": "random", "task_file": "nofile.json", "budget": 30},
+         "task 'molecules' is synthesized and reads no task_file"),
+        ({"task": "words", "method": "random", "task_file": "table.txt",
+          "task_options": {"hidden_word": "w3", "dim": 3}},
+         "task_options ['dim'] are not read with a words task_file"),
+    ], ids=["not-an-object", "unknown-task-option", "task-options-not-an-object",
+            "molecules-task-file", "words-task-file-with-synthesis-options"])
     def test_invalid_config_file_exits_2_before_the_search(self, keys, message, tmp_path,
                                                            capsys, monkeypatch):
         from migrate import cli
@@ -802,10 +810,9 @@ class TestTaskOptions:
 
     def test_molecules_task_file_rejected(self, tmp_path):
         # The file was never opened, and the run returned status ok.
-        cfg = default_config("molecules", "random", budget=20,
-                             task_file=str(tmp_path / "missing.json"))
         with pytest.raises(ValueError, match="task_file"):
-            run_any(cfg)
+            default_config("molecules", "random", budget=20,
+                           task_file=str(tmp_path / "missing.json"))
 
     def test_words_task_file_rejects_synthesis_options(self, tmp_path):
         from migrate.tasks import save_embedding_table, synthesize_embedding_table
@@ -814,10 +821,9 @@ class TestTaskOptions:
         path = tmp_path / "table.txt"
         save_embedding_table(table, path)
         # Both options used to be ignored, leaving the file's 50 x 4 table.
-        cfg = words_config("random", task_file=str(path),
-                           task_options={"vocab_size": 9999, "dim": 3})
         with pytest.raises(ValueError, match=r"\['dim', 'vocab_size'\].*task_file"):
-            build_task(cfg)
+            words_config("random", task_file=str(path),
+                         task_options={"vocab_size": 9999, "dim": 3})
         task = build_task(words_config("random", task_file=str(path),
                                        task_options={"hidden_word": table.words[3]}))
         assert task.table.size == 50 and task.hidden_word == table.words[3]

@@ -27,13 +27,13 @@ def step_probs(params, ctx, prev, pos, temperature=1.0):
     ``prev=None`` is the first step."""
     prev = params.vocab.end_token if prev is None else prev
     bucket = position_bucket(pos, params.position_buckets, params.max_len)
-    return step_rows(params, ctx, np.array([prev]), np.array([bucket]), temperature)[0]
+    return step_rows(params.W, ctx, np.array([prev]), np.array([bucket]), temperature)[0]
 
 
 def first_step_old(params, group):
     """The old log-probs an update of ``group`` from ``params`` takes from
     its first step's rows."""
-    probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
+    probs = step_rows(params.W, TASK_CONTEXT, group.prev, group.buckets)
     return np.log(probs[np.arange(group.tokens.size), group.tokens])
 
 

@@ -81,7 +81,7 @@ def edge_group(rng, params, clip):
     while True:
         group = make_group(params, make_members(rng, params, rng.normal(size=6)))
         old = old_logprobs(old_params, group)
-        probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
+        probs = step_rows(params.W, TASK_CONTEXT, group.prev, group.buckets)
         lp = np.log(probs[np.arange(group.tokens.size), group.tokens])
         free = list(range(group.tokens.size))
         for edge in (1.0 - clip.eps_low, 1.0 + clip.eps_high):
@@ -101,7 +101,7 @@ class TestDiagnostics:
         for _ in range(40):
             params = make_params(rng, V=int(rng.integers(2, 12)), P=int(rng.integers(1, 5)))
             group, old = edge_group(rng, params, CLIP)
-            probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
+            probs = step_rows(params.W, TASK_CONTEXT, group.prev, group.buckets)
             ref = ref_diagnostics(probs, group, old, CLIP)
             _, _, diag = grpo_loss_and_grad(params, group, CLIP, old)
             assert bits(diag) == bits(ref)
@@ -109,7 +109,7 @@ class TestDiagnostics:
             _, (_, second) = update_policy(params, group, CLIP, 0.3, 2)
             _, grad, _ = grpo_loss_and_grad(params, group, CLIP)
             step1 = params.with_weights(params.W - 0.3 * grad)
-            ref_second = ref_diagnostics(step_rows(step1, TASK_CONTEXT, group.prev,
+            ref_second = ref_diagnostics(step_rows(step1.W, TASK_CONTEXT, group.prev,
                                                    group.buckets),
                                          group, old_logprobs(params, group), CLIP)
             assert bits(second) == bits(ref_second)
@@ -127,7 +127,7 @@ class TestDiagnostics:
             group = make_group(params, make_members(rng, params, [score, 0.0, 0.0]))
             old = old_logprobs(params, group)
             old[0] = -np.inf
-            probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
+            probs = step_rows(params.W, TASK_CONTEXT, group.prev, group.buckets)
             ref = ref_diagnostics(probs, group, old, CLIP)
             with pytest.raises(NonFiniteLossError) as err:
                 grpo_loss_and_grad(params, group, CLIP, old)
@@ -138,7 +138,7 @@ class TestDiagnostics:
             W = params.W.copy()
             W[int(TASK_CONTEXT), group.tokens[0]] = -1e4
             underflow = params.with_weights(W)
-            probs = step_rows(underflow, TASK_CONTEXT, group.prev, group.buckets)
+            probs = step_rows(underflow.W, TASK_CONTEXT, group.prev, group.buckets)
             assert probs[0, group.tokens[0]] == 0.0
             with np.errstate(divide="ignore", invalid="ignore"), \
                     pytest.raises(NonFiniteLossError) as err:

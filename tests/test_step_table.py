@@ -79,7 +79,7 @@ def test_table_equals_per_step_softmax(V, P, max_len, temperature):
             for pos in range(max_len):
                 ref = ref_step(params, ctx, prev, pos, temperature)
                 step = (prev_row, min(pos * P // max_len, P - 1))
-                row = step_rows(params, ctx, np.array(step[:1]), np.array(step[1:]), temperature)
+                row = step_rows(params.W, ctx, np.array(step[:1]), np.array(step[1:]), temperature)
                 assert row[0].tobytes() == ref.tobytes()
                 assert cdf[step].tobytes() == np.cumsum(ref).tobytes()
 
@@ -89,9 +89,9 @@ def test_gathered_rows_equal_table_rows(V, P, max_len):
     params = make_params(np.random.default_rng(V * 100 + P + 1), V, P, max_len)
     prev, buckets = all_steps(params)
     for ctx in (TASK_CONTEXT, NS_CONTEXT):
-        rows = step_rows(params, ctx, prev, buckets)
+        rows = step_rows(params.W, ctx, prev, buckets)
         for i in range(prev.size):
-            one = step_rows(params, ctx, prev[i:i + 1], buckets[i:i + 1])
+            one = step_rows(params.W, ctx, prev[i:i + 1], buckets[i:i + 1])
             assert rows[i].tobytes() == one[0].tobytes()
 
 
@@ -146,7 +146,7 @@ def test_zero_uniform_skips_leading_zero_probability_tokens():
 
 def test_underflowed_rows_draw_as_the_reference():
     params = make_params(np.random.default_rng(9), 28, P=3, max_len=7, scale=40.0)
-    assert np.mean([(step_rows(params, ctx, *all_steps(params), 0.05) == 0.0).mean()
+    assert np.mean([(step_rows(params.W, ctx, *all_steps(params), 0.05) == 0.0).mean()
                     for ctx in (TASK_CONTEXT, NS_CONTEXT)]) > 0.5
     us = np.random.default_rng(10).random(200).tolist() + [0.0, 1.0 - 2 ** -53]
     got, ref = first_draws(params, NS_CONTEXT, 0.05, us)
@@ -236,7 +236,7 @@ def test_frozen_group_logprobs_equal_per_member_logprobs():
         ref = np.concatenate([logprobs(params, TASK_CONTEXT, c.tokens) for c in comps])
         group = make_group(params, comps)
         # The update's old log-probs: its first step's rows, at its tokens.
-        probs = step_rows(params, TASK_CONTEXT, group.prev, group.buckets)
+        probs = step_rows(params.W, TASK_CONTEXT, group.prev, group.buckets)
         assert np.log(probs[np.arange(ref.size), group.tokens]).tobytes() == ref.tobytes()
         _, _, diag = grpo_loss_and_grad(params, group, ClipConfig())
         assert grpo_loss_and_grad(params, group, ClipConfig(), ref)[2] == diag

@@ -132,3 +132,9 @@ class TestTaskSurface:
         second = task.score_new([Completion(tokens=tokens, provenance=ONLINE)], 2)
         assert first[0].score > 0.0
         assert second[0].score == 0.0
+
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_non_positive_max_len_rejected(self, max_len):
+        # It used to surface later from PolicyParams, naming neither the task nor the option.
+        with pytest.raises(ValueError, match=f"molecules max_len must be >= 1, got {max_len}"):
+            TwoObjectiveTask(np.random.default_rng(0), max_len=max_len)

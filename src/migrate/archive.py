@@ -1,24 +1,26 @@
 """Database of evaluated completions with budget accounting and islands.
 
 The archive holds each scored completion once, so its length is the
-evaluation count (the search budget currency); its best entry is the
-head of the ranking below. Islands, when enabled, are sets of entry
-indices visited cyclically; a per-step selection mixes exploitation
-(island members that are also globally top-k) with exploration (island
-elites outside the global top-k), and elites migrate periodically to the
-next island along a ring by joining its set, so an entry may belong to
-several islands.
+evaluation count (the search budget currency). Entries stay ranked as they
+arrive: one sorted list of keys ``(-score, born_iteration, index)`` covers
+the whole archive, so top-k reads never re-sort and the best entry is its
+head.
 
-Entries stay ranked as they arrive: a sorted list of keys
-``(-score, born_iteration, index)`` is kept for the whole archive and for
-each island, so top-k reads never re-sort.
+Islands, when enabled, are sets of entry indices visited cyclically; an
+island's ranking is the archive's ranking restricted to its set. A
+per-step selection mixes exploitation (island members that are also
+globally top-k) with exploration (island elites outside the global top-k),
+and elites migrate periodically to the next island along a ring by joining
+its set, so an entry may belong to several islands.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +59,6 @@ class Archive:
         self.cursor = 0
         self._rank: list[tuple[float, int, int]] = []
         count = islands.count if islands else 0
-        self._island_rank: list[list[tuple[float, int, int]]] = [[] for _ in range(count)]
         self._island_set: list[set[int]] = [set() for _ in range(count)]
 
     def __len__(self) -> int:
@@ -84,14 +85,17 @@ class Archive:
     def island_members(self, island: int) -> list[int]:
         return sorted(self._island_set[island]) if self.islands else []
 
+    def _ranked(self, island: int) -> Iterator[int]:
+        """The island's entry indices in ranking order."""
+        members = self._island_set[island]
+        return (i for _, _, i in self._rank if i in members)
+
     def _append(self, entry: Completion, island: int) -> None:
         index = len(self.entries)
         self.entries.append(entry)
-        key = (-entry.score, entry.born_iteration, index)
-        bisect.insort(self._rank, key)
+        bisect.insort(self._rank, (-entry.score, entry.born_iteration, index))
         if self.islands:
             self._island_set[island].add(index)
-            bisect.insort(self._island_rank[island], key)
 
     def insert(self, completions: list[Completion], *, island: int | None = None) -> None:
         """Add newly evaluated completions, charging them to the budget.
@@ -135,12 +139,12 @@ class Archive:
         n = self.islands.count
         for step in range(1, n + 1):
             candidate = (self.cursor + step) % n
-            if self._island_rank[candidate]:
+            if self._island_set[candidate]:
                 self.cursor = candidate
                 break
         global_top = {i for _, _, i in self._rank[:k]}
         exploit_pool = sorted(global_top & self._island_set[self.cursor])
-        explore_pool = [i for _, _, i in self._island_rank[self.cursor][:k] if i not in global_top]
+        explore_pool = [i for i in islice(self._ranked(self.cursor), k) if i not in global_top]
         exploit = rng.random() < self.islands.exploit_prob
         if exploit:
             pool = exploit_pool or explore_pool
@@ -151,26 +155,18 @@ class Archive:
     def migrate(self) -> None:
         """Add each island's top fraction of members to the next island on
         the ring (island count-1 feeds island 0). Migration adds membership,
-        not entries, so it neither consumes budget nor moves the global
-        ranking.
+        not entries, so it neither consumes budget nor moves the ranking.
 
-        Every island's sources are taken before any island gains members;
-        a source the destination already holds is skipped. The new keys are
-        one sorted run, so each destination's rank list is extended and
-        sorted once (Timsort merges the runs in linear time).
+        Every island's sources, its first ``ceil(fraction * size)`` indices
+        in ranking order, are taken before any island gains members.
         """
         if not self.islands:
             raise ArchiveError("islands are not enabled")
-        n = self.islands.count
-        runs = [ranked[:int(np.ceil(self.islands.migration_fraction * len(ranked)))]
-                for ranked in self._island_rank]
-        for island, run in enumerate(runs):
-            dest = (island + 1) % n
-            members = self._island_set[dest]
-            keys = [key for key in run if key[2] not in members]
-            members.update(i for _, _, i in keys)
-            self._island_rank[dest].extend(keys)
-            self._island_rank[dest].sort()
+        fraction = self.islands.migration_fraction
+        sources = [list(islice(self._ranked(island), int(np.ceil(fraction * len(members)))))
+                   for island, members in enumerate(self._island_set)]
+        for island, indices in enumerate(sources):
+            self._island_set[(island + 1) % self.islands.count].update(indices)
 
     def dump_jsonl(self, path: str | Path) -> None:
         """One record per entry: {text, score, provenance, iteration, islands}."""

@@ -51,7 +51,7 @@ def _exit_2(args: argparse.Namespace, err: ValueError) -> NoReturn:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Flags passed, over the ``--config`` file's keys, over the task's
-    defaults; a config they do not build exits with code 2."""
+    defaults; a config or task they do not build exits with code 2."""
     overrides = {name: value for name, value in vars(args).items()
                  if name in CONFIG_KEYS and value is not None}
     try:
@@ -60,8 +60,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             if not isinstance(keys, dict):
                 raise ValueError(f"--config must hold a JSON object, not a {type(keys).__name__}")
             overrides = {**keys, **overrides}
-        return default_config(overrides.pop("task", "words"),
-                              overrides.pop("method", "migrate"), **overrides)
+        config = default_config(overrides.pop("task", "words"),
+                                overrides.pop("method", "migrate"), **overrides)
+        build_task(config)  # the task constructor checks its option values
+        return config
     except ValueError as err:
         _exit_2(args, err)
 

@@ -16,8 +16,9 @@ steps on plain arrays) and softmaxes just the ``(prev, bucket)`` rows it is
 asked for. A token draw is one ``bisect_right`` on one row of the running
 sum of the drawn context, built once per weight matrix, context and
 temperature from ``step_rows`` over every ``(prev, bucket)`` pair (see
-:meth:`PolicyParams.cdf`); a search draws from one context only, so it pays for
-that one. :func:`token_steps` turns token sequences into the ``(tokens, prev,
+:meth:`PolicyParams.cdf`); online members draw from the task context and
+neighborhood proposals from the other, so a search that makes both builds
+both running sums. :func:`token_steps` turns token sequences into the ``(tokens, prev,
 buckets)`` indices that log-probs and the GRPO gradient gather with.
 """
 

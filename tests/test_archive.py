@@ -287,7 +287,7 @@ def assert_ranked_like_reference(archive, members):
         assert list(map(id, archive.topk(k))) == expected[:k]
     for isl in range(archive.islands.count):
         assert archive.island_members(isl) == sorted(members[isl])
-        ranked = [i for _, _, i in archive._island_rank[isl]]
+        ranked = list(archive._ranked(isl))
         assert ranked == brute_ranked(archive.entries, members[isl])
     for i in range(len(archive)):
         assert archive.islands_of(i) == [isl for isl, held in enumerate(members) if i in held]

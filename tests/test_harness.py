@@ -267,7 +267,7 @@ class TestIslandMembership:
         archive = run_any(cfg).archive
         assert len(archive) == archive.evaluated_count
         for island in range(cfg.islands.count):
-            ranked = [i for _, _, i in archive._island_rank[island]]
+            ranked = list(archive._ranked(island))
             assert len(ranked) == len(set(ranked)) == len(archive.island_members(island))
         for k in (1, 3, 10, 50):
             top = archive.topk(k)
@@ -765,8 +765,13 @@ class TestConfigFile:
         ({"task": "words", "method": "random", "task_file": "table.txt",
           "task_options": {"hidden_word": "w3", "dim": 3}},
          "task_options ['dim'] are not read with a words task_file"),
+        ({"task": "molecules", "method": "random", "task_options": {"max_len": 0}, "budget": 30},
+         "molecules max_len must be >= 1, got 0"),
+        ({"task": "grids", "method": "random", "task_options": {"dsl_step_limit": 0},
+          "budget": 30}, "none of 20 hidden programs ran within dsl_step_limit=0"),
     ], ids=["not-an-object", "unknown-task-option", "task-options-not-an-object",
-            "molecules-task-file", "words-task-file-with-synthesis-options"])
+            "molecules-task-file", "words-task-file-with-synthesis-options",
+            "molecules-max-len-0", "grids-dsl-step-limit-0"])
     def test_invalid_config_file_exits_2_before_the_search(self, keys, message, tmp_path,
                                                            capsys, monkeypatch):
         from migrate import cli
@@ -782,6 +787,28 @@ class TestConfigFile:
         assert err.value.code == 2
         assert f"migrate run: error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_with_invalid_task_option_exits_2_before_any_search(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        from migrate import cli, harness
+
+        def no_search(config):
+            raise AssertionError("the sweep ran a search on a task that does not build")
+
+        monkeypatch.setattr(harness, "run_any", no_search)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"task": "molecules", "method": "random",
+                                        "task_options": {"max_len": 0}, "budget": 30}))
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps([{"alpha": 0, "beta": 1, "gamma": 4}]))
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["sweep", "--config", str(cfg_path), "--grid", str(grid_file),
+                      "--seeds", "1", "--out", str(out)])
+        assert err.value.code == 2
+        assert "migrate sweep: error: molecules max_len must be >= 1, got 0" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_without_config_file_defaults_to_words_migrate_seed_0(self):
         from migrate.cli import _config_from_args, build_parser

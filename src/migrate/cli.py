@@ -11,8 +11,9 @@ from typing import NoReturn
 
 from .harness import (CONFIG_KEYS, METHODS, TASK_DEFAULTS, TRACE_FORMATS, RunConfig, SolvedRun,
                       bootstrap_nearest, build_task, check_sweep, check_trace_formats,
-                      default_config, emit_trace, run_any, save_run_artifacts, sweep,
-                      sweep_to_csv)
+                      default_config, emit_trace, initial_params, run_any, save_run_artifacts,
+                      sweep, sweep_to_csv)
+from .policy import PolicyIOError
 from .tasks import compute_metrics, load_grid_task
 
 
@@ -43,7 +44,7 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
                         "the task's defaults fill the keys neither sets")
 
 
-def _exit_2(args: argparse.Namespace, err: ValueError) -> NoReturn:
+def _exit_2(args: argparse.Namespace, err: Exception | str) -> NoReturn:
     """End a command whose settings are invalid, before any search runs."""
     print(f"migrate {args.command}: error: {err}", file=sys.stderr)
     raise SystemExit(2) from None
@@ -51,7 +52,8 @@ def _exit_2(args: argparse.Namespace, err: ValueError) -> NoReturn:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Flags passed, over the ``--config`` file's keys, over the task's
-    defaults; a config or task they do not build exits with code 2."""
+    defaults; a config, task or ``bootstrap_params`` file they do not build
+    or load (a missing file included) exits with code 2."""
     overrides = {name: value for name, value in vars(args).items()
                  if name in CONFIG_KEYS and value is not None}
     try:
@@ -62,9 +64,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             overrides = {**keys, **overrides}
         config = default_config(overrides.pop("task", "words"),
                                 overrides.pop("method", "migrate"), **overrides)
-        build_task(config)  # the task constructor checks its option values
+        # The task constructor checks its option values and reads a task_file.
+        initial_params(config, build_task(config))
         return config
-    except ValueError as err:
+    except PolicyIOError as err:
+        _exit_2(args, f"bootstrap_params {config.bootstrap_params}: {err}")
+    except (ValueError, OSError) as err:
         _exit_2(args, err)
 
 
@@ -102,7 +107,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         check_sweep(base, grid)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         _exit_2(args, err)
     rows = sweep(base, grid, seeds)
     out = Path(args.out) if args.out else Path("sweep.csv")
@@ -115,10 +120,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bootstrap(args: argparse.Namespace) -> int:
-    unsolved = load_grid_task(args.task)
     solved_dir = Path(args.solved_dir)
+    try:
+        unsolved = load_grid_task(args.task)
+        subdirs = sorted(p for p in solved_dir.iterdir() if p.is_dir())
+    except (ValueError, OSError) as err:
+        _exit_2(args, err)
     runs = []
-    for sub in sorted(p for p in solved_dir.iterdir() if p.is_dir()):
+    for sub in subdirs:
         best_file = sub / "best.json"
         params_file = sub / "params.mgp"
         if not (best_file.exists() and params_file.exists()):

@@ -117,9 +117,9 @@ def compute_advantages(rewards: np.ndarray) -> np.ndarray:
     r = np.asarray(rewards, dtype=np.float64)
     if r.size < 2:
         raise DegenerateGroupError(f"group of {r.size} has no relative baseline")
-    if np.all(r == r[0]):
+    if (r == r[0]).all():
         return np.zeros_like(r)
-    return r - r.mean()
+    return r - np.add.reduce(r) / r.size
 
 
 def _token_picks(tokens: np.ndarray, V: int) -> np.ndarray:
@@ -215,7 +215,7 @@ def _step(W: np.ndarray, group: Group, clip: ClipConfig, old: np.ndarray | None,
                            mean_ratio=float(np.add.reduce(ratios) / total_len),
                            clip_low_frac=clipped_low / total_len,
                            clip_high_frac=(int(np.count_nonzero(dead)) - clipped_low) / total_len)
-    if not np.isfinite(obj_sum) or not np.all(np.isfinite(ratios)):
+    if not np.isfinite(obj_sum) or not np.isfinite(ratios).all():
         raise NonFiniteLossError("non-finite ratio or loss in group", diag)
     coeffs = np.where(live, unclipped, 0.0)
     return _gradient(index, probs, coeffs, W.shape[0]), diag, old
@@ -255,7 +255,7 @@ def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: floa
     """
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    if np.all(group.advantages == 0.0):
+    if (group.advantages == 0.0).all():
         return params, [GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)]
     V = params.vocab.size
     picks, index = _token_picks(group.tokens, V), _gradient_index(group, V)

@@ -265,7 +265,9 @@ def build_task(config: RunConfig) -> SearchTask:
     return synthesize_grid_task(rng, **opts)
 
 
-def _initial_params(config: RunConfig, task: SearchTask) -> PolicyParams:
+def initial_params(config: RunConfig, task: SearchTask) -> PolicyParams:
+    """The search's first params: the ``bootstrap_params`` file when set (OSError
+    or :class:`policy.PolicyIOError` when it does not load), else uniform."""
     if config.bootstrap_params:
         data = Path(config.bootstrap_params).read_bytes()
         return load_params(data, vocab=task.vocab)
@@ -278,7 +280,7 @@ def run_any(config: RunConfig) -> Trace:
     policy is updated after every group, otherwise it stays the initial one."""
     started = time.perf_counter()
     task = build_task(config)
-    params = _initial_params(config, task)
+    params = initial_params(config, task)
     sampling_rng = _rng(config.seed, _STREAM_SAMPLING)
     island_rng = _rng(config.seed, _STREAM_ISLANDS)
     mix, update, islands = config.mix, config.update, config.islands

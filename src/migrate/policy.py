@@ -13,13 +13,16 @@ Feature layout of the weight matrix W (shape F x V, F = 2 + V + P):
 A step's logits are the sum of the three active rows, formed in one place,
 :func:`step_rows`, which reads only the weight array W (so the GRPO update
 steps on plain arrays) and softmaxes just the ``(prev, bucket)`` rows it is
-asked for. A token draw is one ``bisect_right`` on one row of the running
-sum of the drawn context, built once per weight matrix, context and
-temperature from ``step_rows`` over every ``(prev, bucket)`` pair (see
-:meth:`PolicyParams.cdf`); online members draw from the task context and
-neighborhood proposals from the other, so a search that makes both builds
-both running sums. :func:`token_steps` turns token sequences into the ``(tokens, prev,
-buckets)`` indices that log-probs and the GRPO gradient gather with.
+asked for. The running sum of a context's step distributions is built
+once per weight matrix, context and temperature from ``step_rows`` over
+every ``(prev, bucket)`` pair (see :meth:`PolicyParams.cdf`); online members
+draw from the task context and neighborhood proposals from the other, so a
+search that makes both builds both running sums. A token draw is one
+``bisect_right`` over the ``(prev, bucket)`` row's slice of a flat
+``memoryview`` of that running sum, so it compares Python floats and makes
+no numpy row view or scalar. :func:`token_steps` turns token sequences
+into the ``(tokens, prev, buckets)`` indices that log-probs and the GRPO
+gradient gather with.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ class PolicyParams:
         expected = (self.feature_dim, self.vocab.size)
         if self.W.shape != expected:
             raise ValueError(f"W shape {self.W.shape} != {expected}")
-        if not np.all(np.isfinite(self.W)):
+        if not np.isfinite(self.W).all():
             raise ValueError("W entries must be finite")
         if self.position_buckets < 1 or self.max_len < 1:
             raise ValueError("position_buckets and max_len must be >= 1")
@@ -149,10 +152,15 @@ def position_bucket(position, position_buckets: int, max_len: int):
     return np.minimum(np.asarray(position) * position_buckets // max_len, position_buckets - 1)
 
 
-def _draw(row: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw with uniform ``u`` from one (non-decreasing) CDF row:
-    the count of entries <= u * total, capped at V - 1."""
-    return min(bisect_right(row, u * row[-1]), len(row) - 1)
+def _flat_cdf(params: PolicyParams, context: ContextKind, temperature: float) -> memoryview:
+    """:meth:`PolicyParams.cdf` as a flat view of Python floats: the row of
+    ``(prev, bucket)`` is ``flat[start:start + V]``, ``start = (prev * P + bucket) * V``.
+
+    A draw with uniform ``u`` from that row is the count of its entries
+    <= ``u * flat[last]``, capped at V - 1, ``last = start + V - 1``: the
+    ``bisect_right`` of that product over ``flat[start:last]``, less ``start``.
+    """
+    return memoryview(params.cdf(context, temperature).reshape(-1))
 
 
 def sample_tokens(params: PolicyParams, context: ContextKind, temperature: float,
@@ -162,15 +170,18 @@ def sample_tokens(params: PolicyParams, context: ContextKind, temperature: float
     ``uniforms`` has shape (n, max_len); row i's column ``pos`` drives
     step ``pos`` of draw i, and each draw stops at the end token.
     """
-    cdf = params.cdf(context, temperature)
-    buckets = position_bucket(np.arange(params.max_len), params.position_buckets,
-                              params.max_len).tolist()
-    end = params.vocab.end_token
+    flat = _flat_cdf(params, context, temperature)
+    V, end = params.vocab.size, params.vocab.end_token
+    stride = params.position_buckets * V  # floats per previous token
+    offsets = (V * position_bucket(np.arange(params.max_len), params.position_buckets,
+                                   params.max_len)).tolist()
     out = []
     for row in uniforms.tolist():
         tokens, prev = [], end
-        for bucket, u in zip(buckets, row):
-            prev = _draw(cdf[prev, bucket], u)
+        for offset, u in zip(offsets, row):
+            start = prev * stride + offset
+            last = start + V - 1
+            prev = bisect_right(flat, u * flat[last], start, last) - start
             tokens.append(prev)
             if prev == end:
                 break
@@ -199,17 +210,23 @@ def mutate_tokens(params: PolicyParams, context: ContextKind, temperature: float
     position, conditioned on the (possibly already mutated) previous token.
     Lengths are preserved.
     """
-    cdf = params.cdf(context, temperature)
+    flat = _flat_cdf(params, context, temperature)
+    V = params.vocab.size
+    stride = params.position_buckets * V  # floats per previous token
     # A base longer than max_len keeps its length; its tail shares the last bucket.
     longest = max(map(len, bases), default=0)
-    buckets = position_bucket(np.arange(longest), params.position_buckets,
-                              params.max_len).tolist()
+    offsets = (V * position_bucket(np.arange(longest), params.position_buckets,
+                                   params.max_len)).tolist()
     out = []
     for base, gates, draws in zip(bases, gate_u, tok_u):
         tokens, prev = [], params.vocab.end_token
-        for tok, bucket, gate, u in zip(base, buckets, gates.tolist(), draws.tolist()):
-            prev = _draw(cdf[prev, bucket], u) if gate < rate else tok
-            tokens.append(prev)
+        for tok, offset, gate, u in zip(base, offsets, gates.tolist(), draws.tolist()):
+            if gate < rate:
+                start = prev * stride + offset
+                last = start + V - 1
+                tok = bisect_right(flat, u * flat[last], start, last) - start
+            tokens.append(tok)
+            prev = tok
         out.append(tuple(tokens))
     return out
 

@@ -115,8 +115,10 @@ def propose_neighborhood(params: PolicyParams, greedy_samples: list[Completion],
     for _ in range(gamma):
         base = greedy_samples[int(rng.integers(0, len(greedy_samples)))].tokens
         bases.append(base)
-        gate_u.append(rng.random(len(base)))
-        tok_u.append(rng.random(len(base)))
+        # One call, the same stream as random(len(base)) twice: gates, then draws.
+        u = rng.random(2 * len(base))
+        gate_u.append(u[:len(base)])
+        tok_u.append(u[len(base):])
     return [Completion(tokens=tokens, provenance=NS, born_iteration=born_iteration)
             for tokens in mutate_tokens(params, ContextKind.NEIGHBORHOOD, temperature, bases,
                                         gate_u, tok_u, mutation_rate)]

@@ -31,10 +31,7 @@ class SearchTask:
 
     def strip_end(self, tokens: tuple[int, ...]) -> tuple[int, ...]:
         """Tokens up to (excluding) the first terminator."""
-        end = self.vocab.end_token
-        out = []
-        for t in tokens:
-            if t == end:
-                break
-            out.append(t)
-        return tuple(out)
+        try:
+            return tuple(tokens[:tokens.index(self.vocab.end_token)])
+        except ValueError:
+            return tuple(tokens)

@@ -11,7 +11,7 @@ and interpreter-budget overruns all score 0. Task files use the standard
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -148,9 +148,14 @@ def run_program(program: DslProgram, grid: np.ndarray, step_limit: int) -> np.nd
 
 @dataclass
 class GridTask(SearchTask):
+    """Programs scored on the training pairs. A distinct program is scored
+    once: ``score_new`` keeps each token stream up to the end token (all
+    that :func:`parse_program` reads) with its text and score."""
+
     train_pairs: list[tuple[np.ndarray, np.ndarray]]
     test_pairs: list[tuple[np.ndarray, np.ndarray]]
     dsl_step_limit: int = DSL_STEP_LIMIT
+    _scored: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     vocab = GRID_VOCAB
     max_len = 12
@@ -165,7 +170,7 @@ class GridTask(SearchTask):
                         raise ValueError("grids must be 2D with cell values 0-9")
 
     def decode(self, tokens: tuple[int, ...]) -> str:
-        return " ".join(self.vocab.tokens[t] for t in self.strip_end(tokens))
+        return " ".join(map(self.vocab.tokens.__getitem__, self.strip_end(tokens)))
 
     def warmstart(self, rng: np.random.Generator) -> list[Completion]:
         # A single identity-program seed keeps the archive non-empty from
@@ -177,9 +182,13 @@ class GridTask(SearchTask):
 
     def score_new(self, completions: list[Completion], born_iteration: int) -> list[Completion]:
         for c in completions:
-            c.text = self.decode(c.tokens)
-            program = parse_program(c.tokens)
-            c.set_score(0.0 if program is None else eval_program(self, program, "train"))
+            stream = self.strip_end(c.tokens)
+            if stream not in self._scored:
+                program = parse_program(stream)
+                self._scored[stream] = (self.decode(stream), 0.0 if program is None
+                                        else eval_program(self, program, "train"))
+            c.text, score = self._scored[stream]
+            c.set_score(score)
         return completions
 
 

@@ -67,7 +67,7 @@ class TwoObjectiveTask(SearchTask):
         self._char_index = {ch: i for i, ch in enumerate(CHARS)}
 
     def decode(self, tokens: tuple[int, ...]) -> str:
-        return "".join(self.vocab.tokens[t] for t in self.strip_end(tokens))
+        return "".join(map(self.vocab.tokens.__getitem__, self.strip_end(tokens)))
 
     def _features(self, text: str, unigram: np.ndarray, bigram: np.ndarray) -> float:
         ids = [self._char_index[ch] for ch in text]

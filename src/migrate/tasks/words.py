@@ -28,6 +28,9 @@ WORDS_PER_COMPLETION = 2
 
 
 class WordSearchTask(SearchTask):
+    """Guesses of the hidden word. A distinct word is scored once: the task
+    keeps each word ``score_new`` scores with its :func:`word_reward`."""
+
     def __init__(self, table: EmbeddingTable, hidden_word: str, warmstart_count: int):
         if hidden_word not in table:
             raise ValueError(f"hidden word {hidden_word!r} not in table")
@@ -42,7 +45,7 @@ class WordSearchTask(SearchTask):
         self.max_len = WORDS_PER_COMPLETION * (self.word_cap + 1) - 1
         self._char_index = {ch: i for i, ch in enumerate(chars)}
         self._sep_token = len(chars)
-        self._hidden_vec = table.vectors[table.index(hidden_word)]
+        self._rewards: dict[str, float] = {}
 
     def decode(self, tokens: tuple[int, ...]) -> str:
         return "".join(map(self.vocab.tokens.__getitem__, self.strip_end(tokens)))
@@ -74,7 +77,10 @@ class WordSearchTask(SearchTask):
         out: list[Completion] = []
         for provenance, segment in _segments(completions):
             words = [w for c in segment for w in self.decode_words(c.tokens)]
-            scores = np.asarray([word_reward(self, w) for w in words])
+            for w in words:
+                if w not in self._rewards:
+                    self._rewards[w] = word_reward(self, w)
+            scores = np.asarray([self._rewards[w] for w in words])
             order = np.argsort(-scores, kind="stable") if words else []
             ranked = [words[i] for i in order]
             for i in range(len(segment)):

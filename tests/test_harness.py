@@ -810,6 +810,41 @@ class TestConfigFile:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--config", "{missing}.json"], "No such file or directory: '{missing}.json'"),
+        (["run", "--task", "grids", "--task-file", "{missing}.json"],
+         "No such file or directory: '{missing}.json'"),
+        (["run", "--task", "words", "--task-file", "{missing}.txt"],
+         "No such file or directory: '{missing}.txt'"),
+        (["run", "--task", "molecules", "--bootstrap-params", "{missing}.mgp"],
+         "No such file or directory: '{missing}.mgp'"),
+        (["run", "--task", "molecules", "--bootstrap-params", "{short}"],
+         "bootstrap_params {short}: stream has 7 bytes, header needs 20"),
+        (["sweep", "--task", "molecules", "--grid", "{missing}.json", "--seeds", "1"],
+         "No such file or directory: '{missing}.json'"),
+        (["bootstrap", "--solved-dir", "{tmp}", "--task", "{missing}.json"],
+         "No such file or directory: '{missing}.json'"),
+    ], ids=["run-config", "grids-task-file", "words-task-file", "bootstrap-params",
+            "truncated-bootstrap-params", "sweep-grid", "bootstrap-task"])
+    def test_file_that_does_not_load_exits_2_before_any_search(self, argv, message, tmp_path,
+                                                              capsys, monkeypatch):
+        from migrate import cli, harness
+
+        def no_search(*args):
+            raise AssertionError("a search ran with a file that does not load")
+
+        for owner in (cli, harness):
+            monkeypatch.setattr(owner, "run_any", no_search)
+        monkeypatch.setattr(cli, "bootstrap_nearest", no_search)
+        short = tmp_path / "short.mgp"
+        short.write_bytes(b"MGP1abc")
+        names = dict(missing=tmp_path / "missing", short=short, tmp=tmp_path)
+        with pytest.raises(SystemExit) as err:
+            cli.main([arg.format(**names) for arg in argv])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert f"migrate {argv[0]}: error: " in stderr and message.format(**names) in stderr
+
     def test_without_config_file_defaults_to_words_migrate_seed_0(self):
         from migrate.cli import _config_from_args, build_parser
         args = build_parser().parse_args(["run", "--budget", "30"])

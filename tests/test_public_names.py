@@ -45,3 +45,25 @@ def test_benchmark_workloads_pass_its_checks(tmp_path, monkeypatch):
         save_run_artifacts(trace, out)
         assert run.check_outputs(config, trace) == [], name
         assert run.parse_back(out, config) == [], name
+
+
+def test_score_new_span_counts_every_new_evaluation(monkeypatch):
+    # A score memo must stay inside the span: the benchmark's
+    # tasks.score_new.completions count must still see every new evaluation.
+    modules = {}
+    for name, path in (("spans", SPANS), ("searchbench_run", SEARCHBENCH / "run.py")):
+        spec = importlib.util.spec_from_file_location(name, path)
+        modules[name] = importlib.util.module_from_spec(spec)
+        # run.py imports spans by this name, and its @dataclass looks itself up.
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    spans, run = modules["spans"], modules["searchbench_run"]
+
+    workload = run.WORKLOADS["grids-islands"]
+    workload = dataclasses.replace(workload, overrides={**workload.overrides, "budget": 200})
+    tracer = spans.Tracer()
+    search = run.run_search(workload, 0, tracer)
+    assert search.problems == []
+    new_evals = sum(r.new_count for r in search.trace.records)
+    assert new_evals == search.new_evals > 0
+    assert tracer.counts["tasks.score_new.completions"] == new_evals

@@ -131,6 +131,30 @@ def first_draws(params, ctx, temperature, us):
     return got, ref
 
 
+@pytest.mark.parametrize("scale", [1.5, 40.0])
+def test_every_cdf_row_draws_as_the_reference(scale):
+    # Mutating only the last position of a base whose other tokens are all
+    # ``prev`` draws from the (prev, bucket) row; all_steps runs prev-major from
+    # (0, 0) to (V - 1, P - 1), the first and last rows of the flat running sum.
+    V, P, max_len = 9, 3, 7
+    params = make_params(np.random.default_rng(13), V, P=P, max_len=max_len, scale=scale)
+    # The last position of each bucket; each is at least 1, so it has a previous token.
+    last_pos = {min(pos * P // max_len, P - 1): pos for pos in range(max_len)}
+    us = (0.0, 0.5, 1.0 - 2 ** -53, 1.0)  # 1.0 never comes from a generator: the V - 1 cap
+    for ctx, temperature in ((TASK_CONTEXT, 1.0), (NS_CONTEXT, 0.05)):
+        prev, buckets = all_steps(params)
+        rows = step_rows(params.W, ctx, prev, buckets, temperature)
+        for p, b, row in zip(prev.tolist(), buckets.tolist(), rows):
+            pos = last_pos[b]
+            bases = [(p,) * pos + (0,)] * len(us)
+            gates = [np.r_[np.ones(pos), 0.0]] * len(us)
+            draws = [np.r_[np.zeros(pos), u] for u in us]
+            got = mutate_tokens(params, ctx, temperature, bases, gates, draws, 0.5)
+            assert [tokens[pos] for tokens in got] == [ref_token(row, u) for u in us]
+        got, ref = first_draws(params, ctx, temperature, us)
+        assert got == ref
+
+
 def test_zero_uniform_skips_leading_zero_probability_tokens():
     params = make_params(np.random.default_rng(8), 6, scale=0.5)
     W = params.W.copy()
@@ -210,6 +234,27 @@ def test_neighborhood_mutation_equals_per_step_reference():
                 out.append(tok)
                 prev = tok
             assert proposal.tokens == tuple(out) and proposal.provenance == NS
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_neighborhood_proposals_read_the_two_call_stream(count):
+    # Each proposal's gates and draws are the two random(len(base)) calls in a row.
+    params = make_params(np.random.default_rng(6), 9, P=3, max_len=8)
+    rng = np.random.default_rng(7)
+    exemplars = [Completion(tokens=tuple(int(t) for t in rng.integers(0, 9, size=n)),
+                            provenance="online", score=0.0) for n in (5, 1, 8)[:count]]
+    for seed in range(10):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = propose_neighborhood(params, exemplars, 5, 0.4, got_rng, 0.9, born_iteration=2)
+        bases, gate_u, tok_u = [], [], []
+        for _ in range(5):
+            bases.append(exemplars[int(ref_rng.integers(0, count))].tokens)
+            gate_u.append(ref_rng.random(len(bases[-1])))
+            tok_u.append(ref_rng.random(len(bases[-1])))
+        ref = mutate_tokens(params, NS_CONTEXT, 0.9, bases, gate_u, tok_u, 0.4)
+        assert [c.tokens for c in got] == ref
+        assert all(c.provenance == NS and c.born_iteration == 2 for c in got)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_logprobs_equal_per_step_reference():

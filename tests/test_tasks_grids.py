@@ -293,3 +293,47 @@ class TestPairScore:
 
     def test_none_scores_zero(self):
         assert pair_score(None, np.array([[1]])) == 0.0
+
+
+class TestScoreNew:
+    PROGRAMS = [(op("flip_h"),), (op("recolor"), color(1), color(2)),
+                (op("rot90"), op("translate"), offset(1), offset(-1)),
+                (color(3),), (op("recolor"), color(1))]  # the last two do not parse
+
+    def batches(self):
+        """Two batches of every program, bare and with an end token and
+        different tails after it, in shuffled order."""
+        variants = [p + tail for p in self.PROGRAMS
+                    for tail in ((), (END,), (END, op("rot90")), (END, color(3), END))]
+        rng = np.random.default_rng(6)
+        return [[variants[int(i)] for i in rng.permutation(len(variants))] for _ in range(2)]
+
+    def test_repeats_score_as_a_fresh_task_with_one_run_per_program(self, monkeypatch):
+        from migrate.tasks import grids
+        task = synthesize_grid_task(np.random.default_rng(3))
+        batches = self.batches()
+        refs = [[GridTask(task.train_pairs, task.test_pairs, task.dsl_step_limit)
+                 .score_new([Completion(tokens, ONLINE)], 1)[0] for tokens in batch]
+                for batch in batches]
+        runs = []
+
+        def counted(task, program, split="train"):
+            runs.append(program)
+            return eval_program(task, program, split)
+
+        monkeypatch.setattr(grids, "eval_program", counted)
+        for batch, ref in zip(batches, refs):
+            out = task.score_new([Completion(tokens, ONLINE) for tokens in batch], 1)
+            assert [(c.tokens, c.text, c.score) for c in out] == \
+                [(tokens, r.text, r.score) for tokens, r in zip(batch, ref)]
+        assert sorted(map(DslProgram.tokens, runs)) == sorted(self.PROGRAMS[:3])
+
+    @pytest.mark.parametrize("tokens", [(), (1, 2, 3), (END,), (END, 1, 2), (1, END, 2, END),
+                                        (1, 2, END, END)])
+    def test_strip_end_matches_the_loop(self, identity_task, tokens):
+        ref = []
+        for t in tokens:
+            if t == END:
+                break
+            ref.append(t)
+        assert identity_task.strip_end(tokens) == tuple(ref)

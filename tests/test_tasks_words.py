@@ -190,6 +190,35 @@ class TestScoreNew:
         assert [c.score for c in out] == [word_reward(task, ranked[0]),
                                           word_reward(task, ranked[3])]
 
+    def test_repeats_score_as_a_fresh_task_with_one_reward_per_word(self, task, table,
+                                                                    monkeypatch):
+        from migrate.tasks import words
+        rewarded = []
+
+        def counted(task, guess):
+            rewarded.append(guess)
+            return word_reward(task, guess)
+
+        end, picks = task.vocab.end_token, list(table.words[:4]) + ["zq"]
+        rng = np.random.default_rng(8)
+        batches = []
+        for _ in range(3):
+            batch = []
+            for i in rng.integers(0, len(picks), size=(6, 2)):
+                tokens = task.encode_words([picks[i[0]], picks[i[1]]])
+                tail = ((), (end,), (end, 0, 1))[len(batch) % 3]  # ignored after the end
+                batch.append(Completion(tokens + tail, NS if len(batch) > 3 else ONLINE))
+            batches.append(batch)
+        refs = [WordSearchTask(table, task.hidden_word, warmstart_count=20).score_new(
+            [Completion(c.tokens, c.provenance) for c in batch], 3) for batch in batches]
+        monkeypatch.setattr(words, "word_reward", counted)
+        for batch, ref in zip(batches, refs):
+            out = task.score_new([Completion(c.tokens, c.provenance) for c in batch], 3)
+            assert [(c.tokens, c.text, c.score, c.provenance) for c in out] == \
+                [(c.tokens, c.text, c.score, c.provenance) for c in ref]
+        seen = {w for batch in batches for c in batch for w in task.decode_words(c.tokens)}
+        assert sorted(rewarded) == sorted(seen)
+
     def test_decode_words(self, task, table):
         w1, w2 = table.words[4], table.words[9]
         assert task.decode_words(task.encode_words([w1, w2])) == [w1, w2]

@@ -53,7 +53,8 @@ def _exit_2(args: argparse.Namespace, err: Exception | str) -> NoReturn:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Flags passed, over the ``--config`` file's keys, over the task's
     defaults; a config, task or ``bootstrap_params`` file they do not build
-    or load (a missing file included) exits with code 2."""
+    or load (a missing file or a value of the wrong type included) exits with
+    code 2."""
     overrides = {name: value for name, value in vars(args).items()
                  if name in CONFIG_KEYS and value is not None}
     try:
@@ -69,7 +70,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         return config
     except PolicyIOError as err:
         _exit_2(args, f"bootstrap_params {config.bootstrap_params}: {err}")
-    except (ValueError, OSError) as err:
+    except (ValueError, TypeError, OSError) as err:
         _exit_2(args, err)
 
 
@@ -124,7 +125,7 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
     try:
         unsolved = load_grid_task(args.task)
         subdirs = sorted(p for p in solved_dir.iterdir() if p.is_dir())
-    except (ValueError, OSError) as err:
+    except (ValueError, TypeError, OSError) as err:
         _exit_2(args, err)
     runs = []
     for sub in subdirs:
@@ -132,8 +133,14 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
         params_file = sub / "params.mgp"
         if not (best_file.exists() and params_file.exists()):
             continue
-        best = json.loads(best_file.read_text(encoding="utf-8"))
-        runs.append(SolvedRun(name=sub.name, program_tokens=tuple(best.get("tokens", ())),
+        try:
+            best = json.loads(best_file.read_text(encoding="utf-8"))
+            tokens = best.get("tokens", []) if isinstance(best, dict) else None
+            if not isinstance(tokens, list) or not all(type(t) is int for t in tokens):
+                raise ValueError("must hold an object whose 'tokens' is a list of integers")
+        except (ValueError, OSError) as err:
+            _exit_2(args, f"{best_file}: {err}")
+        runs.append(SolvedRun(name=sub.name, program_tokens=tuple(tokens),
                               params_path=str(params_file)))
     if not runs:
         print("no solved runs found under", solved_dir, file=sys.stderr)

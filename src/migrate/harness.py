@@ -82,6 +82,17 @@ PART_KEYS = {
 }
 CONFIG_KEYS = {"islands": "run", **{key: part for part, keys in PART_KEYS.items() for key in keys}}
 _FIELD = {"top_k": "k", "island_count": "count"}
+# The flat and task_options keys whose values are counts.
+WHOLE_KEYS = {"seed", "budget", "warmstart_count", "alpha", "beta", "gamma", "top_k", "mu",
+              "island_count", "migration_interval", "opro_depth", "clusters", "dim",
+              "vocab_size", "max_len", "dsl_step_limit"}
+
+
+def _check_whole(keys: dict) -> None:
+    """Raise ValueError on a WHOLE_KEYS value that is not an integer."""
+    for key, value in keys.items():
+        if key in WHOLE_KEYS and not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def _check_keys(keys, method: str, islands: bool, accepted=CONFIG_KEYS) -> None:
@@ -144,6 +155,7 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown task_options key {unknown[0]!r} for task {self.task!r}; "
                              f"accepted keys: {', '.join(TASK_OPTIONS[self.task])}")
+        _check_whole(self.task_options)
         if self.task_file and self.task == "molecules":
             raise ValueError("task 'molecules' is synthesized and reads no task_file")
         synthesis = sorted(set(self.task_options) - {"hidden_word"})
@@ -192,6 +204,7 @@ def default_config(task: str, method: str, seed: int = 0, **overrides) -> RunCon
     defaults = TASK_DEFAULTS[task]
     keys = {**dict(zip(("alpha", "beta", "gamma"), defaults["mixes"][method])), **defaults,
             "seed": seed, **overrides}
+    _check_whole(keys)
 
     def part(name: str) -> dict:
         return {_FIELD.get(key, key): keys[key] for key in PART_KEYS[name] if key in keys}
@@ -307,11 +320,9 @@ def run_any(config: RunConfig) -> Trace:
             draft = construct_group(mix, params, archive, config.temperature,
                                     sampling_rng, born_iteration=iteration,
                                     opro_depth=config.opro_depth, island_rng=island_rng)
-            fresh = task.score_new(draft.online + draft.local, iteration)
-            online_scored = fresh[: len(draft.online)]
-            local_scored = fresh[len(draft.online):]
-            group_members = online_scored + draft.greedy + local_scored
-            archive.insert(online_scored + local_scored)
+            fresh = task.score_new(draft.online + draft.local)
+            group_members = fresh[:len(draft.online)] + draft.greedy + fresh[len(draft.online):]
+            archive.insert(fresh)
             record = IterationRecord(
                 iteration=iteration, evaluations=archive.evaluated_count,
                 best_so_far=archive.best_score, group_size=len(group_members),

@@ -9,24 +9,28 @@ from ..policy import Vocabulary
 
 
 class SearchTask:
-    """A task owns the token alphabet, decoding, scoring, and warm start.
+    """A task is its ``vocab``, ``max_len``, ``warmstart`` and
+    ``score_new(completions)``; ``decode`` is shared, joining the token
+    strings up to the terminator with the class's ``joiner``.
 
     ``score_new`` may restructure the newly generated members (the word task
     re-pairs them) but must return exactly as many scored completions as it
-    received, per provenance class.
+    received, per provenance class, each keeping its input's
+    ``born_iteration``.
     """
 
     vocab: Vocabulary
     max_len: int
     position_buckets: int = 4
+    joiner: str = ""
 
     def warmstart(self, rng: np.random.Generator) -> list[Completion]:
         return []
 
     def decode(self, tokens: tuple[int, ...]) -> str:
-        raise NotImplementedError
+        return self.joiner.join(map(self.vocab.tokens.__getitem__, self.strip_end(tokens)))
 
-    def score_new(self, completions: list[Completion], born_iteration: int) -> list[Completion]:
+    def score_new(self, completions: list[Completion]) -> list[Completion]:
         raise NotImplementedError
 
     def strip_end(self, tokens: tuple[int, ...]) -> tuple[int, ...]:

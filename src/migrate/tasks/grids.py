@@ -45,8 +45,9 @@ END = "</s>"
 GRID_VOCAB = Vocabulary(OP_TOKENS + COLOR_TOKENS + OFFSET_TOKENS + (END,),
                         end_token=len(OP_TOKENS) + len(COLOR_TOKENS) + len(OFFSET_TOKENS))
 
-_COLOR_BASE = len(OP_TOKENS)
-_OFFSET_BASE = _COLOR_BASE + len(COLOR_TOKENS)
+# argument kind -> (its first token, its values in token order)
+ARGS = {"color": (len(OP_TOKENS), tuple(range(COLORS))),
+        "offset": (len(OP_TOKENS) + COLORS, OFFSETS)}
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,8 @@ class DslProgram:
         for name, args in self.ops:
             out.append(OP_TOKENS.index(name))
             for kind, arg in zip(OPS[name], args):
-                if kind == "color":
-                    out.append(_COLOR_BASE + arg)
-                else:
-                    out.append(_OFFSET_BASE + OFFSETS.index(arg))
+                first, values = ARGS[kind]
+                out.append(first + values.index(arg))
         return tuple(out)
 
 
@@ -74,18 +73,15 @@ def parse_program(tokens: tuple[int, ...]) -> DslProgram | None:
     followed by exactly its argument tokens of the right kind, and an empty
     program is invalid.
     """
-    stream: list[int] = []
-    for t in tokens:
-        if t == GRID_VOCAB.end_token:
-            break
-        stream.append(t)
+    end = GRID_VOCAB.end_token
+    stream = tokens[:tokens.index(end)] if end in tokens else tokens
     if not stream:
         return None
     ops: list[tuple[str, tuple[int, ...]]] = []
     i = 0
     while i < len(stream):
         t = stream[i]
-        if t >= len(OP_TOKENS):
+        if not 0 <= t < len(OP_TOKENS):
             return None
         name = OP_TOKENS[t]
         i += 1
@@ -93,15 +89,10 @@ def parse_program(tokens: tuple[int, ...]) -> DslProgram | None:
         for kind in OPS[name]:
             if i >= len(stream):
                 return None
-            a = stream[i]
-            if kind == "color":
-                if not _COLOR_BASE <= a < _OFFSET_BASE:
-                    return None
-                args.append(a - _COLOR_BASE)
-            else:
-                if not _OFFSET_BASE <= a < GRID_VOCAB.end_token:
-                    return None
-                args.append(OFFSETS[a - _OFFSET_BASE])
+            first, values = ARGS[kind]
+            if not first <= stream[i] < first + len(values):
+                return None
+            args.append(values[stream[i] - first])
             i += 1
         ops.append((name, tuple(args)))
     return DslProgram(tuple(ops))
@@ -159,18 +150,18 @@ class GridTask(SearchTask):
 
     vocab = GRID_VOCAB
     max_len = 12
+    joiner = " "
 
     def __post_init__(self) -> None:
         if self.dsl_step_limit <= 0:
             raise ValueError("dsl_step_limit must be positive")
+        if not self.train_pairs or not self.test_pairs:
+            raise ValueError("a grid task needs at least one train pair and one test pair")
         for grids in (self.train_pairs, self.test_pairs):
             for inp, outp in grids:
                 for g in (inp, outp):
-                    if g.ndim != 2 or g.min() < 0 or g.max() >= COLORS:
-                        raise ValueError("grids must be 2D with cell values 0-9")
-
-    def decode(self, tokens: tuple[int, ...]) -> str:
-        return " ".join(map(self.vocab.tokens.__getitem__, self.strip_end(tokens)))
+                    if g.ndim != 2 or g.size == 0 or g.min() < 0 or g.max() >= COLORS:
+                        raise ValueError("grids must be non-empty and 2D with cell values 0-9")
 
     def warmstart(self, rng: np.random.Generator) -> list[Completion]:
         # A single identity-program seed keeps the archive non-empty from
@@ -180,7 +171,7 @@ class GridTask(SearchTask):
         return [Completion(tokens=tokens, provenance=WARMSTART, born_iteration=0,
                            text="identity", score=eval_program(self, program, "train"))]
 
-    def score_new(self, completions: list[Completion], born_iteration: int) -> list[Completion]:
+    def score_new(self, completions: list[Completion]) -> list[Completion]:
         for c in completions:
             stream = self.strip_end(c.tokens)
             if stream not in self._scored:
@@ -230,12 +221,6 @@ def _grid_key(grids: list[np.ndarray | None]) -> tuple | None:
     return tuple((g.shape, g.tobytes()) for g in grids)
 
 
-def test_outputs(task: GridTask, program: DslProgram | None) -> list[np.ndarray | None]:
-    if program is None:
-        return [None for _ in task.test_pairs]
-    return [run_program(program, inp, task.dsl_step_limit) for inp, _ in task.test_pairs]
-
-
 def compute_metrics(completions: list[Completion], task: GridTask) -> GridMetrics:
     """pass@2 and oracle over a run's evaluated programs.
 
@@ -252,7 +237,8 @@ def compute_metrics(completions: list[Completion], task: GridTask) -> GridMetric
         program = parse_program(c.tokens)
         if program is None:
             continue
-        key = _grid_key(test_outputs(task, program))
+        key = _grid_key([run_program(program, inp, task.dsl_step_limit)
+                         for inp, _ in task.test_pairs])
         if key is None:
             continue
         if key == truth_key:
@@ -270,9 +256,20 @@ def _as_grid(rows: list[list[int]]) -> np.ndarray:
 
 
 def grid_task_from_dict(data: dict, dsl_step_limit: int = DSL_STEP_LIMIT) -> GridTask:
-    train = [(_as_grid(p["input"]), _as_grid(p["output"])) for p in data["train"]]
-    test = [(_as_grid(p["input"]), _as_grid(p["output"])) for p in data["test"]]
-    return GridTask(train, test, dsl_step_limit=dsl_step_limit)
+    """The task of a {"train": [...], "test": [...]} object whose lists hold
+    {"input": grid, "output": grid} pairs; ValueError names what is missing."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a grid task must be a JSON object, not a {type(data).__name__}")
+    splits = []
+    for split in ("train", "test"):
+        if not isinstance(data.get(split), list):
+            raise ValueError(f"a grid task needs a {split!r} list of pairs")
+        for i, pair in enumerate(data[split]):
+            for key in ("input", "output"):
+                if not isinstance(pair, dict) or key not in pair:
+                    raise ValueError(f"grid task {split} pair {i} has no {key!r} grid")
+        splits.append([(_as_grid(p["input"]), _as_grid(p["output"])) for p in data[split]])
+    return GridTask(*splits, dsl_step_limit=dsl_step_limit)
 
 
 def load_grid_task(path: str | Path, dsl_step_limit: int = DSL_STEP_LIMIT) -> GridTask:
@@ -295,10 +292,8 @@ def synthesize_grid_task(rng: np.random.Generator,
             name = OP_TOKENS[int(rng.integers(0, len(OP_TOKENS)))]
             args: list[int] = []
             for kind in OPS[name]:
-                if kind == "color":
-                    args.append(int(rng.integers(0, COLORS)))
-                else:
-                    args.append(int(OFFSETS[int(rng.integers(0, len(OFFSETS)))]))
+                values = ARGS[kind][1]
+                args.append(values[int(rng.integers(0, len(values)))])
             ops.append((name, tuple(args)))
         program = DslProgram(tuple(ops))
         pairs = []

@@ -66,9 +66,6 @@ class TwoObjectiveTask(SearchTask):
         self._qed_bigram = rng.uniform(-1.0, 1.0, size=(n, n))
         self._char_index = {ch: i for i, ch in enumerate(CHARS)}
 
-    def decode(self, tokens: tuple[int, ...]) -> str:
-        return "".join(map(self.vocab.tokens.__getitem__, self.strip_end(tokens)))
-
     def _features(self, text: str, unigram: np.ndarray, bigram: np.ndarray) -> float:
         ids = [self._char_index[ch] for ch in text]
         total = sum(unigram[i] for i in ids) / len(ids)
@@ -94,7 +91,7 @@ class TwoObjectiveTask(SearchTask):
                                   text=text, score=scalarized_reward(self, text)))
         return out
 
-    def score_new(self, completions: list[Completion], born_iteration: int) -> list[Completion]:
+    def score_new(self, completions: list[Completion]) -> list[Completion]:
         for c in completions:
             c.text = self.decode(c.tokens)
             c.set_score(scalarized_reward(self, c.text))
@@ -107,8 +104,8 @@ def scalarized_reward(task: TwoObjectiveTask, text: str) -> float:
     Every scored string (valid or not) is marked seen for the rest of the
     run, mirroring the no-score-on-repeat rule.
     """
-    if not is_valid(text) or text in task.seen:
-        task.seen.add(text)
-        return 0.0
+    repeat = text in task.seen
     task.seen.add(text)
+    if repeat or not is_valid(text):
+        return 0.0
     return scalarize(task.vina_proxy(text), task.qed_proxy(text))

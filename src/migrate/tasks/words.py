@@ -15,6 +15,9 @@ the hidden word scores exactly 1.0, which doubles as the optimality signal.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
+
 import numpy as np
 
 from ..completion import WARMSTART, Completion
@@ -43,12 +46,8 @@ class WordSearchTask(SearchTask):
         self.word_cap = max(len(w) for w in table.words)
         self.vocab = Vocabulary(tuple(chars) + (SEPARATOR, END), end_token=len(chars) + 1)
         self.max_len = WORDS_PER_COMPLETION * (self.word_cap + 1) - 1
-        self._char_index = {ch: i for i, ch in enumerate(chars)}
-        self._sep_token = len(chars)
+        self._char_index = {ch: i for i, ch in enumerate(self.vocab.tokens[:-1])}
         self._rewards: dict[str, float] = {}
-
-    def decode(self, tokens: tuple[int, ...]) -> str:
-        return "".join(map(self.vocab.tokens.__getitem__, self.strip_end(tokens)))
 
     def decode_words(self, tokens: tuple[int, ...]) -> list[str]:
         """Words in a completion, each capped at the table's longest word."""
@@ -56,12 +55,7 @@ class WordSearchTask(SearchTask):
         return [w[: self.word_cap] for w in parts[:WORDS_PER_COMPLETION]]
 
     def encode_words(self, words: list[str]) -> tuple[int, ...]:
-        tokens: list[int] = []
-        for i, word in enumerate(words):
-            if i:
-                tokens.append(self._sep_token)
-            tokens.extend(map(self._char_index.__getitem__, word))
-        return tuple(tokens)
+        return tuple(map(self._char_index.__getitem__, SEPARATOR.join(words)))
 
     def warmstart(self, rng: np.random.Generator) -> list[Completion]:
         picks = rng.choice(self.table.size, size=self.warmstart_count, replace=False)
@@ -72,37 +66,26 @@ class WordSearchTask(SearchTask):
                                   born_iteration=0, text=word, score=word_reward(self, word)))
         return out
 
-    def score_new(self, completions: list[Completion], born_iteration: int) -> list[Completion]:
+    def score_new(self, completions: list[Completion]) -> list[Completion]:
         """Regroup each provenance's fresh words by score, WORDS_PER_COMPLETION per completion."""
         out: list[Completion] = []
-        for provenance, segment in _segments(completions):
+        for provenance, run in groupby(completions, attrgetter("provenance")):
+            segment = list(run)
             words = [w for c in segment for w in self.decode_words(c.tokens)]
             for w in words:
                 if w not in self._rewards:
                     self._rewards[w] = word_reward(self, w)
-            scores = np.asarray([self._rewards[w] for w in words])
-            order = np.argsort(-scores, kind="stable") if words else []
-            ranked = [words[i] for i in order]
-            for i in range(len(segment)):
+            ranked = sorted(words, key=self._rewards.__getitem__, reverse=True)
+            for i, c in enumerate(segment):
                 pair = ranked[WORDS_PER_COMPLETION * i: WORDS_PER_COMPLETION * (i + 1)]
                 if pair:
-                    tokens = self.encode_words(pair)
-                    score = float(scores[order[WORDS_PER_COMPLETION * i]])
+                    tokens, score = self.encode_words(pair), self._rewards[pair[0]]
                     text = SEPARATOR.join(pair)
                 else:
                     tokens, score, text = (self.vocab.end_token,), 0.0, ""
                 out.append(Completion(tokens=tokens, provenance=provenance,
-                                      born_iteration=born_iteration, text=text, score=score))
+                                      born_iteration=c.born_iteration, text=text, score=score))
         return out
-
-
-def _segments(completions: list[Completion]):
-    """Consecutive runs of equal provenance, in input order."""
-    start = 0
-    for i in range(1, len(completions) + 1):
-        if i == len(completions) or completions[i].provenance != completions[start].provenance:
-            yield completions[start].provenance, completions[start:i]
-            start = i
 
 
 def word_reward(task: WordSearchTask, guess: str) -> float:

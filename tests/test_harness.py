@@ -769,9 +769,23 @@ class TestConfigFile:
          "molecules max_len must be >= 1, got 0"),
         ({"task": "grids", "method": "random", "task_options": {"dsl_step_limit": 0},
           "budget": 30}, "none of 20 hidden programs ran within dsl_step_limit=0"),
+        ({"task": "molecules", "method": "random", "budget": "30"},
+         "budget must be an integer, got '30'"),
+        ({"task": "molecules", "method": "random", "task_options": {"max_len": "8"},
+          "budget": 30}, "max_len must be an integer, got '8'"),
+        ({"task": "molecules", "method": "random", "task_options": {"max_len": 2.5},
+          "budget": 30}, "max_len must be an integer, got 2.5"),
+        ({"task": "grids", "method": "random", "task_options": {"dsl_step_limit": "x"},
+          "budget": 30}, "dsl_step_limit must be an integer, got 'x'"),
+        ({"task": "words", "method": "random", "task_options": {"vocab_size": "x"},
+          "budget": 30}, "vocab_size must be an integer, got 'x'"),
+        ({"task": "molecules", "method": "grpo", "learning_rate": "x", "budget": 30},
+         "'<' not supported between instances of 'int' and 'str'"),
     ], ids=["not-an-object", "unknown-task-option", "task-options-not-an-object",
             "molecules-task-file", "words-task-file-with-synthesis-options",
-            "molecules-max-len-0", "grids-dsl-step-limit-0"])
+            "molecules-max-len-0", "grids-dsl-step-limit-0", "budget-string",
+            "molecules-max-len-string", "molecules-max-len-float",
+            "grids-dsl-step-limit-string", "words-vocab-size-string", "learning-rate-string"])
     def test_invalid_config_file_exits_2_before_the_search(self, keys, message, tmp_path,
                                                            capsys, monkeypatch):
         from migrate import cli
@@ -844,6 +858,56 @@ class TestConfigFile:
         assert err.value.code == 2
         stderr = capsys.readouterr().err
         assert f"migrate {argv[0]}: error: " in stderr and message.format(**names) in stderr
+
+    @pytest.mark.parametrize("data,message", [
+        ({"train": []}, "a grid task needs a 'test' list of pairs"),
+        ({"train": [{"input": [[1]]}], "test": []}, "grid task train pair 0 has no 'output' grid"),
+        ({"train": [], "test": []}, "a grid task needs at least one train pair and one test pair"),
+        ([1, 2], "a grid task must be a JSON object, not a list"),
+        ({"train": [{"input": [[1]], "output": [[1]]}], "test": []},
+         "a grid task needs at least one train pair and one test pair"),
+    ], ids=["no-test", "pair-without-output", "no-pairs", "not-an-object", "no-test-pairs"])
+    def test_grid_task_file_of_the_wrong_shape_exits_2_before_the_search(
+            self, data, message, tmp_path, capsys, monkeypatch):
+        from migrate import cli
+
+        def no_search(config):
+            raise AssertionError("the search ran on a grid task file it should reject")
+
+        monkeypatch.setattr(cli, "run_any", no_search)
+        task_file = tmp_path / "t.json"
+        task_file.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--task", "grids", "--task-file", str(task_file), "--budget", "30"])
+        assert err.value.code == 2
+        assert f"migrate run: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("best,message", [
+        ("{not json", "Expecting property name enclosed in double quotes"),
+        ('{"tokens": "ab"}', "must hold an object whose 'tokens' is a list of integers"),
+        ('[1, 2]', "must hold an object whose 'tokens' is a list of integers"),
+    ], ids=["not-json", "tokens-string", "not-an-object"])
+    def test_corrupt_solved_run_exits_2_naming_the_file(self, best, message, tmp_path, capsys,
+                                                        monkeypatch):
+        from migrate import cli
+
+        def no_search(*args):
+            raise AssertionError("bootstrap picked a donor from a corrupt solved run")
+
+        monkeypatch.setattr(cli, "bootstrap_nearest", no_search)
+        run_dir = tmp_path / "solved" / "taskA"
+        run_dir.mkdir(parents=True)
+        (run_dir / "best.json").write_text(best)
+        (run_dir / "params.mgp").write_bytes(b"")
+        task_file = tmp_path / "task.json"
+        task_file.write_text(json.dumps({"train": [{"input": [[1]], "output": [[1]]}],
+                                         "test": [{"input": [[1]], "output": [[1]]}]}))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bootstrap", "--solved-dir", str(tmp_path / "solved"),
+                      "--task", str(task_file)])
+        assert err.value.code == 2
+        assert f"migrate bootstrap: error: {run_dir / 'best.json'}: {message}" in \
+            capsys.readouterr().err
 
     def test_without_config_file_defaults_to_words_migrate_seed_0(self):
         from migrate.cli import _config_from_args, build_parser

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from migrate.completion import ONLINE, Completion
 from migrate.tasks import (DslProgram, GridTask, compute_metrics, eval_program,
                            grid_task_from_dict, load_grid_task, parse_program, run_program,
                            synthesize_grid_task)
-from migrate.tasks.grids import GRID_VOCAB, OFFSETS, OP_TOKENS, pair_score
+from migrate.tasks.grids import GRID_VOCAB, OFFSETS, OP_TOKENS, OPS, pair_score
 
 END = GRID_VOCAB.end_token
 COLOR0 = len(OP_TOKENS)
@@ -60,9 +61,39 @@ class TestParse:
         (op("recolor"), color(1), offset(0)),  # wrong argument kind
         (op("translate"), offset(0), color(1)),
         (op("fill_border"),),
+        (-1, color(0)),                     # negative op token
+        (op("identity"), -len(OP_TOKENS)),
     ])
     def test_malformed(self, tokens):
         assert parse_program(tokens) is None
+
+    @pytest.mark.parametrize("name", OP_TOKENS)
+    def test_every_argument_value_round_trips(self, name):
+        # Argument values and their tokens read off the vocabulary's names.
+        values = {"color": {f"c{v}": v for v in range(10)},
+                  "offset": {f"d{o}": o for o in OFFSETS}}
+        kinds = OPS[name]
+        for names in itertools.product(*(values[kind] for kind in kinds)):
+            args = tuple(values[kind][n] for kind, n in zip(kinds, names))
+            program = DslProgram(((name, args),))
+            tokens = tuple(GRID_VOCAB.tokens.index(t) for t in (name, *names))
+            assert program.tokens() == tokens
+            assert parse_program(tokens) == program
+            assert parse_program(tokens + (END, 0)) == program
+
+    @pytest.mark.parametrize("name", [n for n in OP_TOKENS if OPS[n]])
+    def test_every_argument_slot_rejects_other_kinds(self, name):
+        prefix = {"color": "c", "offset": "d"}
+        kinds = OPS[name]
+        valid = [GRID_VOCAB.tokens.index(f"{prefix[kind]}0") for kind in kinds]
+        for slot, kind in enumerate(kinds):
+            others = [t for t, text in enumerate(GRID_VOCAB.tokens)
+                      if not text.startswith(prefix[kind])]
+            assert len(others) == GRID_VOCAB.size - (10 if kind == "color" else len(OFFSETS))
+            for t in others:
+                tokens = [op(name), *valid]
+                tokens[1 + slot] = t
+                assert parse_program(tuple(tokens)) is None, (name, slot, GRID_VOCAB.tokens[t])
 
 
 class TestInterpreter:
@@ -313,7 +344,7 @@ class TestScoreNew:
         task = synthesize_grid_task(np.random.default_rng(3))
         batches = self.batches()
         refs = [[GridTask(task.train_pairs, task.test_pairs, task.dsl_step_limit)
-                 .score_new([Completion(tokens, ONLINE)], 1)[0] for tokens in batch]
+                 .score_new([Completion(tokens, ONLINE)])[0] for tokens in batch]
                 for batch in batches]
         runs = []
 
@@ -323,7 +354,7 @@ class TestScoreNew:
 
         monkeypatch.setattr(grids, "eval_program", counted)
         for batch, ref in zip(batches, refs):
-            out = task.score_new([Completion(tokens, ONLINE) for tokens in batch], 1)
+            out = task.score_new([Completion(tokens, ONLINE) for tokens in batch])
             assert [(c.tokens, c.text, c.score) for c in out] == \
                 [(tokens, r.text, r.score) for tokens, r in zip(batch, ref)]
         assert sorted(map(DslProgram.tokens, runs)) == sorted(self.PROGRAMS[:3])

@@ -128,8 +128,8 @@ class TestTaskSurface:
 
     def test_score_new_marks_seen(self, task):
         tokens = tuple(task.vocab.tokens.index(ch) for ch in "CCO")
-        first = task.score_new([Completion(tokens=tokens, provenance=ONLINE)], 1)
-        second = task.score_new([Completion(tokens=tokens, provenance=ONLINE)], 2)
+        first = task.score_new([Completion(tokens=tokens, provenance=ONLINE)])
+        second = task.score_new([Completion(tokens=tokens, provenance=ONLINE)])
         assert first[0].score > 0.0
         assert second[0].score == 0.0
 

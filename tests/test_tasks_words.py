@@ -133,7 +133,7 @@ class TestScoreNew:
             for i in range(5)
         ]
         scores = sorted((word_reward(task, w) for w in picks), reverse=True)
-        out = task.score_new(list(completions), born_iteration=1)
+        out = task.score_new(list(completions))
         assert len(out) == 5
         assert [c.score for c in out] == [scores[0], scores[2], scores[4], scores[6], scores[8]]
         college = sorted(picks, key=lambda w: -word_reward(task, w))
@@ -146,7 +146,7 @@ class TestScoreNew:
                             provenance=NS, born_iteration=1),
                  Completion(tokens=task.encode_words([table.words[4], table.words[5]]),
                             provenance=NS, born_iteration=1)]
-        out = task.score_new(online + local, born_iteration=1)
+        out = task.score_new(online + local)
         assert [c.provenance for c in out] == [ONLINE, NS, NS]
         assert set(out[0].text.split(" ")) == {table.words[0], table.words[1]}
 
@@ -155,7 +155,7 @@ class TestScoreNew:
         junk = Completion(tokens=(end,), provenance=ONLINE, born_iteration=1)
         offtable = Completion(tokens=task.encode_words(["zq"]), provenance=ONLINE,
                               born_iteration=1)
-        out = task.score_new([junk, offtable], born_iteration=1)
+        out = task.score_new([junk, offtable])
         assert len(out) == 2
         assert out[0].text == "zq" and out[0].score == 0.0
         assert out[1].tokens == (end,) and out[1].score == 0.0
@@ -164,7 +164,7 @@ class TestScoreNew:
         word = table.words[7]
         padded = word + "x" * (task.max_len - len(word))
         tokens = tuple(task.vocab.tokens.index(ch) for ch in padded[: task.max_len])
-        out = task.score_new([Completion(tokens=tokens, provenance=ONLINE, born_iteration=1)], 1)
+        out = task.score_new([Completion(tokens=tokens, provenance=ONLINE, born_iteration=1)])
         assert out[0].text == padded[: task.word_cap]
         assert len(out[0].tokens) <= task.max_len
 
@@ -172,7 +172,7 @@ class TestScoreNew:
         rng = np.random.default_rng(5)
         comps = [Completion(tokens=tuple(int(t) for t in rng.integers(0, task.vocab.size, 9)),
                             provenance=NS, born_iteration=2) for _ in range(7)]
-        out = task.score_new(comps, born_iteration=2)
+        out = task.score_new(comps)
         assert len(out) == 7
         assert all(c.score is not None for c in out)
 
@@ -184,7 +184,7 @@ class TestScoreNew:
         picks = list(table.words[:6])
         completions = [Completion(tokens=task.encode_words(picks[3 * i: 3 * i + 3]),
                                   provenance=ONLINE, born_iteration=1) for i in range(2)]
-        out = task.score_new(completions, born_iteration=1)
+        out = task.score_new(completions)
         ranked = sorted(picks, key=lambda w: -word_reward(task, w))
         assert [c.text for c in out] == [" ".join(ranked[:3]), " ".join(ranked[3:])]
         assert [c.score for c in out] == [word_reward(task, ranked[0]),
@@ -210,16 +210,70 @@ class TestScoreNew:
                 batch.append(Completion(tokens + tail, NS if len(batch) > 3 else ONLINE))
             batches.append(batch)
         refs = [WordSearchTask(table, task.hidden_word, warmstart_count=20).score_new(
-            [Completion(c.tokens, c.provenance) for c in batch], 3) for batch in batches]
+            [Completion(c.tokens, c.provenance) for c in batch]) for batch in batches]
         monkeypatch.setattr(words, "word_reward", counted)
         for batch, ref in zip(batches, refs):
-            out = task.score_new([Completion(c.tokens, c.provenance) for c in batch], 3)
+            out = task.score_new([Completion(c.tokens, c.provenance) for c in batch])
             assert [(c.tokens, c.text, c.score, c.provenance) for c in out] == \
                 [(c.tokens, c.text, c.score, c.provenance) for c in ref]
         seen = {w for batch in batches for c in batch for w in task.decode_words(c.tokens)}
         assert sorted(rewarded) == sorted(seen)
 
+    @pytest.mark.parametrize("planted", [True, False], ids=["planted-ties", "synthesized"])
+    def test_tie_order_matches_the_stable_argsort_regrouping(self, table, planted):
+        if planted:
+            # Exact ties: "aa" and "abb" at 0.6, "ba", "aab" and the off-table
+            # words at 0.0 (-0.0 once negated); "bb" and "bab" score below zero.
+            rows = {"ab": [1.0, 0.0, 0.0], "ba": [0.0, -1.0, 0.0], "aa": [0.6, 0.8, 0.0],
+                    "abb": [0.6, 0.0, 0.8], "bb": [-0.6, 0.8, 0.0], "bab": [-1.0, 0.0, 0.0],
+                    "aab": [0.0, 0.0, 1.0]}
+            table = EmbeddingTable(tuple(rows), np.array(list(rows.values())))
+            task = WordSearchTask(table, "ab", warmstart_count=1)
+            pool = list(table.words) + ["bbb", "aaa", "a", "b"]
+            assert word_reward(task, "ba") == word_reward(task, "aab") == 0.0
+        else:
+            task = WordSearchTask(table, table.words[17], warmstart_count=20)
+            by_reward = sorted(table.words, key=lambda w: word_reward(task, w))
+            pool = by_reward[:6] + by_reward[-6:] + ["zq", "qqq", "xz"]
+            assert min(word_reward(task, w) for w in pool) < 0.0
+        end = task.vocab.end_token
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            batch = []
+            for provenance, length in ((ONLINE, 1), (NS, 4), (ONLINE, 3), (NS, 1)):
+                for _ in range(length):
+                    words = [pool[int(i)] for i in rng.integers(0, len(pool), rng.integers(0, 3))]
+                    tokens = task.encode_words(words) if words else (end,)
+                    batch.append(Completion(tokens, provenance, born_iteration=4))
+            out = task.score_new([Completion(c.tokens, c.provenance, 4) for c in batch])
+            assert [(c.tokens, c.text, c.score, c.provenance, c.born_iteration) for c in out] \
+                == reference_regroup(task, batch)
+
     def test_decode_words(self, task, table):
         w1, w2 = table.words[4], table.words[9]
         assert task.decode_words(task.encode_words([w1, w2])) == [w1, w2]
         assert task.decode(task.encode_words([w1])) == w1
+
+
+def reference_regroup(task, completions):
+    """Each provenance run's words by ``np.argsort(-scores, kind="stable")``,
+    re-paired in order: the regrouping ``score_new`` must reproduce."""
+    segments, start = [], 0
+    for i in range(1, len(completions) + 1):
+        if i == len(completions) or completions[i].provenance != completions[start].provenance:
+            segments.append(completions[start:i])
+            start = i
+    out = []
+    for segment in segments:
+        words = [w for c in segment for w in task.decode_words(c.tokens)]
+        scores = np.asarray([word_reward(task, w) for w in words])
+        order = np.argsort(-scores, kind="stable") if words else []
+        ranked = [words[i] for i in order]
+        for i, c in enumerate(segment):
+            pair = ranked[2 * i: 2 * i + 2]
+            if pair:
+                out.append((task.encode_words(pair), " ".join(pair), float(scores[order[2 * i]]),
+                            c.provenance, c.born_iteration))
+            else:
+                out.append(((task.vocab.end_token,), "", 0.0, c.provenance, c.born_iteration))
+    return out

@@ -61,63 +61,80 @@ TASK_DEFAULTS: dict[str, dict] = {
                          "migrate": (11, 1, 4), "migrate-opro": (11, 1, 4)}),
 }
 
-# The task_options keys each task reads.
-TASK_OPTIONS: dict[str, tuple[str, ...]] = {
-    "words": ("clusters", "dim", "hidden_word", "step_scale", "vocab_size"),
-    "molecules": ("max_len",),
-    "grids": ("dsl_step_limit",),
-}
+# The value types of each kind a key may take. A bool is never a number.
+_NUMBER = (int, float, np.integer, np.floating)
+_KINDS = {"an integer": (int, np.integer), "a number": _NUMBER, "a string": str,
+         "a number or null": (*_NUMBER, type(None)), "a string or null": (str, type(None)),
+         "an object": dict, "true or false": bool}
 
-# The flat config keys by the part that reads them: the one vocabulary of
+# The flat config keys, each with its part and kind: the one vocabulary of
 # default_config, --config files, CLI flags and sweep points. A key names its
-# part's field, but as _FIELD renames it; the key "islands" turns islands on.
-PART_KEYS = {
-    "run": ("method", "task", "seed", "budget", "warmstart_count", "stop_threshold",
-            "temperature", "task_file", "task_options", "bootstrap_params"),
-    "mix": ("alpha", "beta", "gamma", "top_k", "mutation_rate"),
-    "update": ("learning_rate", "mu", "optimizer"),
-    "clip": ("eps_low", "eps_high"),
-    "islands": ("island_count", "exploit_prob", "migration_interval", "migration_fraction"),
-    "opro_depth": ("opro_depth",),
+# part's field, but as _FIELD renames it; "islands", of no part, turns islands on.
+CONFIG_KEYS: dict[str, tuple[str | None, str]] = {
+    "method": ("run", "a string"), "task": ("run", "a string"), "seed": ("run", "an integer"),
+    "budget": ("run", "an integer"), "warmstart_count": ("run", "an integer"),
+    "stop_threshold": ("run", "a number or null"), "temperature": ("run", "a number"),
+    "task_file": ("run", "a string or null"), "task_options": ("run", "an object"),
+    "bootstrap_params": ("run", "a string or null"), "islands": (None, "true or false"),
+    "alpha": ("mix", "an integer"), "beta": ("mix", "an integer"), "gamma": ("mix", "an integer"),
+    "top_k": ("mix", "an integer"), "mutation_rate": ("mix", "a number"),
+    "learning_rate": ("update", "a number"), "mu": ("update", "an integer"),
+    "optimizer": ("update", "a string"), "eps_low": ("clip", "a number"),
+    "eps_high": ("clip", "a number"), "island_count": ("islands", "an integer"),
+    "exploit_prob": ("islands", "a number"), "migration_interval": ("islands", "an integer"),
+    "migration_fraction": ("islands", "a number"), "opro_depth": ("opro_depth", "an integer"),
 }
-CONFIG_KEYS = {"islands": "run", **{key: part for part, keys in PART_KEYS.items() for key in keys}}
 _FIELD = {"top_k": "k", "island_count": "count"}
-# The flat and task_options keys whose values are counts.
-WHOLE_KEYS = {"seed", "budget", "warmstart_count", "alpha", "beta", "gamma", "top_k", "mu",
-              "island_count", "migration_interval", "opro_depth", "clusters", "dim",
-              "vocab_size", "max_len", "dsl_step_limit"}
+
+# The task_options keys each task reads, with their kinds.
+TASK_OPTIONS: dict[str, dict[str, str]] = {
+    "words": {"clusters": "an integer", "dim": "an integer", "hidden_word": "a string or null",
+              "step_scale": "a number", "vocab_size": "an integer"},
+    "molecules": {"max_len": "an integer"},
+    "grids": {"dsl_step_limit": "an integer"},
+}
 
 
-def _check_whole(keys: dict) -> None:
-    """Raise ValueError on a WHOLE_KEYS value that is not an integer."""
-    for key, value in keys.items():
-        if key in WHOLE_KEYS and not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
+def _check_kind(key: str, value, kind: str) -> None:
+    """Raise ValueError unless ``value`` is of ``kind``, a _KINDS name."""
+    types = _KINDS[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
 
 
-def _check_keys(keys, method: str, islands: bool, accepted=CONFIG_KEYS) -> None:
-    """Raise ValueError on a key outside ``accepted``, or on one for a part
-    that a ``method`` config with or without ``islands`` does not have."""
+def _check_keys(keys: dict, task: str, method: str, islands: bool, accepted=CONFIG_KEYS) -> None:
+    """Raise ValueError on a key outside ``accepted``, a value not of its key's
+    kind (or a ``task_options`` key the task lacks), or a key for a part that a
+    ``method`` config with or without ``islands`` does not have."""
     lacks = {"update": method not in TTT_METHODS, "clip": method not in TTT_METHODS,
              "islands": not islands, "opro_depth": method not in OPRO_METHODS}
-    for key in keys:
+    for key, value in keys.items():
         if key not in accepted:
             raise ValueError(f"unknown config key {key!r}; accepted keys: {', '.join(accepted)}")
-        part = CONFIG_KEYS[key]
+        part, kind = CONFIG_KEYS[key]
+        _check_kind(key, value, kind)
         if lacks.get(part):
             where = " without islands=True" if part == "islands" else ""
             raise ValueError(f"config key {key!r} sets the {part} part, which this "
                              f"{method!r} config{where} does not have")
+        if key == "task_options":
+            options = TASK_OPTIONS[task]
+            for option, setting in value.items():
+                if option not in options:
+                    raise ValueError(f"unknown task_options key {option!r} for task {task!r}; "
+                                     f"accepted keys: {', '.join(options)}")
+                _check_kind(option, setting, options[option])
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One search run: its settings and the parts its method reads, built by
-    ``default_config`` from flat keys. ``update`` is present exactly for
+    ``default_config``, which checks each key and its kind; this class checks
+    ranges and how fields fit together. ``update`` is present exactly for
     TTT_METHODS, ``islands`` when the archive has islands, and ``opro_depth``
     (how many top entries trajectory proposals recombine) exactly for
-    OPRO_METHODS. ``task_options`` may hold only the task's TASK_OPTIONS keys (only
-    ``hidden_word`` with a words ``task_file``); molecules reads no ``task_file``."""
+    OPRO_METHODS. A words ``task_file`` takes only the ``hidden_word`` task
+    option; molecules reads no ``task_file``."""
 
     method: str
     task: str
@@ -149,13 +166,6 @@ class RunConfig:
                              f"in TTT_METHODS, and an opro_depth exactly when in OPRO_METHODS")
         if self.opro_depth is not None and self.opro_depth < 1:
             raise ValueError("opro_depth must be >= 1")
-        if not isinstance(self.task_options, dict):
-            raise ValueError(f"task_options must be an object, got {self.task_options!r}")
-        unknown = sorted(set(self.task_options) - set(TASK_OPTIONS[self.task]))
-        if unknown:
-            raise ValueError(f"unknown task_options key {unknown[0]!r} for task {self.task!r}; "
-                             f"accepted keys: {', '.join(TASK_OPTIONS[self.task])}")
-        _check_whole(self.task_options)
         if self.task_file and self.task == "molecules":
             raise ValueError("task 'molecules' is synthesized and reads no task_file")
         synthesis = sorted(set(self.task_options) - {"hidden_word"})
@@ -177,9 +187,9 @@ class RunConfig:
                    "clip": self.update and self.update.clip, "islands": self.islands,
                    "opro_depth": None if self.opro_depth is None else self}
         keys = {"islands": self.islands is not None}
-        for part, holder in holders.items():
-            if holder is not None:
-                keys.update((k, getattr(holder, _FIELD.get(k, k))) for k in PART_KEYS[part])
+        for key, (part, _) in CONFIG_KEYS.items():
+            if holders.get(part) is not None:
+                keys[key] = getattr(holders[part], _FIELD.get(key, key))
         return keys
 
     def to_json(self) -> str:
@@ -193,28 +203,27 @@ class RunConfig:
 
 def default_config(task: str, method: str, seed: int = 0, **overrides) -> RunConfig:
     """``TASK_DEFAULTS[task]`` with the method's mix and the flat-key
-    ``overrides`` on top, each key put into the part that reads it. A key
-    outside CONFIG_KEYS, or one for a part the config does not have (see
-    RunConfig), raises ValueError, and so does a part that rejects its values."""
-    if task not in TASK_DEFAULTS:
-        raise ValueError(f"unknown task {task!r}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    _check_keys(overrides, method, bool(overrides.get("islands")))
+    ``overrides`` on top, each key put into the part that reads it. Before any
+    part is built, each key passed is checked once (the task and method for
+    kind and name, the others by :func:`_check_keys`), and then each part
+    checks its values; either raises ValueError."""
+    for key, value, known in (("task", task, TASK_DEFAULTS), ("method", method, METHODS)):
+        _check_kind(key, value, CONFIG_KEYS[key][1])
+        if value not in known:
+            raise ValueError(f"unknown {key} {value!r}")
+    _check_keys({"seed": seed, **overrides}, task, method, bool(overrides.get("islands")))
     defaults = TASK_DEFAULTS[task]
     keys = {**dict(zip(("alpha", "beta", "gamma"), defaults["mixes"][method])), **defaults,
-            "seed": seed, **overrides}
-    _check_whole(keys)
+            "method": method, "task": task, "seed": seed, **overrides}
+    parts: dict[str, dict] = {"clip": {}, "islands": {}}
+    for key, (part, _) in CONFIG_KEYS.items():
+        if part and key in keys:
+            parts.setdefault(part, {})[_FIELD.get(key, key)] = keys[key]
 
-    def part(name: str) -> dict:
-        return {_FIELD.get(key, key): keys[key] for key in PART_KEYS[name] if key in keys}
-
-    update = None
-    if method in TTT_METHODS:
-        update = UpdateSpec(**part("update"), clip=ClipConfig(**part("clip")))
-    return RunConfig(method=method, task=task, **part("run"), mix=MixSpec(**part("mix")),
-                     update=update,
-                     islands=IslandConfig(**part("islands")) if keys.get("islands") else None,
+    update = (UpdateSpec(**parts["update"], clip=ClipConfig(**parts["clip"]))
+              if method in TTT_METHODS else None)
+    return RunConfig(**parts["run"], mix=MixSpec(**parts["mix"]), update=update,
+                     islands=IslandConfig(**parts["islands"]) if keys.get("islands") else None,
                      opro_depth=keys["opro_depth"] if method in OPRO_METHODS else None)
 
 
@@ -479,7 +488,7 @@ def check_sweep(base: RunConfig, grid: list[dict]) -> int:
     if not isinstance(grid, list) or not all(isinstance(point, dict) for point in grid):
         raise ValueError("a sweep grid must be a list of objects of config keys")
     for point in grid:
-        _check_keys(point, base.method, base.islands is not None, SWEEP_FIELDS)
+        _check_keys(point, base.task, base.method, base.islands is not None, SWEEP_FIELDS)
     if os.environ.get("MIGRATE_THREADS"):
         raise ValueError("MIGRATE_THREADS is no longer read; set MIGRATE_WORKERS "
                          "(the number of sweep worker processes) instead")
@@ -495,9 +504,9 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     """Run every (grid point x seed) combination and aggregate best-so-far.
 
     A point's keys override ``base.flat()`` through ``default_config``, so a
-    point may change the group size. A grid key outside ``SWEEP_FIELDS``,
-    or one for a part ``base`` does not have (``exploit_prob`` without
-    islands), raises ValueError before any run (:func:`check_sweep`).
+    point may change the group size. A grid key outside ``SWEEP_FIELDS``, with
+    a value of the wrong kind, or for a part ``base`` does not have
+    (``exploit_prob`` without islands) raises ValueError before any run.
     Invalid points (those ``default_config`` rejects, e.g. a mix with no new
     sample) are skipped with a logged reason.
     Each row carries mean/std of best-so-far at quarter-budget checkpoints

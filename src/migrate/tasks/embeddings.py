@@ -21,7 +21,7 @@ HUB_COUNT = 6  # each cluster's members that later members branch from
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Distinct words with unit-norm vectors; rows are normalized on build."""
+    """Distinct words with finite unit-norm vectors; rows are normalized on build."""
 
     words: tuple[str, ...]
     vectors: np.ndarray
@@ -31,6 +31,10 @@ class EmbeddingTable:
             raise ValueError("words and vectors must align")
         if len(set(self.words)) != len(self.words):
             raise ValueError("words must be distinct")
+        finite = np.isfinite(self.vectors).all(axis=1)
+        if not finite.all():
+            word = self.words[int(np.argmin(finite))]
+            raise ValueError(f"the vector of word {word!r} is not finite")
         norms = np.linalg.norm(self.vectors, axis=1)
         if np.any(norms == 0):
             raise ValueError("zero vector cannot be normalized")

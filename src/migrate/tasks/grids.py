@@ -251,24 +251,30 @@ def compute_metrics(completions: list[Completion], task: GridTask) -> GridMetric
     return GridMetrics(pass_at_2=truth_key in top2, oracle=oracle)
 
 
-def _as_grid(rows: list[list[int]]) -> np.ndarray:
-    return np.asarray(rows, dtype=np.int64)
-
-
 def grid_task_from_dict(data: dict, dsl_step_limit: int = DSL_STEP_LIMIT) -> GridTask:
     """The task of a {"train": [...], "test": [...]} object whose lists hold
-    {"input": grid, "output": grid} pairs; ValueError names what is missing."""
+    {"input": grid, "output": grid} pairs of grids of colors (integers below
+    COLORS); ValueError names what is missing, or the grid with another cell."""
     if not isinstance(data, dict):
         raise ValueError(f"a grid task must be a JSON object, not a {type(data).__name__}")
     splits = []
     for split in ("train", "test"):
         if not isinstance(data.get(split), list):
             raise ValueError(f"a grid task needs a {split!r} list of pairs")
+        pairs = []
         for i, pair in enumerate(data[split]):
+            grids = []
             for key in ("input", "output"):
                 if not isinstance(pair, dict) or key not in pair:
                     raise ValueError(f"grid task {split} pair {i} has no {key!r} grid")
-        splits.append([(_as_grid(p["input"]), _as_grid(p["output"])) for p in data[split]])
+                grid = np.asarray(pair[key], dtype=object)
+                cells = [c for c in grid.flat if type(c) is not int or not 0 <= c < COLORS]
+                if cells:
+                    raise ValueError(f"grid task {split} pair {i} {key!r} grid has a cell that "
+                                     f"is not an integer 0-{COLORS - 1}: {cells[0]!r}")
+                grids.append(grid.astype(np.int64))
+            pairs.append(tuple(grids))
+        splits.append(pairs)
     return GridTask(*splits, dsl_step_limit=dsl_step_limit)
 
 

@@ -37,6 +37,9 @@ class WordSearchTask(SearchTask):
     def __init__(self, table: EmbeddingTable, hidden_word: str, warmstart_count: int):
         if hidden_word not in table:
             raise ValueError(f"hidden word {hidden_word!r} not in table")
+        if warmstart_count > table.size:
+            raise ValueError(f"warmstart_count {warmstart_count} exceeds the table's "
+                             f"{table.size} words")
         chars = sorted({ch for word in table.words for ch in word})
         if SEPARATOR in chars or any(not w for w in table.words):
             raise ValueError("table words must be non-empty and contain no spaces")

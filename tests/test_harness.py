@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import migrate
-from migrate.harness import (RunConfig, SolvedRun, _fmt, bootstrap_nearest, build_task,
-                             default_config, emit_trace, run_any, save_run_artifacts, sweep,
-                             sweep_to_csv, trace_csv, trace_jsonl)
+from migrate.harness import (CONFIG_KEYS, METHODS, TASK_DEFAULTS, TASK_OPTIONS, RunConfig,
+                             SolvedRun, _fmt, bootstrap_nearest, build_task, default_config,
+                             emit_trace, run_any, save_run_artifacts, sweep, sweep_to_csv,
+                             trace_csv, trace_jsonl)
 from migrate.policy import init_params, save_params
 from migrate.tasks import DslProgram, synthesize_grid_task
 
@@ -24,6 +25,24 @@ SMALL_WORDS = {"vocab_size": 60, "dim": 8, "clusters": 6}
 # A partial words/migrate config file: its mix, top_k, budget and warm starts.
 PARTIAL_WORDS = {"method": "migrate", "task": "words", "alpha": 0, "beta": 1,
                  "gamma": 4, "top_k": 3, "budget": 1000, "warmstart_count": 20}
+
+
+# The keys that also take null; no other key does.
+OPTIONAL_KEYS = {"stop_threshold", "task_file", "bootstrap_params", "hidden_word"}
+# Values of the wrong kind for each kind: a bool is never a count or a number.
+WRONG_KINDS = {"an integer": [True], "a number": [True, "x"], "a string": [5],
+               "an object": [5], "true or false": ["no"]}
+
+
+def wrong_kind_cases():
+    """(task, key, value, kind, option) for every CONFIG_KEYS key and, as an
+    ``option`` of ``task``, every TASK_OPTIONS key: one case per wrong value."""
+    keys = [("grids", key, kind, False) for key, (_, kind) in CONFIG_KEYS.items()]
+    keys += [(task, key, kind, True) for task, options in TASK_OPTIONS.items()
+             for key, kind in options.items()]
+    return [pytest.param(task, key, value, kind, option, id=f"{key}-{value!r}")
+            for task, key, kind, option in keys
+            for value in WRONG_KINDS[kind.removesuffix(" or null")]]
 
 
 def words_config(method, **overrides):
@@ -92,6 +111,27 @@ class TestRunConfig:
     def test_json_round_trip(self):
         cfg = default_config("molecules", "migrate", seed=3)
         assert RunConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("islands", [False, True], ids=["islands-off", "islands-on"])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("task", list(TASK_DEFAULTS))
+    def test_every_default_config_round_trips(self, task, method, islands):
+        # The kind check accepts every value a config.json holds, null included.
+        cfg = default_config(task, method, islands=islands)
+        text = cfg.to_json()
+        assert RunConfig.from_json(text) == cfg
+        assert json.loads(text)["stop_threshold"] == (None if task == "molecules" else 1.0)
+
+    @pytest.mark.parametrize("task,key,value,kind,option", wrong_kind_cases())
+    def test_value_of_the_wrong_kind_rejected(self, task, key, value, kind, option):
+        # True used to pass as a count or a number, "no" turned islands on,
+        # and a string in a float key failed only inside the search.
+        keys = {"task": task, "method": "migrate-opro", "islands": True}
+        keys.update({"task_options": {key: value}} if option else {key: value})
+        with pytest.raises(ValueError) as err:
+            default_config(**keys)
+        assert str(err.value) == f"{key} must be {kind}, got {value!r}"
+        assert ("or null" in str(err.value)) == (key in OPTIONAL_KEYS)
 
     def test_partial_json_takes_task_defaults(self):
         # The file leaves out learning_rate, mu, mutation_rate and
@@ -658,7 +698,10 @@ class TestCli:
         ({"alpha": 0}, {}, "grid must be a list of objects", []),
         ([{"alpha": 0, "beta": 1, "gamma": 4}], {},
          "task 'molecules' is synthesized and reads no task_file", ["--task-file", "nofile.json"]),
-    ], ids=["absent-part", "bad-workers", "not-a-list", "unread-task-file"])
+        ([{"mutation_rate": "x"}], {}, "mutation_rate must be a number, got 'x'", []),
+        ([{"exploit_prob": True}], {}, "exploit_prob must be a number, got True", ["--islands"]),
+    ], ids=["absent-part", "bad-workers", "not-a-list", "unread-task-file",
+            "mutation-rate-string", "exploit-prob-true"])
     def test_sweep_setting_error_exits_2_before_any_search(self, grid, env, message, argv,
                                                            tmp_path, capsys, monkeypatch):
         from migrate import cli, harness
@@ -780,12 +823,33 @@ class TestConfigFile:
         ({"task": "words", "method": "random", "task_options": {"vocab_size": "x"},
           "budget": 30}, "vocab_size must be an integer, got 'x'"),
         ({"task": "molecules", "method": "grpo", "learning_rate": "x", "budget": 30},
-         "'<' not supported between instances of 'int' and 'str'"),
+         "learning_rate must be a number, got 'x'"),
+        ({"task": "molecules", "method": "random", "stop_threshold": "x", "budget": 30},
+         "stop_threshold must be a number or null, got 'x'"),
+        ({"task": "grids", "method": "random", "islands": "no", "budget": 30},
+         "islands must be true or false, got 'no'"),
+        ({"task": "molecules", "method": "grpo", "mu": True, "budget": 30},
+         "mu must be an integer, got True"),
+        ({"task": "molecules", "method": "grpo", "learning_rate": True, "budget": 30},
+         "learning_rate must be a number, got True"),
+        ({"task": "molecules", "method": "random", "seed": False, "budget": 30},
+         "seed must be an integer, got False"),
+        ({"task": "molecules", "method": "random", "stop_threshold": True, "budget": 30},
+         "stop_threshold must be a number or null, got True"),
+        ({"task": "grids", "method": "random", "islands": True, "exploit_prob": True,
+          "budget": 30}, "exploit_prob must be a number, got True"),
+        ({"task": "words", "method": "random", "task_options": {"step_scale": True},
+          "budget": 30}, "step_scale must be a number, got True"),
+        ({"task": "words", "method": "random", "task_options": {"vocab_size": 12, "clusters": 2},
+          "budget": 30}, "warmstart_count 20 exceeds the table's 12 words"),
     ], ids=["not-an-object", "unknown-task-option", "task-options-not-an-object",
             "molecules-task-file", "words-task-file-with-synthesis-options",
             "molecules-max-len-0", "grids-dsl-step-limit-0", "budget-string",
             "molecules-max-len-string", "molecules-max-len-float",
-            "grids-dsl-step-limit-string", "words-vocab-size-string", "learning-rate-string"])
+            "grids-dsl-step-limit-string", "words-vocab-size-string", "learning-rate-string",
+            "stop-threshold-string", "islands-string", "mu-true", "learning-rate-true",
+            "seed-false", "stop-threshold-true", "exploit-prob-true", "step-scale-true",
+            "words-warm-starts-past-the-table"])
     def test_invalid_config_file_exits_2_before_the_search(self, keys, message, tmp_path,
                                                            capsys, monkeypatch):
         from migrate import cli
@@ -866,7 +930,12 @@ class TestConfigFile:
         ([1, 2], "a grid task must be a JSON object, not a list"),
         ({"train": [{"input": [[1]], "output": [[1]]}], "test": []},
          "a grid task needs at least one train pair and one test pair"),
-    ], ids=["no-test", "pair-without-output", "no-pairs", "not-an-object", "no-test-pairs"])
+        *[({"train": [{"input": [[1]], "output": [[cell]]}],
+            "test": [{"input": [[1]], "output": [[1]]}]},
+           f"grid task train pair 0 'output' grid has a cell that is not an integer 0-9: "
+           f"{cell!r}") for cell in (1.5, True, "1", None)],
+    ], ids=["no-test", "pair-without-output", "no-pairs", "not-an-object", "no-test-pairs",
+            "float-cell", "bool-cell", "string-cell", "null-cell"])
     def test_grid_task_file_of_the_wrong_shape_exits_2_before_the_search(
             self, data, message, tmp_path, capsys, monkeypatch):
         from migrate import cli
@@ -879,6 +948,25 @@ class TestConfigFile:
         task_file.write_text(json.dumps(data))
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--task", "grids", "--task-file", str(task_file), "--budget", "30"])
+        assert err.value.code == 2
+        assert f"migrate run: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows,message", [
+        (["a 1.0 0.0", "b nan 1.0"], "the vector of word 'b' is not finite"),
+        (["a 1.0 0.0", "b 0.0 1.0"], "warmstart_count 20 exceeds the table's 2 words"),
+    ], ids=["nan-vector", "fewer-words-than-warm-starts"])
+    def test_words_task_file_that_does_not_build_exits_2_before_the_search(
+            self, rows, message, tmp_path, capsys, monkeypatch):
+        from migrate import cli
+
+        def no_search(config):
+            raise AssertionError("the search ran on a words task file it should reject")
+
+        monkeypatch.setattr(cli, "run_any", no_search)
+        table = tmp_path / "table.txt"
+        table.write_text("\n".join([f"{len(rows)} 2", *rows]) + "\n")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--task", "words", "--task-file", str(table), "--budget", "30"])
         assert err.value.code == 2
         assert f"migrate run: error: {message}" in capsys.readouterr().err
 

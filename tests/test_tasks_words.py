@@ -48,6 +48,12 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             EmbeddingTable(("a", "b"), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_vector(self, value):
+        # A NaN row used to load, and cosine then returned nan.
+        with pytest.raises(ValueError, match="vector of word 'b' is not finite"):
+            EmbeddingTable(("a", "b"), np.array([[1.0, 0.0], [value, 1.0]]))
+
     def test_planted_continuity(self, table):
         # Rewards of edit-distance-1 word pairs correlate more strongly than
         # rewards of random pairs: the landscape is smooth by construction.
@@ -110,6 +116,14 @@ class TestVocabulary:
 
 
 class TestWarmstart:
+    def test_more_warm_starts_than_words_rejected_at_construction(self):
+        # warmstart used to raise "Cannot take a larger sample than
+        # population" inside the search.
+        table = EmbeddingTable(("ab", "ba"), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert WordSearchTask(table, "ab", warmstart_count=2).warmstart_count == 2
+        with pytest.raises(ValueError, match="warmstart_count 3 exceeds the table's 2 words"):
+            WordSearchTask(table, "ab", warmstart_count=3)
+
     def test_twenty_scored_words(self, task, table):
         warm = task.warmstart(np.random.default_rng(3))
         assert len(warm) == 20

@@ -34,13 +34,13 @@ class ArchiveError(ValueError):
 
 @dataclass(frozen=True)
 class IslandConfig:
-    count: int = 4
+    island_count: int = 4
     exploit_prob: float = 0.7
     migration_interval: int = 10
     migration_fraction: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.count < 1:
+        if self.island_count < 1:
             raise ValueError("island_count must be >= 1")
         if not 0 <= self.exploit_prob <= 1:
             raise ValueError("exploit_prob must be in [0, 1]")
@@ -58,7 +58,7 @@ class Archive:
         self.islands = islands
         self.cursor = 0
         self._rank: list[tuple[float, int, int]] = []
-        count = islands.count if islands else 0
+        count = islands.island_count if islands else 0
         self._island_set: list[set[int]] = [set() for _ in range(count)]
 
     def __len__(self) -> int:
@@ -103,7 +103,7 @@ class Archive:
         Greedy-provenance members are reused, not new, and are rejected;
         every member must already carry a score. With islands enabled the
         batch lands on the current cursor island unless ``island`` names one
-        in ``[0, count)``; any other island raises ArchiveError.
+        in ``[0, island_count)``; any other island raises ArchiveError.
         """
         for c in completions:
             if c.provenance == GREEDY:
@@ -111,8 +111,8 @@ class Archive:
             if c.score is None:
                 raise ArchiveError("cannot insert an unscored completion")
         target = self.cursor if island is None else island
-        if self.islands and not 0 <= target < self.islands.count:
-            raise ArchiveError(f"island {target} is outside [0, {self.islands.count})")
+        if self.islands and not 0 <= target < self.islands.island_count:
+            raise ArchiveError(f"island {target} is outside [0, {self.islands.island_count})")
         for c in completions:
             self._append(c, target)
 
@@ -136,7 +136,7 @@ class Archive:
             raise ArchiveError("islands are not enabled")
         if not self.entries:
             raise ArchiveError("all islands are empty")
-        n = self.islands.count
+        n = self.islands.island_count
         for step in range(1, n + 1):
             candidate = (self.cursor + step) % n
             if self._island_set[candidate]:
@@ -166,7 +166,7 @@ class Archive:
         sources = [list(islice(self._ranked(island), int(np.ceil(fraction * len(members)))))
                    for island, members in enumerate(self._island_set)]
         for island, indices in enumerate(sources):
-            self._island_set[(island + 1) % self.islands.count].update(indices)
+            self._island_set[(island + 1) % self.islands.island_count].update(indices)
 
     def dump_jsonl(self, path: str | Path) -> None:
         """One record per entry: {text, score, provenance, iteration, islands}."""

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .harness import (CONFIG_KEYS, METHODS, TASK_DEFAULTS, TRACE_FORMATS, RunConfig, SolvedRun,
+from .harness import (CONFIG_KEYS, TRACE_FORMATS, RunConfig, SolvedRun,
                       bootstrap_nearest, build_task, check_sweep, check_trace_formats,
                       default_config, emit_trace, initial_params, run_any, save_run_artifacts,
                       sweep, sweep_to_csv)
@@ -17,29 +17,25 @@ from .policy import PolicyIOError
 from .tasks import compute_metrics, load_grid_task
 
 
+# A flag's argparse settings, by its key's kind (null aside); islands is a bare switch.
+_FLAG_KINDS = {"an integer": {"type": int}, "a number": {"type": float}, "a string": {"type": str},
+               "true or false": {"action": "store_true", "default": None}}
+# Second spellings of three flags, which older commands use.
+_ALIASES = {"top_k": ("--topk",), "learning_rate": ("--lr",), "warmstart_count": ("--warmstart",)}
+_KEY_DEFAULTS = "--task, --method and --seed default to words, migrate and 0."
+
+
+def _add_key_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """Add ``--<key with - for _>`` for each flat key in ``keys``, set by its
+    kind. No argparse defaults: only flags the user passed are set."""
+    for key in keys:
+        parser.add_argument(f"--{key.replace('_', '-')}", *_ALIASES.get(key, ()), dest=key,
+                            **_FLAG_KINDS[CONFIG_KEYS[key][1].removesuffix(" or null")])
+
+
 def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
-    # No argparse defaults: only flags the user passed override --config.
-    parser.add_argument("--task", choices=tuple(TASK_DEFAULTS), help="default: words")
-    parser.add_argument("--method", choices=METHODS, help="default: migrate")
-    parser.add_argument("--budget", type=int)
-    parser.add_argument("--alpha", type=int)
-    parser.add_argument("--beta", type=int)
-    parser.add_argument("--gamma", type=int)
-    parser.add_argument("--topk", type=int, dest="top_k")
-    parser.add_argument("--mu", type=int)
-    parser.add_argument("--eps-low", type=float, dest="eps_low")
-    parser.add_argument("--eps-high", type=float, dest="eps_high")
-    parser.add_argument("--lr", type=float, dest="learning_rate")
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--mutation-rate", type=float, dest="mutation_rate")
-    parser.add_argument("--stop-threshold", type=float, dest="stop_threshold")
-    parser.add_argument("--warmstart", type=int, dest="warmstart_count")
-    parser.add_argument("--seed", type=int, help="default: 0")
-    parser.add_argument("--islands", action="store_true", default=None)
-    parser.add_argument("--island-count", type=int, dest="island_count")
-    parser.add_argument("--exploit-prob", type=float, dest="exploit_prob")
-    parser.add_argument("--task-file", dest="task_file")
-    parser.add_argument("--bootstrap-params", dest="bootstrap_params")
+    # task_options, an object, is set only through --config.
+    _add_key_flags(parser, [key for key in CONFIG_KEYS if key != "task_options"])
     parser.add_argument("--config", help="JSON file of flat config keys; flags override it and "
                         "the task's defaults fill the keys neither sets")
 
@@ -123,6 +119,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_bootstrap(args: argparse.Namespace) -> int:
     solved_dir = Path(args.solved_dir)
     try:
+        base = default_config("grids", args.method or "migrate", seed=args.seed or 0,
+                              task_file=args.task)
         unsolved = load_grid_task(args.task)
         subdirs = sorted(p for p in solved_dir.iterdir() if p.is_dir())
     except (ValueError, TypeError, OSError) as err:
@@ -145,7 +143,6 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
     if not runs:
         print("no solved runs found under", solved_dir, file=sys.stderr)
         return 1
-    base = default_config("grids", args.method, seed=args.seed, task_file=args.task)
     config = bootstrap_nearest(unsolved, runs, base)
     text = config.to_json()
     if args.out:
@@ -161,26 +158,27 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Mixed-policy GRPO test-time search")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one search")
+    run_p = sub.add_parser("run", help="run one search", description=_KEY_DEFAULTS)
     _add_run_overrides(run_p)
     run_p.add_argument("--out", help="directory for trace files and run artifacts")
     run_p.add_argument("--formats", type=_trace_formats, default=",".join(TRACE_FORMATS),
                        help=f"comma-separated trace formats, from {', '.join(TRACE_FORMATS)}")
     run_p.set_defaults(func=_cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="grid of mix parameters x seeds")
+    sweep_p = sub.add_parser("sweep", help="grid of mix parameters x seeds",
+                             description=_KEY_DEFAULTS)
     _add_run_overrides(sweep_p)
     sweep_p.add_argument("--grid", required=True, help="JSON list of override points")
     sweep_p.add_argument("--seeds", required=True, help="comma-separated seed list")
     sweep_p.add_argument("--out", help="output CSV path or directory")
     sweep_p.set_defaults(func=_cmd_sweep)
 
-    boot_p = sub.add_parser("bootstrap", help="pick nearest solved donor for a grid task")
+    boot_p = sub.add_parser("bootstrap", help="pick nearest solved donor for a grid task",
+                            description="--method and --seed default to migrate and 0.")
     boot_p.add_argument("--solved-dir", required=True,
                         help="directory of run artifact dirs (best.json + params.mgp)")
     boot_p.add_argument("--task", required=True, help="grid task JSON file")
-    boot_p.add_argument("--method", choices=METHODS, default="migrate")
-    boot_p.add_argument("--seed", type=int, default=0)
+    _add_key_flags(boot_p, ("method", "seed"))
     boot_p.add_argument("--out", help="where to write the resulting config JSON")
     boot_p.set_defaults(func=_cmd_bootstrap)
     return parser

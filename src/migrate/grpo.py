@@ -55,8 +55,8 @@ class ClipConfig:
     def __post_init__(self) -> None:
         if not 0 < self.eps_low < 1:
             raise ValueError("eps_low must be in (0, 1)")
-        if self.eps_high <= 0:
-            raise ValueError("eps_high must be positive")
+        if not 0 < self.eps_high < math.inf:
+            raise ValueError(f"eps_high must be finite and > 0, got {self.eps_high!r}")
 
 
 @dataclass(frozen=True)

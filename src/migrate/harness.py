@@ -69,7 +69,7 @@ _KINDS = {"an integer": (int, np.integer), "a number": _NUMBER, "a string": str,
 
 # The flat config keys, each with its part and kind: the one vocabulary of
 # default_config, --config files, CLI flags and sweep points. A key names its
-# part's field, but as _FIELD renames it; "islands", of no part, turns islands on.
+# part's field; "islands", of no part, turns islands on.
 CONFIG_KEYS: dict[str, tuple[str | None, str]] = {
     "method": ("run", "a string"), "task": ("run", "a string"), "seed": ("run", "an integer"),
     "budget": ("run", "an integer"), "warmstart_count": ("run", "an integer"),
@@ -84,7 +84,6 @@ CONFIG_KEYS: dict[str, tuple[str | None, str]] = {
     "exploit_prob": ("islands", "a number"), "migration_interval": ("islands", "an integer"),
     "migration_fraction": ("islands", "a number"), "opro_depth": ("opro_depth", "an integer"),
 }
-_FIELD = {"top_k": "k", "island_count": "count"}
 
 # The task_options keys each task reads, with their kinds.
 TASK_OPTIONS: dict[str, dict[str, str]] = {
@@ -158,6 +157,8 @@ class RunConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.budget <= self.warmstart_count:
             raise ValueError("budget must exceed warmstart_count")
+        if self.stop_threshold is not None and not math.isfinite(self.stop_threshold):
+            raise ValueError(f"stop_threshold must be finite or null, got {self.stop_threshold!r}")
         if not 0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature!r}")
         if ((self.update is None) == (self.method in TTT_METHODS)
@@ -189,7 +190,7 @@ class RunConfig:
         keys = {"islands": self.islands is not None}
         for key, (part, _) in CONFIG_KEYS.items():
             if holders.get(part) is not None:
-                keys[key] = getattr(holders[part], _FIELD.get(key, key))
+                keys[key] = getattr(holders[part], key)
         return keys
 
     def to_json(self) -> str:
@@ -210,7 +211,7 @@ def default_config(task: str, method: str, seed: int = 0, **overrides) -> RunCon
     for key, value, known in (("task", task, TASK_DEFAULTS), ("method", method, METHODS)):
         _check_kind(key, value, CONFIG_KEYS[key][1])
         if value not in known:
-            raise ValueError(f"unknown {key} {value!r}")
+            raise ValueError(f"unknown {key} {value!r}; accepted: {', '.join(known)}")
     _check_keys({"seed": seed, **overrides}, task, method, bool(overrides.get("islands")))
     defaults = TASK_DEFAULTS[task]
     keys = {**dict(zip(("alpha", "beta", "gamma"), defaults["mixes"][method])), **defaults,
@@ -218,7 +219,7 @@ def default_config(task: str, method: str, seed: int = 0, **overrides) -> RunCon
     parts: dict[str, dict] = {"clip": {}, "islands": {}}
     for key, (part, _) in CONFIG_KEYS.items():
         if part and key in keys:
-            parts.setdefault(part, {})[_FIELD.get(key, key)] = keys[key]
+            parts.setdefault(part, {})[key] = keys[key]
 
     update = (UpdateSpec(**parts["update"], clip=ClipConfig(**parts["clip"]))
               if method in TTT_METHODS else None)
@@ -310,7 +311,7 @@ def run_any(config: RunConfig) -> Trace:
 
     warm = task.warmstart(_rng(config.seed, _STREAM_WARMSTART))[: config.warmstart_count]
     for i, c in enumerate(warm):
-        archive.insert([c], island=i % islands.count if islands else None)
+        archive.insert([c], island=i % islands.island_count if islands else None)
 
     optimizer = None
     if update is not None and update.optimizer == "adam":
@@ -478,7 +479,7 @@ def _best_at(trace: Trace, evaluations: int) -> float:
 
 
 #: The config keys a sweep grid point may set.
-SWEEP_FIELDS = ("alpha", "beta", "gamma", "mutation_rate", "exploit_prob")
+SWEEP_KEYS = ("alpha", "beta", "gamma", "mutation_rate", "exploit_prob")
 
 
 def check_sweep(base: RunConfig, grid: list[dict]) -> int:
@@ -488,7 +489,7 @@ def check_sweep(base: RunConfig, grid: list[dict]) -> int:
     if not isinstance(grid, list) or not all(isinstance(point, dict) for point in grid):
         raise ValueError("a sweep grid must be a list of objects of config keys")
     for point in grid:
-        _check_keys(point, base.task, base.method, base.islands is not None, SWEEP_FIELDS)
+        _check_keys(point, base.task, base.method, base.islands is not None, SWEEP_KEYS)
     if os.environ.get("MIGRATE_THREADS"):
         raise ValueError("MIGRATE_THREADS is no longer read; set MIGRATE_WORKERS "
                          "(the number of sweep worker processes) instead")
@@ -504,7 +505,7 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     """Run every (grid point x seed) combination and aggregate best-so-far.
 
     A point's keys override ``base.flat()`` through ``default_config``, so a
-    point may change the group size. A grid key outside ``SWEEP_FIELDS``, with
+    point may change the group size. A grid key outside ``SWEEP_KEYS``, with
     a value of the wrong kind, or for a part ``base`` does not have
     (``exploit_prob`` without islands) raises ValueError before any run.
     Invalid points (those ``default_config`` rejects, e.g. a mix with no new
@@ -539,7 +540,7 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
     for p_idx, config in enumerate(configs):
         group = traces[p_idx * len(seeds): (p_idx + 1) * len(seeds)]
         point_keys = config.flat()
-        row: dict = {name: point_keys.get(name) for name in SWEEP_FIELDS}
+        row: dict = {name: point_keys.get(name) for name in SWEEP_KEYS}
         row["seeds"] = len(seeds)
         row["found_rate"] = float(np.mean([t.summary.found for t in group]))
         for frac in SWEEP_CHECKPOINTS:
@@ -553,7 +554,7 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
 
 
 def sweep_to_csv(rows: list[dict], path: str | Path) -> None:
-    columns = [*SWEEP_FIELDS, "seeds", "found_rate"]
+    columns = [*SWEEP_KEYS, "seeds", "found_rate"]
     for frac in SWEEP_CHECKPOINTS:
         tag = f"best_at_{int(frac * 100)}"
         columns += [f"{tag}_mean", f"{tag}_std"]

@@ -25,12 +25,12 @@ from .policy import (TASK_CONTEXT, ContextKind, PolicyParams, mutate_tokens,  # 
 @dataclass(frozen=True)
 class MixSpec:
     """Group composition: ``alpha`` online, ``beta`` greedy (from the top
-    ``k``) and ``gamma`` local members, so a group holds their sum."""
+    ``top_k``) and ``gamma`` local members, so a group holds their sum."""
 
     alpha: int
     beta: int
     gamma: int
-    k: int = 1
+    top_k: int = 1
     mutation_rate: float = 0.25
 
     def __post_init__(self) -> None:
@@ -38,8 +38,8 @@ class MixSpec:
             raise ValueError("alpha, beta, gamma must be >= 0")
         if self.alpha + self.gamma < 1:
             raise ValueError("at least one new sample per iteration is required")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
         if not 0 < self.mutation_rate <= 1:
             raise ValueError("mutation_rate must be in (0, 1]")
 
@@ -187,7 +187,7 @@ def construct_group(mix: MixSpec, params: PolicyParams, archive: Archive, temper
 
     online = sample_online(params, TASK_CONTEXT, alpha, temperature, rng,
                            born_iteration=born_iteration)
-    greedy = select_greedy(archive, mix.k, beta, rng)
+    greedy = select_greedy(archive, mix.top_k, beta, rng)
     local: list[Completion] = []
     if gamma > 0:
         if opro_depth is not None:
@@ -198,11 +198,11 @@ def construct_group(mix: MixSpec, params: PolicyParams, archive: Archive, temper
             if archive.islands:
                 if island_rng is None:
                     raise ValueError("island_rng is required on an island archive")
-                exemplars = [archive.island_select(island_rng, mix.k)]
+                exemplars = [archive.island_select(island_rng, mix.top_k)]
             elif greedy:
                 exemplars = greedy
             else:
-                exemplars = select_greedy(archive, mix.k, 1, rng)
+                exemplars = select_greedy(archive, mix.top_k, 1, rng)
             local = propose_neighborhood(params, exemplars, gamma, mix.mutation_rate, rng,
                                          temperature, born_iteration=born_iteration)
     return GroupDraft(online, greedy, local)

@@ -255,7 +255,7 @@ def test_criterion_7_islands_invariants():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         count = int(rng.integers(2, 5))
-        archive = Archive(islands=IslandConfig(count=count, exploit_prob=0.5,
+        archive = Archive(islands=IslandConfig(island_count=count, exploit_prob=0.5,
                                                migration_fraction=float(rng.uniform(0.1, 0.9))))
         for island in range(count):
             n = int(rng.integers(1, 8))
@@ -283,7 +283,7 @@ def test_criterion_7_islands_invariants():
     # Exploit-probability audit: pools are disjoint, so top-k membership of
     # the selection identifies the branch.
     p = 0.7
-    archive = Archive(islands=IslandConfig(count=2, exploit_prob=p))
+    archive = Archive(islands=IslandConfig(island_count=2, exploit_prob=p))
     archive.insert([Completion(tokens=(0,), provenance=ONLINE, text="t0", score=0.9),
                     Completion(tokens=(0,), provenance=ONLINE, text="e0", score=0.1)], island=0)
     archive.insert([Completion(tokens=(0,), provenance=ONLINE, text="t1", score=0.8),

@@ -13,7 +13,7 @@ def scored(score, tokens=(0,), provenance=ONLINE, born=0, text=""):
 
 
 def island_archive(count=3, p=0.7, fraction=0.25):
-    return Archive(islands=IslandConfig(count=count, exploit_prob=p,
+    return Archive(islands=IslandConfig(island_count=count, exploit_prob=p,
                                         migration_fraction=fraction))
 
 
@@ -238,7 +238,7 @@ def brute_ranked(entries, indices):
 def brute_island_select(archive, members, cursor, rng, k):
     """Full-sort reference of ``island_select``: (new cursor, picked index).
     ``members`` holds one set of entry indices per island."""
-    n = archive.islands.count
+    n = archive.islands.island_count
     for step in range(1, n + 1):
         candidate = (cursor + step) % n
         if members[candidate]:
@@ -259,7 +259,7 @@ def brute_island_select(archive, members, cursor, rng, k):
 def brute_moves(archive, members):
     """Full-sort reference of one ``migrate`` call: (source index, dest)
     pairs, sources taken from every island before any island gains one."""
-    count = archive.islands.count
+    count = archive.islands.island_count
     moves = []
     for isl in range(count):
         take = int(np.ceil(archive.islands.migration_fraction * len(members[isl])))
@@ -285,7 +285,7 @@ def assert_ranked_like_reference(archive, members):
     expected = [id(archive.entries[i]) for i in order]
     for k in range(1, len(archive) + 2):
         assert list(map(id, archive.topk(k))) == expected[:k]
-    for isl in range(archive.islands.count):
+    for isl in range(archive.islands.island_count):
         assert archive.island_members(isl) == sorted(members[isl])
         ranked = list(archive._ranked(isl))
         assert ranked == brute_ranked(archive.entries, members[isl])

@@ -15,8 +15,8 @@ import pytest
 import migrate
 from migrate.harness import (CONFIG_KEYS, METHODS, TASK_DEFAULTS, TASK_OPTIONS, RunConfig,
                              SolvedRun, _fmt, bootstrap_nearest, build_task, default_config,
-                             emit_trace, run_any, save_run_artifacts, sweep, sweep_to_csv,
-                             trace_csv, trace_jsonl)
+                             emit_trace, initial_params, run_any, save_run_artifacts, sweep,
+                             sweep_to_csv, trace_csv, trace_jsonl)
 from migrate.policy import init_params, save_params
 from migrate.tasks import DslProgram, synthesize_grid_task
 
@@ -94,15 +94,28 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("overrides", [{"exploit_prob": 1.5}, {"migration_interval": 0},
                                            {"migration_fraction": -0.1}, {"eps_low": 1.0},
-                                           {"eps_high": 0.0}],
-                             ids=lambda overrides: next(iter(overrides)))
+                                           {"eps_high": 0.0}, {"eps_high": float("nan")},
+                                           {"eps_high": float("inf")}],
+                             ids=["exploit_prob", "migration_interval", "migration_fraction",
+                                  "eps_low", "eps_high", "eps_high-nan", "eps_high-inf"])
     def test_invalid_island_or_clip_setting_fails_at_construction(self, overrides):
         with pytest.raises(ValueError):
             default_config("grids", "migrate", islands=True, **overrides)
 
+    @pytest.mark.parametrize("stop_threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_stop_threshold_rejected(self, stop_threshold):
+        # A NaN threshold used to build a run that could never stop early,
+        # and its config.json held the non-JSON token NaN.
+        with pytest.raises(ValueError, match="stop_threshold must be finite or null"):
+            default_config("molecules", "random", stop_threshold=stop_threshold)
+        assert default_config("words", "random", stop_threshold=None).stop_threshold is None
+
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        with pytest.raises(ValueError, match="unknown method 'bogus'; accepted: random, ns, "):
             default_config("words", "bogus")
+        with pytest.raises(ValueError, match="unknown task 'bogus'; accepted: words, molecules, "
+                                             "grids"):
+            default_config("bogus", "migrate")
 
     def test_budget_exceeds_warmstart(self):
         with pytest.raises(ValueError):
@@ -162,7 +175,7 @@ class TestRunConfig:
 
     def test_parts_follow_the_method(self):
         cfg = default_config("grids", "migrate-opro", islands=True, island_count=3, mu=2)
-        assert cfg.update.mu == 2 and cfg.islands.count == 3 and cfg.opro_depth == 1
+        assert cfg.update.mu == 2 and cfg.islands.island_count == 3 and cfg.opro_depth == 1
         plain = default_config("grids", "ns")
         assert (plain.update, plain.islands, plain.opro_depth) == (None, None, None)
         with pytest.raises(ValueError, match="'migration_interval'.*islands=True"):
@@ -171,17 +184,17 @@ class TestRunConfig:
     def test_parts_are_frozen(self):
         cfg = default_config("grids", "migrate", islands=True)
         with pytest.raises(FrozenInstanceError):
-            cfg.islands.count = 2
+            cfg.islands.island_count = 2
         with pytest.raises(FrozenInstanceError):
             cfg.update.mu = 5
 
     def test_per_task_defaults(self):
         words = default_config("words", "migrate")
         assert (words.mix.alpha, words.mix.beta, words.mix.gamma) == (0, 1, 4)
-        assert words.budget == 1000 and words.update.mu == 2 and words.mix.k == 3
+        assert words.budget == 1000 and words.update.mu == 2 and words.mix.top_k == 3
         mols = default_config("molecules", "migrate")
         assert (mols.mix.alpha, mols.mix.beta, mols.mix.gamma) == (2, 1, 2)
-        assert mols.budget == 200 and mols.update.mu == 1 and mols.mix.k == 1
+        assert mols.budget == 200 and mols.update.mu == 1 and mols.mix.top_k == 1
         grids = default_config("grids", "migrate")
         assert (grids.mix.alpha, grids.mix.beta, grids.mix.gamma) == (11, 1, 4)
         assert grids.budget == 1024 and grids.mix.group_size == 16
@@ -306,7 +319,7 @@ class TestIslandMembership:
                              islands=True, migration_interval=1)
         archive = run_any(cfg).archive
         assert len(archive) == archive.evaluated_count
-        for island in range(cfg.islands.count):
+        for island in range(cfg.islands.island_count):
             ranked = list(archive._ranked(island))
             assert len(ranked) == len(set(ranked)) == len(archive.island_members(island))
         for k in (1, 3, 10, 50):
@@ -678,6 +691,11 @@ class TestCli:
         (["--gamma", "0"], "at least one new sample"),
         (["--task", "molecules", "--method", "random", "--mu", "3"], "'mu'.*update part"),
         (["--islands", "--island-count", "0"], "island_count must be >= 1"),
+        (["--eps-high", "nan"], "eps_high must be finite and > 0, got nan"),
+        (["--stop-threshold", "nan"], "stop_threshold must be finite or null, got nan"),
+        (["--method", "bogus"], "unknown method 'bogus'; accepted: random, ns, opro, grpo, "
+                                "grpo-greedy, migrate, migrate-opro"),
+        (["--task", "bogus"], "unknown task 'bogus'; accepted: words, molecules, grids"),
     ])
     def test_config_error_exits_2_before_the_search(self, argv, message, capsys, monkeypatch):
         from migrate import cli
@@ -749,6 +767,76 @@ class TestCli:
         assert code == 0
         boot = json.loads(out.read_text())
         assert boot["task_file"] == str(task_file)
+
+
+# For each flat key but task_options, a value its flag sets: none is the
+# default of the molecules/migrate-opro config with islands that flag_base holds.
+FLAG_VALUES = {"method": "grpo", "task": "grids", "seed": 5, "budget": 40, "warmstart_count": 2,
+               "stop_threshold": 0.5, "temperature": 0.7, "task_file": "task.json",
+               "bootstrap_params": "params.mgp", "islands": True, "alpha": 3, "beta": 0,
+               "gamma": 3, "top_k": 2, "mutation_rate": 0.5, "learning_rate": 0.1, "mu": 3,
+               "optimizer": "adam", "eps_low": 0.1, "eps_high": 0.4, "island_count": 2,
+               "exploit_prob": 0.5, "migration_interval": 3, "migration_fraction": 0.5,
+               "opro_depth": 2}
+
+
+class TestFlags:
+    def flag_base(self, key, tmp_path) -> list[str]:
+        """``--config`` with the base keys for ``key``'s flag, writing the file
+        that flag names: a grid task file (whose task is grids) or a policy."""
+        keys = {"task": "molecules", "method": "migrate-opro", "budget": 30,
+                "islands": key != "islands"}
+        if key == "task_file":
+            keys["task"] = "grids"
+            (tmp_path / "task.json").write_text(json.dumps({
+                "train": [{"input": [[1, 0]], "output": [[0, 1]]}],
+                "test": [{"input": [[1, 1]], "output": [[1, 1]]}]}))
+        if key == "bootstrap_params":
+            config = default_config(**keys)
+            (tmp_path / "params.mgp").write_bytes(save_params(
+                initial_params(config, build_task(config))))
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(keys))
+        return ["--config", str(path)]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("key", [key for key in CONFIG_KEYS if key != "task_options"])
+    def test_each_key_has_a_flag_that_lands_in_config_json(self, key, command, tmp_path,
+                                                           monkeypatch):
+        # optimizer, migration_interval, migration_fraction and opro_depth had no flag.
+        from migrate.cli import _config_from_args, build_parser, main
+        monkeypatch.chdir(tmp_path)
+        base = self.flag_base(key, tmp_path)
+        value = FLAG_VALUES[key]
+        flag = ["--" + key.replace("_", "-"), *([] if value is True else [str(value)])]
+        assert json.loads(_config_from_args(build_parser().parse_args(
+            ["run", *base])).to_json()).get(key) != value
+        if command == "run":
+            assert main(["run", *base, *flag, "--out", "out"]) == 0
+            written = json.loads((tmp_path / "out" / "config.json").read_text())
+        else:
+            args = build_parser().parse_args(["sweep", *base, *flag, "--grid", "g.json",
+                                              "--seeds", "1"])
+            written = json.loads(_config_from_args(args).to_json())
+        assert written[key] == value
+
+    def test_old_spellings_still_parse(self):
+        from migrate.cli import _config_from_args, build_parser
+        old = ["--topk", "2", "--lr", "0.1", "--warmstart", "2"]
+        new = ["--top-k", "2", "--learning-rate", "0.1", "--warmstart-count", "2"]
+        configs = [_config_from_args(build_parser().parse_args(["run", "--budget", "30", *argv]))
+                   for argv in (old, new)]
+        assert configs[0] == configs[1] == default_config(
+            "words", "migrate", budget=30, top_k=2, learning_rate=0.1, warmstart_count=2)
+
+    def test_bootstrap_unknown_method_exits_2_naming_the_methods(self, tmp_path, capsys):
+        from migrate.cli import main
+        with pytest.raises(SystemExit) as err:
+            main(["bootstrap", "--solved-dir", str(tmp_path), "--task", "t.json",
+                  "--method", "bogus"])
+        assert err.value.code == 2
+        assert ("migrate bootstrap: error: unknown method 'bogus'; accepted: random, ns, opro, "
+                "grpo, grpo-greedy, migrate, migrate-opro") in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -33,7 +33,7 @@ class TestMixSpec:
             MixSpec(0, 5, 0)
 
     def test_valid(self):
-        mix = MixSpec(0, 1, 4, k=3)
+        mix = MixSpec(0, 1, 4, top_k=3)
         assert mix.group_size == 5
 
 
@@ -198,7 +198,7 @@ class TestConstructGroup:
         # neighborhood proposals.
         params = make_params()
         archive = filled_archive(list(np.linspace(0.1, 0.9, 6)))
-        mix = MixSpec(0, 1, 4, k=3)
+        mix = MixSpec(0, 1, 4, top_k=3)
         draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(0))
         assert len(draft) == 5
@@ -207,7 +207,7 @@ class TestConstructGroup:
     def test_large_mix(self):
         params = make_params()
         archive = filled_archive(list(np.linspace(0.1, 0.9, 6)))
-        mix = MixSpec(11, 1, 4, k=1)
+        mix = MixSpec(11, 1, 4, top_k=1)
         draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(1))
         assert len(draft) == 16
@@ -216,7 +216,7 @@ class TestConstructGroup:
 
     def test_cold_start_backfills_online(self):
         params = make_params()
-        mix = MixSpec(2, 1, 2, k=3)
+        mix = MixSpec(2, 1, 2, top_k=3)
         draft = construct_group(mix, params, Archive(), 1.0,
                                 np.random.default_rng(2))
         assert len(draft) == 5
@@ -225,7 +225,7 @@ class TestConstructGroup:
     def test_ns_without_greedy_uses_topk_exemplar(self):
         params = make_params()
         archive = filled_archive([0.2, 0.9, 0.5])
-        mix = MixSpec(0, 0, 5, k=1)
+        mix = MixSpec(0, 0, 5, top_k=1)
         draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(3))
         assert len(draft) == 5
@@ -234,16 +234,16 @@ class TestConstructGroup:
     def test_opro_local_kind(self):
         params = make_params()
         archive = filled_archive([0.2, 0.9, 0.5])
-        mix = MixSpec(1, 0, 4, k=1)
+        mix = MixSpec(1, 0, 4, top_k=1)
         draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(4), opro_depth=2)
         provs = [c.provenance for c in draft.members]
         assert provs == [ONLINE] + [OPRO] * 4
 
     def test_island_archive_needs_island_rng(self):
-        archive = Archive(islands=IslandConfig(count=2))
+        archive = Archive(islands=IslandConfig(island_count=2))
         archive.insert([scored((1, 2), 0.5)], island=0)
-        mix = MixSpec(0, 1, 4, k=1)
+        mix = MixSpec(0, 1, 4, top_k=1)
         with pytest.raises(ValueError, match="island_rng"):
             construct_group(mix, make_params(), archive, 1.0, np.random.default_rng(0))
         draft = construct_group(mix, make_params(), archive, 1.0, np.random.default_rng(0),
@@ -254,7 +254,7 @@ class TestConstructGroup:
         params = make_params()
         archive = filled_archive(list(np.linspace(0.1, 0.9, 8)))
         for alpha, beta, gamma in [(0, 1, 4), (2, 1, 2), (11, 1, 4), (3, 2, 3)]:
-            mix = MixSpec(alpha, beta, gamma, k=2)
+            mix = MixSpec(alpha, beta, gamma, top_k=2)
             draft = construct_group(mix, params, archive, 1.0,
                                     np.random.default_rng(alpha))
             assert len(draft.online + draft.local) == alpha + gamma

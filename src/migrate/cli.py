@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NoReturn
 
@@ -103,6 +104,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        if not seeds:
+            raise ValueError("--seeds must list at least one seed")
+        for seed in seeds:
+            replace(base, seed=seed)  # RunConfig checks each seed
         check_sweep(base, grid)
     except (ValueError, OSError) as err:
         _exit_2(args, err)

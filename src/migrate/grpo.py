@@ -29,7 +29,8 @@ import numpy as np
 
 from .completion import Completion
 # ``logprobs`` is unused here but stays importable: searchbench/spans.py wraps it.
-from .policy import TASK_CONTEXT, PolicyParams, logprobs, step_rows, token_steps  # noqa: F401
+from .policy import (TASK_CONTEXT, PolicyParams, feature_rows, logprobs,  # noqa: F401
+                     step_rows, token_steps)
 
 
 class DegenerateGroupError(ValueError):
@@ -144,9 +145,7 @@ def _gradient_index(group: Group, V: int) -> np.ndarray:
     tokens in order, each with the V entries of its row and then its own entry."""
     T = group.tokens.size
     rows = np.empty((3, T), dtype=np.intp)
-    rows[0] = int(TASK_CONTEXT)
-    rows[1] = 2 + group.prev
-    rows[2] = 2 + V + group.buckets
+    rows[0], rows[1], rows[2] = feature_rows(V, TASK_CONTEXT, group.prev, group.buckets)
     rows *= V
     index = np.empty((3, T, V + 1), dtype=np.intp)
     index[:, :, :V] = rows[:, :, None] + np.arange(V)

@@ -155,6 +155,9 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.task not in TASK_DEFAULTS:
             raise ValueError(f"unknown task {self.task!r}")
+        for name in ("seed", "warmstart_count"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.budget <= self.warmstart_count:
             raise ValueError("budget must exceed warmstart_count")
         if self.stop_threshold is not None and not math.isfinite(self.stop_threshold):

@@ -10,12 +10,14 @@ Feature layout of the weight matrix W (shape F x V, F = 2 + V + P):
   row 2..2+V-1    previous token (the end token's row doubles as "start")
   row 2+V..F-1    position bucket, min(pos * P // max_len, P - 1)
 
-A step's logits are the sum of the three active rows, formed in one place,
-:func:`step_rows`, which reads only the weight array W (so the GRPO update
-steps on plain arrays) and softmaxes just the ``(prev, bucket)`` rows it is
-asked for. The running sum of a context's step distributions is built
-once per weight matrix, context and temperature from ``step_rows`` over
-every ``(prev, bucket)`` pair (see :meth:`PolicyParams.cdf`); online members
+:func:`feature_rows` states that layout for the sampler and the GRPO
+gradient alike. A step's logits are the sum of its three active rows,
+formed in one place, :func:`step_rows`, which reads only the weight array W
+(so the GRPO update steps on plain arrays) and softmaxes just the
+``(prev, bucket)`` steps it is asked for. The running sum of a context's
+step distributions is built once per weight matrix, context and
+temperature by one broadcast ``step_rows`` call over every
+``(prev, bucket)`` pair (see :meth:`PolicyParams.cdf`); online members
 draw from the task context and neighborhood proposals from the other, so a
 search that makes both builds both running sums. A token draw is one
 ``bisect_right`` over the ``(prev, bucket)`` row's slice of a flat
@@ -42,23 +44,7 @@ _HEADER = struct.Struct("<4sIIII")
 
 
 class PolicyIOError(Exception):
-    """Base error for parameter (de)serialization."""
-
-
-class ParamsVersionError(PolicyIOError):
-    """Stream magic/version does not match this loader."""
-
-
-class ParamsTruncatedError(PolicyIOError):
-    """Stream ends before the declared payload is complete."""
-
-
-class ParamsNonFiniteError(PolicyIOError):
-    """Deserialized weights contain NaN or infinity."""
-
-
-class ParamsFormatError(PolicyIOError):
-    """Header fields are internally inconsistent."""
+    """A params stream that does not load; the message names the fault."""
 
 
 class ContextKind(enum.IntEnum):
@@ -127,15 +113,14 @@ class PolicyParams:
     def cdf(self, context: ContextKind, temperature: float = 1.0) -> np.ndarray:
         """The read-only ``(V, P, V)`` running sum, along the last axis, of
         ``context``'s step distributions at ``temperature`` (finite and > 0),
-        built on first use from :func:`step_rows` over every (prev, bucket)."""
+        built on first use by one :func:`step_rows` call over every (prev, bucket)."""
         key = (int(context), temperature)
         cdf = self._cdfs.get(key)
         if cdf is None:
             if not 0 < temperature < math.inf:
                 raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
-            V, P = self.vocab.size, self.position_buckets
-            rows = step_rows(self.W, context, *np.divmod(np.arange(V * P), P), temperature)
-            cdf = np.cumsum(rows, axis=-1).reshape(V, P, V)
+            prev, buckets = np.arange(self.vocab.size)[:, None], np.arange(self.position_buckets)
+            cdf = np.cumsum(step_rows(self.W, context, prev, buckets, temperature), axis=-1)
             cdf.setflags(write=False)
             self._cdfs[key] = cdf
         return cdf
@@ -190,15 +175,14 @@ def sample_tokens(params: PolicyParams, context: ContextKind, temperature: float
 
 
 def sample_completion(params: PolicyParams, context: ContextKind, temperature: float,
-                      rng: np.random.Generator, *, provenance: str = ONLINE,
-                      born_iteration: int = 0) -> Completion:
-    """Autoregressive draw; stops at the end token or max_len.
+                      rng: np.random.Generator) -> Completion:
+    """One online draw; stops at the end token or max_len.
 
     Consumes exactly ``max_len`` uniforms from ``rng`` regardless of where
     the sequence stops, so replays are reproducible draw-for-draw.
     """
     tokens = sample_tokens(params, context, temperature, rng.random((1, params.max_len)))[0]
-    return Completion(tokens=tokens, provenance=provenance, born_iteration=born_iteration)
+    return Completion(tokens=tokens, provenance=ONLINE)
 
 
 def mutate_tokens(params: PolicyParams, context: ContextKind, temperature: float,
@@ -259,18 +243,27 @@ def token_steps(params: PolicyParams, sequences: list[tuple[int, ...]]
             np.array(buckets, dtype=np.intp))
 
 
+def feature_rows(V: int, context: ContextKind, prev, buckets):
+    """The rows of W active at the steps ``(prev, buckets)`` of ``context``,
+    for a vocabulary of V tokens: ``(context row, previous-token rows,
+    bucket rows)``. This is the one statement of W's row layout."""
+    return int(context), 2 + prev, 2 + V + buckets
+
+
 def step_rows(W: np.ndarray, context: ContextKind, prev: np.ndarray,
               buckets: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """The ``(len(prev), V)`` step distributions under the ``(F, V)`` weights ``W``
-    of ``context`` at the steps ``(prev, buckets)``: the softmax at ``temperature``
-    of the logits ``(W[ctx] + W[2+prev]) + W[2+V+bucket]``, formed only here.
+    """The step distributions under the ``(F, V)`` weights ``W`` of ``context``
+    at the steps ``(prev, buckets)``, whose shapes broadcast together, with a
+    last axis of length V: the softmax at ``temperature`` of the sum
+    ``(context row + previous-token row) + bucket row`` of
+    :func:`feature_rows`, formed only here.
 
     The max shift comes before the temperature divide, so near-zero
     temperatures stay finite and keep the argmax token; at temperature 1.0
     the divide is skipped, since ``x / 1.0 == x`` exactly.
     """
-    V = W.shape[1]
-    p = (W[int(context)] + W[2 + prev]) + W[2 + V + buckets]
+    ctx, prev_rows, bucket_rows = feature_rows(W.shape[1], context, prev, buckets)
+    p = (W[ctx] + W.take(prev_rows, axis=0)) + W.take(bucket_rows, axis=0)
     p -= p.max(axis=-1, keepdims=True)
     if temperature != 1.0:
         p /= temperature
@@ -298,23 +291,24 @@ def load_params(data: bytes, vocab: Vocabulary | None = None) -> PolicyParams:
 
     A vocabulary of matching size may be supplied to attach real token
     strings; otherwise placeholder tokens are synthesized (the file format
-    stores dimensions only).
+    stores dimensions only). A stream that does not load raises
+    :class:`PolicyIOError`, whose message names the fault.
     """
     if len(data) < _HEADER.size:
-        raise ParamsTruncatedError(f"stream has {len(data)} bytes, header needs {_HEADER.size}")
+        raise PolicyIOError(f"stream has {len(data)} bytes, header needs {_HEADER.size}")
     magic, V, F, P, max_len = _HEADER.unpack_from(data)
     if magic != PARAMS_MAGIC:
-        raise ParamsVersionError(f"unsupported magic/version {magic!r}, expected {PARAMS_MAGIC!r}")
+        raise PolicyIOError(f"unsupported magic/version {magic!r}, expected {PARAMS_MAGIC!r}")
     if F != 2 + V + P or V < 2 or P < 1 or max_len < 1:
-        raise ParamsFormatError(f"inconsistent header: V={V} F={F} P={P} max_len={max_len}")
+        raise PolicyIOError(f"inconsistent header: V={V} F={F} P={P} max_len={max_len}")
     expected = _HEADER.size + F * V * 8
     if len(data) != expected:
-        raise ParamsTruncatedError(f"stream has {len(data)} bytes, expected {expected}")
+        raise PolicyIOError(f"stream has {len(data)} bytes, expected {expected}")
     W = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(F, V).copy()
     if not np.all(np.isfinite(W)):
-        raise ParamsNonFiniteError("weight payload contains non-finite entries")
+        raise PolicyIOError("weight payload contains non-finite entries")
     if vocab is None:
         vocab = Vocabulary(tuple(f"tok{i}" for i in range(V - 1)) + ("</s>",), V - 1)
     elif vocab.size != V:
-        raise ParamsFormatError(f"vocabulary size {vocab.size} != stored V={V}")
+        raise PolicyIOError(f"vocabulary size {vocab.size} != stored V={V}")
     return PolicyParams(W, vocab, P, max_len)

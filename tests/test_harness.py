@@ -110,6 +110,19 @@ class TestRunConfig:
             default_config("molecules", "random", stop_threshold=stop_threshold)
         assert default_config("words", "random", stop_threshold=None).stop_threshold is None
 
+    @pytest.mark.parametrize("task", ["words", "molecules", "grids"])
+    def test_negative_warmstart_count_rejected(self, task):
+        # A negative count used to slice the warm start from the end:
+        # molecules began from 2 of its 3 fragments, grids from none, and
+        # words failed inside its table lookup.
+        with pytest.raises(ValueError, match="warmstart_count must be >= 0, got -1"):
+            default_config(task, "random", budget=30, warmstart_count=-1)
+        assert default_config(task, "random", budget=30, warmstart_count=0).warmstart_count == 0
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            default_config("molecules", "random", seed=-1)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'; accepted: random, ns, "):
             default_config("words", "bogus")
@@ -693,6 +706,8 @@ class TestCli:
         (["--islands", "--island-count", "0"], "island_count must be >= 1"),
         (["--eps-high", "nan"], "eps_high must be finite and > 0, got nan"),
         (["--stop-threshold", "nan"], "stop_threshold must be finite or null, got nan"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--warmstart-count", "-5"], "warmstart_count must be >= 0, got -5"),
         (["--method", "bogus"], "unknown method 'bogus'; accepted: random, ns, opro, grpo, "
                                 "grpo-greedy, migrate, migrate-opro"),
         (["--task", "bogus"], "unknown task 'bogus'; accepted: words, molecules, grids"),
@@ -738,6 +753,29 @@ class TestCli:
                       "--seeds", "1", "--out", str(out), *argv])
         assert err.value.code == 2
         assert re.search(f"migrate sweep: error: .*{message}", capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds,message", [
+        ("0,-1", "seed must be >= 0, got -1"),
+        ("", "--seeds must list at least one seed"),
+        (" , ", "--seeds must list at least one seed"),
+    ], ids=["negative", "empty", "blank"])
+    def test_sweep_seeds_error_exits_2_before_any_search(self, seeds, message, tmp_path,
+                                                        capsys, monkeypatch):
+        from migrate import cli, harness
+
+        def no_search(config):
+            raise AssertionError("the sweep ran a search with seeds it should reject")
+
+        monkeypatch.setattr(harness, "run_any", no_search)
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps([{"alpha": 0, "beta": 1, "gamma": 4}]))
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["sweep", "--task", "molecules", "--budget", "25", "--grid", str(grid_file),
+                      "--seeds", seeds, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"migrate sweep: error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_cli(self, tmp_path):

@@ -95,6 +95,19 @@ def test_gathered_rows_equal_table_rows(V, P, max_len):
             assert rows[i].tobytes() == one[0].tobytes()
 
 
+@pytest.mark.parametrize("temperature", [1.0, 0.6])
+@pytest.mark.parametrize("V,P,max_len", CASES)
+def test_broadcast_rows_equal_flattened_rows(V, P, max_len, temperature):
+    params = make_params(np.random.default_rng(V * 100 + P + 2), V, P, max_len)
+    for ctx in (TASK_CONTEXT, NS_CONTEXT):
+        grid = step_rows(params.W, ctx, np.arange(V)[:, None], np.arange(P), temperature)
+        flat = step_rows(params.W, ctx, *all_steps(params), temperature)
+        assert grid.shape == (V, P, V)
+        assert grid.tobytes() == flat.tobytes()
+        assert step_rows(params.W, ctx, V - 1, P - 1, temperature).tobytes() \
+            == grid[V - 1, P - 1].tobytes()
+
+
 def test_table_is_cached_per_temperature_and_read_only():
     params = make_params(np.random.default_rng(0), 6)
     assert params.cdf(NS_CONTEXT, 0.7) is params.cdf(NS_CONTEXT, 0.7)

@@ -71,6 +71,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         _exit_2(args, err)
 
 
+def _out_path(args: argparse.Namespace, path: Path, is_dir: bool) -> Path:
+    """Make ``--out`` ``path`` (a directory when ``is_dir``, else a file's
+    directory) before any work; exit 2 when it cannot take the output."""
+    try:
+        if not is_dir and path.is_dir():
+            raise IsADirectoryError("is a directory")
+        (path if is_dir else path.parent).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        _exit_2(args, f"--out {path}: {err}")
+    return path
+
+
 def _trace_formats(text: str) -> tuple[str, ...]:
     """``--formats``: a comma list of trace formats, checked before any search runs."""
     formats = tuple(text.split(","))
@@ -83,9 +95,9 @@ def _trace_formats(text: str) -> tuple[str, ...]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    out = _out_path(args, Path(args.out), is_dir=True) if args.out else None
     trace = run_any(config)
-    if args.out:
-        out = Path(args.out)
+    if out:
         emit_trace(trace, args.formats, out)
         save_run_artifacts(trace, out)
     s = trace.summary
@@ -111,11 +123,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         check_sweep(base, grid)
     except (ValueError, OSError) as err:
         _exit_2(args, err)
+    out = Path(args.out or "sweep.csv")
+    out = _out_path(args, out / "sweep.csv" if out.is_dir() else out, is_dir=False)
     rows = sweep(base, grid, seeds)
-    out = Path(args.out) if args.out else Path("sweep.csv")
-    if out.is_dir():
-        out = out / "sweep.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     sweep_to_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -130,6 +140,7 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
         subdirs = sorted(p for p in solved_dir.iterdir() if p.is_dir())
     except (ValueError, TypeError, OSError) as err:
         _exit_2(args, err)
+    out = _out_path(args, Path(args.out), is_dir=False) if args.out else None
     runs = []
     for sub in subdirs:
         best_file = sub / "best.json"
@@ -150,9 +161,9 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
         return 1
     config = bootstrap_nearest(unsolved, runs, base)
     text = config.to_json()
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote bootstrap config to {args.out}")
+    if out:
+        out.write_text(text + "\n", encoding="utf-8")
+        print(f"wrote bootstrap config to {out}")
     else:
         print(text)
     return 0

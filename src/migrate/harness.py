@@ -22,7 +22,7 @@ import numpy as np
 
 from .archive import Archive, IslandConfig
 from .grpo import Adam, ClipConfig, GrpoDiagnostics, UpdateSpec, make_group, update_policy
-from .policy import PolicyParams, init_params, load_params, save_params
+from .policy import PolicyIOError, PolicyParams, init_params, load_params, save_params
 from .sampler import MixSpec, construct_group
 from .tasks import (GridTask, SearchTask, TwoObjectiveTask, WordSearchTask, eval_program,
                     load_embedding_table, load_grid_task, parse_program,
@@ -236,7 +236,6 @@ class IterationRecord:
     iteration: int
     evaluations: int
     best_so_far: float
-    group_size: int
     new_count: int
     loss: float | None = None
     clip_low_frac: float | None = None
@@ -293,12 +292,15 @@ def build_task(config: RunConfig) -> SearchTask:
 
 def initial_params(config: RunConfig, task: SearchTask) -> PolicyParams:
     """The search's first params: the ``bootstrap_params`` file when set (OSError
-    or :class:`policy.PolicyIOError` when it does not load), else uniform."""
+    when it cannot be read, :class:`policy.PolicyIOError` when it does not
+    load or its vocabulary size or ``max_len`` is not the task's), else uniform."""
     if config.bootstrap_params:
-        data = Path(config.bootstrap_params).read_bytes()
-        return load_params(data, vocab=task.vocab)
-    return init_params(task.vocab, max_len=task.max_len,
-                       position_buckets=task.position_buckets)
+        params = load_params(Path(config.bootstrap_params).read_bytes(), vocab=task.vocab)
+        if params.max_len != task.max_len:
+            raise PolicyIOError(f"stored max_len={params.max_len} != the task's "
+                                f"max_len={task.max_len}")
+        return params
+    return init_params(task.vocab, max_len=task.max_len)
 
 
 def run_any(config: RunConfig) -> Trace:
@@ -338,8 +340,7 @@ def run_any(config: RunConfig) -> Trace:
             archive.insert(fresh)
             record = IterationRecord(
                 iteration=iteration, evaluations=archive.evaluated_count,
-                best_so_far=archive.best_score, group_size=len(group_members),
-                new_count=len(fresh),
+                best_so_far=archive.best_score, new_count=len(fresh),
                 new_completions=[(c.text, c.score, c.provenance) for c in fresh])
             records.append(record)
             if config.stop_threshold is not None and archive.best_score >= config.stop_threshold:

@@ -10,14 +10,16 @@ Feature layout of the weight matrix W (shape F x V, F = 2 + V + P):
   row 2..2+V-1    previous token (the end token's row doubles as "start")
   row 2+V..F-1    position bucket, min(pos * P // max_len, P - 1)
 
-:func:`feature_rows` states that layout for the sampler and the GRPO
-gradient alike. A step's logits are the sum of its three active rows,
-formed in one place, :func:`step_rows`, which reads only the weight array W
-(so the GRPO update steps on plain arrays) and softmaxes just the
-``(prev, bucket)`` steps it is asked for. The running sum of a context's
-step distributions is built once per weight matrix, context and
-temperature by one broadcast ``step_rows`` call over every
-``(prev, bucket)`` pair (see :meth:`PolicyParams.cdf`); online members
+:func:`feature_dim` states F and :func:`feature_rows` that layout, for the
+sampler, the GRPO gradient and the params file alike. No sequence is longer
+than ``max_len``: a draw stops there, and the functions that read given
+sequences raise ValueError on a longer one. A step's logits are the sum
+of its three active rows, formed in one place, :func:`step_rows`, which
+reads only the weight array W (so the GRPO update steps on plain arrays)
+and softmaxes just the ``(prev, bucket)`` steps it is asked for. The
+running sum of a context's step distributions is built once per weight
+matrix, context and temperature by one broadcast ``step_rows`` call over
+every ``(prev, bucket)`` pair (see :meth:`PolicyParams.cdf`); online members
 draw from the task context and neighborhood proposals from the other, so a
 search that makes both builds both running sums. A token draw is one
 ``bisect_right`` over the ``(prev, bucket)`` row's slice of a flat
@@ -105,7 +107,13 @@ class PolicyParams:
 
     @property
     def feature_dim(self) -> int:
-        return 2 + self.vocab.size + self.position_buckets
+        return feature_dim(self.vocab.size, self.position_buckets)
+
+    @property
+    def buckets(self) -> list[int]:
+        """The position bucket of each position ``0 .. max_len - 1``."""
+        return position_bucket(np.arange(self.max_len), self.position_buckets,
+                               self.max_len).tolist()
 
     def with_weights(self, W: np.ndarray) -> "PolicyParams":
         return PolicyParams(W, self.vocab, self.position_buckets, self.max_len)
@@ -127,9 +135,10 @@ class PolicyParams:
 
 
 def init_params(vocab: Vocabulary, position_buckets: int = 4, max_len: int = 8) -> PolicyParams:
-    """Zero-weight (uniform) policy."""
-    F = 2 + vocab.size + position_buckets
-    return PolicyParams(np.zeros((F, vocab.size)), vocab, position_buckets, max_len)
+    """Zero-weight (uniform) policy. Its ``position_buckets`` default is the
+    one every search starts from."""
+    W = np.zeros((feature_dim(vocab.size, position_buckets), vocab.size))
+    return PolicyParams(W, vocab, position_buckets, max_len)
 
 
 def position_bucket(position, position_buckets: int, max_len: int):
@@ -158,8 +167,7 @@ def sample_tokens(params: PolicyParams, context: ContextKind, temperature: float
     flat = _flat_cdf(params, context, temperature)
     V, end = params.vocab.size, params.vocab.end_token
     stride = params.position_buckets * V  # floats per previous token
-    offsets = (V * position_bucket(np.arange(params.max_len), params.position_buckets,
-                                   params.max_len)).tolist()
+    offsets = [V * bucket for bucket in params.buckets]
     out = []
     for row in uniforms.tolist():
         tokens, prev = [], end
@@ -192,15 +200,15 @@ def mutate_tokens(params: PolicyParams, context: ContextKind, temperature: float
 
     The replacement is drawn with ``tok_u[i][pos]`` from the policy at that
     position, conditioned on the (possibly already mutated) previous token.
-    Lengths are preserved.
+    Lengths are preserved. Raises ValueError when a base is longer than
+    ``max_len``.
     """
+    if max(map(len, bases), default=0) > params.max_len:
+        raise ValueError(f"bases must have at most max_len={params.max_len} tokens")
     flat = _flat_cdf(params, context, temperature)
     V = params.vocab.size
     stride = params.position_buckets * V  # floats per previous token
-    # A base longer than max_len keeps its length; its tail shares the last bucket.
-    longest = max(map(len, bases), default=0)
-    offsets = (V * position_bucket(np.arange(longest), params.position_buckets,
-                                   params.max_len)).tolist()
+    offsets = [V * bucket for bucket in params.buckets]
     out = []
     for base, gates, draws in zip(bases, gate_u, tok_u):
         tokens, prev = [], params.vocab.end_token
@@ -225,7 +233,7 @@ def token_steps(params: PolicyParams, sequences: list[tuple[int, ...]]
     token outside ``[0, V)``.
     """
     end, V, max_len = params.vocab.end_token, params.vocab.size, params.max_len
-    bucket_of = position_bucket(np.arange(max_len), params.position_buckets, max_len).tolist()
+    bucket_of = params.buckets
     tokens: list[int] = []
     prev: list[int] = []
     buckets: list[int] = []
@@ -241,6 +249,11 @@ def token_steps(params: PolicyParams, sequences: list[tuple[int, ...]]
                          f"tokens, each in [0, {V})")
     return (np.array(tokens, dtype=np.intp), np.array(prev, dtype=np.intp),
             np.array(buckets, dtype=np.intp))
+
+
+def feature_dim(V: int, P: int) -> int:
+    """F, the row count of W for V tokens and P position buckets."""
+    return 2 + V + P
 
 
 def feature_rows(V: int, context: ContextKind, prev, buckets):
@@ -299,7 +312,7 @@ def load_params(data: bytes, vocab: Vocabulary | None = None) -> PolicyParams:
     magic, V, F, P, max_len = _HEADER.unpack_from(data)
     if magic != PARAMS_MAGIC:
         raise PolicyIOError(f"unsupported magic/version {magic!r}, expected {PARAMS_MAGIC!r}")
-    if F != 2 + V + P or V < 2 or P < 1 or max_len < 1:
+    if F != feature_dim(V, P) or V < 2 or P < 1 or max_len < 1:
         raise PolicyIOError(f"inconsistent header: V={V} F={F} P={P} max_len={max_len}")
     expected = _HEADER.size + F * V * 8
     if len(data) != expected:

@@ -21,7 +21,6 @@ class SearchTask:
 
     vocab: Vocabulary
     max_len: int
-    position_buckets: int = 4
     joiner: str = ""
 
     def warmstart(self, rng: np.random.Generator) -> list[Completion]:

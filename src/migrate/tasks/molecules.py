@@ -26,6 +26,8 @@ _COMBINED_LO = VINA_RANGE[0] + (1.0 - QED_RANGE[1])
 _COMBINED_HI = VINA_RANGE[1] + (1.0 - QED_RANGE[0])
 
 SEED_FRAGMENTS = ("CC(=O)N", "CCCCC", "c1ccccc1")
+# The least max_len: every seed fragment, one token per character, must fit.
+MIN_MAX_LEN = max(map(len, SEED_FRAGMENTS))
 
 
 def scalarize(vina: float, qed: float) -> float:
@@ -53,8 +55,9 @@ def is_valid(text: str) -> bool:
 
 class TwoObjectiveTask(SearchTask):
     def __init__(self, rng: np.random.Generator, max_len: int = 16):
-        if max_len < 1:
-            raise ValueError(f"molecules max_len must be >= 1, got {max_len!r}")
+        if max_len < MIN_MAX_LEN:
+            raise ValueError(f"molecules max_len must be >= {MIN_MAX_LEN}, the length of its "
+                             f"longest seed fragment, got {max_len!r}")
         self.vocab = Vocabulary(CHARS + (END,), end_token=len(CHARS))
         self.max_len = max_len
         self.seen: set[str] = set()

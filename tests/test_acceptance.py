@@ -110,9 +110,10 @@ def test_criterion_2_structural_checks():
 
 
 def test_criterion_3_group_budget_contracts():
-    """1000 fuzzed configs: |group| = N every iteration, new evaluations per
-    iteration = alpha+gamma (a cold-start iteration generates N), final
-    count <= budget, best-so-far monotone."""
+    """1000 fuzzed configs: the mix's group size is N (test_sampler checks
+    that each draft has that many members), new evaluations per iteration =
+    alpha+gamma (a cold-start iteration generates N), final count <= budget,
+    best-so-far monotone."""
     started = time.perf_counter()
     rng = np.random.default_rng(33)
     methods = ("random", "ns", "opro", "grpo", "grpo-greedy", "migrate", "migrate-opro")
@@ -140,6 +141,7 @@ def test_criterion_3_group_budget_contracts():
             budget=budget, warmstart_count=warm, top_k=top_k, **island_keys,
             stop_threshold=None,
             task_options={"vocab_size": 40, "dim": 6, "clusters": 4} if task == "words" else {})
+        assert cfg.mix.group_size == n, f"group size {cfg.mix.group_size} != {n}"
         trace = run_any(cfg)
         assert trace.summary.status == "ok", trace.summary.error
         warm_inserted = (trace.records[0].evaluations - trace.records[0].new_count
@@ -148,7 +150,6 @@ def test_criterion_3_group_budget_contracts():
         assert bests == sorted(bests), "best-so-far must be monotone"
         assert trace.summary.total_evaluations <= budget
         for i, rec in enumerate(trace.records):
-            assert rec.group_size == n, f"group size {rec.group_size} != {n}"
             expected_new = n if (i == 0 and warm_inserted == 0) else alpha + gamma
             assert rec.new_count == expected_new
         checked += 1

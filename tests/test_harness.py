@@ -173,7 +173,7 @@ class TestRunConfig:
         assert cfg.mix.group_size == 8
         trace = run_any(cfg)
         assert len(trace.records) == (100 - 20) // 7
-        assert all((r.group_size, r.new_count) == (8, 7) for r in trace.records)
+        assert all(r.new_count == 7 for r in trace.records)
         with pytest.raises(ValueError, match=r"unknown config key 'group_size'.*alpha, beta"):
             default_config("words", "random", group_size=5)
 
@@ -807,6 +807,41 @@ class TestCli:
         assert boot["task_file"] == str(task_file)
 
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "bootstrap"])
+    def test_out_that_cannot_be_written_exits_2_before_any_work(self, command, tmp_path,
+                                                                capsys, monkeypatch):
+        from migrate import cli, harness
+
+        def no_work(*args):
+            raise AssertionError(f"migrate {command} worked towards an --out it cannot write")
+
+        for owner, name in ((cli, "run_any"), (harness, "run_any"), (cli, "bootstrap_nearest")):
+            monkeypatch.setattr(owner, name, no_work)
+        existing_file = tmp_path / "taken"
+        existing_file.write_text("")
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps([{"alpha": 0, "beta": 1, "gamma": 4}]))
+        run_dir = tmp_path / "solved" / "taskA"
+        run_dir.mkdir(parents=True)
+        (run_dir / "best.json").write_text('{"tokens": [1]}')
+        (run_dir / "params.mgp").write_bytes(b"")
+        task_file = tmp_path / "task.json"
+        task_file.write_text(json.dumps({"train": [{"input": [[1]], "output": [[1]]}],
+                                         "test": [{"input": [[1]], "output": [[1]]}]}))
+        out, argv = {
+            "run": (existing_file, ["--task", "molecules", "--method", "random",
+                                    "--budget", "30"]),
+            "sweep": (existing_file / "x.csv", ["--task", "molecules", "--budget", "25",
+                                                "--grid", str(grid_file), "--seeds", "1"]),
+            "bootstrap": (run_dir, ["--solved-dir", str(tmp_path / "solved"),
+                                    "--task", str(task_file)]),
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, *argv, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"migrate {command}: error: --out {out}: " in capsys.readouterr().err
+        assert existing_file.read_text() == ""
+
 # For each flat key but task_options, a value its flag sets: none is the
 # default of the molecules/migrate-opro config with islands that flag_base holds.
 FLAG_VALUES = {"method": "grpo", "task": "grids", "seed": 5, "budget": 40, "warmstart_count": 2,
@@ -935,7 +970,7 @@ class TestConfigFile:
           "task_options": {"hidden_word": "w3", "dim": 3}},
          "task_options ['dim'] are not read with a words task_file"),
         ({"task": "molecules", "method": "random", "task_options": {"max_len": 0}, "budget": 30},
-         "molecules max_len must be >= 1, got 0"),
+         "molecules max_len must be >= 8, the length of its longest seed fragment, got 0"),
         ({"task": "grids", "method": "random", "task_options": {"dsl_step_limit": 0},
           "budget": 30}, "none of 20 hidden programs ran within dsl_step_limit=0"),
         ({"task": "molecules", "method": "random", "budget": "30"},
@@ -1010,8 +1045,8 @@ class TestConfigFile:
             cli.main(["sweep", "--config", str(cfg_path), "--grid", str(grid_file),
                       "--seeds", "1", "--out", str(out)])
         assert err.value.code == 2
-        assert "migrate sweep: error: molecules max_len must be >= 1, got 0" in \
-            capsys.readouterr().err
+        assert ("migrate sweep: error: molecules max_len must be >= 8, the length of its "
+                "longest seed fragment, got 0") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
@@ -1128,6 +1163,71 @@ class TestConfigFile:
         args = build_parser().parse_args(["run", "--budget", "30"])
         assert _config_from_args(args) == default_config("words", "migrate", seed=0, budget=30)
 
+
+class TestMaxLen:
+    """No sequence is longer than the policy's max_len: the task's max_len
+    holds its warm starts, and bootstrap params must share it."""
+
+    @pytest.mark.parametrize("method", ["migrate", "grpo-greedy", "migrate-opro"])
+    def test_molecules_max_len_below_a_seed_fragment_exits_2(self, method, tmp_path, capsys,
+                                                            monkeypatch):
+        # Neighborhood proposals keep the 8 tokens of the c1ccccc1 warm
+        # start, which the policy cannot score.
+        from migrate import cli
+
+        def no_search(config):
+            raise AssertionError("the search ran with a max_len below a seed fragment")
+
+        monkeypatch.setattr(cli, "run_any", no_search)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"task_options": {"max_len": 7}}))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--task", "molecules", "--method", method, "--budget", "30",
+                      "--config", str(cfg_path)])
+        assert err.value.code == 2
+        assert ("migrate run: error: molecules max_len must be >= 8, the length of its longest "
+                "seed fragment, got 7") in capsys.readouterr().err
+
+    def test_molecules_max_len_of_the_longest_seed_fragment_runs(self, tmp_path, capsys):
+        from migrate.cli import main
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"task_options": {"max_len": 8}}))
+        assert main(["run", "--task", "molecules", "--method", "migrate", "--budget", "60",
+                     "--config", str(cfg_path)]) == 0
+        assert "status=ok" in capsys.readouterr().out
+
+    def test_bootstrap_params_of_another_max_len_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        from migrate import cli
+
+        def no_search(config):
+            raise AssertionError("the search ran with params of another max_len")
+
+        monkeypatch.setattr(cli, "run_any", no_search)
+        task = build_task(default_config("molecules", "migrate"))
+        params_file = tmp_path / "short.mgp"
+        params_file.write_bytes(save_params(init_params(task.vocab, max_len=5)))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--task", "molecules", "--method", "migrate", "--budget", "30",
+                      "--bootstrap-params", str(params_file)])
+        assert err.value.code == 2
+        assert (f"migrate run: error: bootstrap_params {params_file}: stored max_len=5 != "
+                f"the task's max_len={task.max_len}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("islands", [False, True], ids=["one-archive", "islands"])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("task", TASK_DEFAULTS)
+    def test_every_archive_entry_fits_max_len(self, task, method, islands):
+        options = {"task_options": SMALL_WORDS} if task == "words" else {}
+        warm = TASK_DEFAULTS[task]["warmstart_count"]
+        cfg = default_config(task, method, seed=3, budget=warm + 60, stop_threshold=None,
+                             islands=islands, **options)
+        trace = run_any(cfg)
+        assert trace.summary.status == "ok", trace.summary.error
+        max_len = trace.final_params.max_len
+        assert max_len == build_task(cfg).max_len
+        assert trace.archive.entries
+        assert all(len(c.tokens) <= max_len for c in trace.archive.entries)
 
 class TestTaskOptions:
     def test_unknown_key_rejected_with_accepted_keys(self):

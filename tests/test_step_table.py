@@ -204,21 +204,16 @@ def test_uniform_landing_on_a_cdf_entry_takes_the_right_side_index():
     assert got == ref == [0, 1, 2, 3]
 
 
-def test_mutating_a_base_longer_than_max_len_keeps_its_length():
-    # Positions at or past max_len read the last position bucket.
+def test_mutating_a_base_longer_than_max_len_raises():
+    # The policy has no position past max_len, so no bucket for such a tail.
     params = make_params(np.random.default_rng(11), 7, P=3, max_len=4)
     rng = np.random.default_rng(12)
-    base = tuple(int(t) for t in rng.integers(0, 7, size=9))
-    gate_u, tok_u = rng.random(9), rng.random(9)
-    got = mutate_tokens(params, NS_CONTEXT, 1.0, [base], [gate_u], [tok_u], 0.6)[0]
-    out, prev = [], None
-    for pos, tok in enumerate(base):
-        if gate_u[pos] < 0.6:
-            tok = ref_token(ref_step(params, 1, prev, pos, 1.0), tok_u[pos])
-        out.append(tok)
-        prev = tok
-    assert got == tuple(out) and len(got) == len(base)
-    assert any(gate_u[params.max_len:] < 0.6)
+    bases = [(1, 2, 3, 4), tuple(int(t) for t in rng.integers(0, 7, size=5))]
+    gate_u, tok_u = [rng.random(4), rng.random(5)], [rng.random(4), rng.random(5)]
+    with pytest.raises(ValueError, match="bases must have at most max_len=4 tokens"):
+        mutate_tokens(params, NS_CONTEXT, 1.0, bases, gate_u, tok_u, 0.6)
+    assert len(mutate_tokens(params, NS_CONTEXT, 1.0, bases[:1], gate_u[:1], tok_u[:1],
+                             0.6)[0]) == 4
 
 
 def test_zero_alpha_draws_nothing():

@@ -133,8 +133,9 @@ class TestTaskSurface:
         assert first[0].score > 0.0
         assert second[0].score == 0.0
 
-    @pytest.mark.parametrize("max_len", [0, -3])
-    def test_non_positive_max_len_rejected(self, max_len):
-        # It used to surface later from PolicyParams, naming neither the task nor the option.
-        with pytest.raises(ValueError, match=f"molecules max_len must be >= 1, got {max_len}"):
+    @pytest.mark.parametrize("max_len", [0, -3, 7])
+    def test_max_len_below_the_longest_seed_fragment_rejected(self, max_len):
+        # Every warm start must fit the policy: c1ccccc1 is 8 tokens.
+        with pytest.raises(ValueError, match=f"molecules max_len must be >= 8, the length of "
+                                             f"its longest seed fragment, got {max_len}"):
             TwoObjectiveTask(np.random.default_rng(0), max_len=max_len)

@@ -82,9 +82,6 @@ class Archive:
             return None
         return [isl for isl, members in enumerate(self._island_set) if index in members]
 
-    def island_members(self, island: int) -> list[int]:
-        return sorted(self._island_set[island]) if self.islands else []
-
     def _ranked(self, island: int) -> Iterator[int]:
         """The island's entry indices in ranking order."""
         members = self._island_set[island]

@@ -12,10 +12,10 @@ from typing import NoReturn
 
 from .harness import (CONFIG_KEYS, TRACE_FORMATS, RunConfig, SolvedRun,
                       bootstrap_nearest, build_task, check_sweep, check_trace_formats,
-                      default_config, emit_trace, initial_params, run_any, save_run_artifacts,
+                      default_config, emit_trace, initial_params, save_run_artifacts, search,
                       sweep, sweep_to_csv)
-from .policy import PolicyIOError
-from .tasks import compute_metrics, load_grid_task
+from .policy import PolicyIOError, PolicyParams
+from .tasks import SearchTask, compute_metrics, load_grid_task
 
 
 # A flag's argparse settings, by its key's kind (null aside); islands is a bare switch.
@@ -47,10 +47,11 @@ def _exit_2(args: argparse.Namespace, err: Exception | str) -> NoReturn:
     raise SystemExit(2) from None
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Flags passed, over the ``--config`` file's keys, over the task's
-    defaults; a config, task or ``bootstrap_params`` file they do not build
-    or load (a missing file or a value of the wrong type included) exits with
+def _search_from_args(args: argparse.Namespace) -> tuple[RunConfig, SearchTask, PolicyParams]:
+    """The config (flags passed, over the ``--config`` file's keys, over the
+    task's defaults) with the task and first params a search of it starts
+    from; a config, task or ``bootstrap_params`` file they do not build or
+    load (a missing file or a value of the wrong type included) exits with
     code 2."""
     overrides = {name: value for name, value in vars(args).items()
                  if name in CONFIG_KEYS and value is not None}
@@ -63,8 +64,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         config = default_config(overrides.pop("task", "words"),
                                 overrides.pop("method", "migrate"), **overrides)
         # The task constructor checks its option values and reads a task_file.
-        initial_params(config, build_task(config))
-        return config
+        task = build_task(config)
+        return config, task, initial_params(config, task)
     except PolicyIOError as err:
         _exit_2(args, f"bootstrap_params {config.bootstrap_params}: {err}")
     except (ValueError, TypeError, OSError) as err:
@@ -94,9 +95,9 @@ def _trace_formats(text: str) -> tuple[str, ...]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config, task, params = _search_from_args(args)
     out = _out_path(args, Path(args.out), is_dir=True) if args.out else None
-    trace = run_any(config)
+    trace = search(config, task, params)
     if out:
         emit_trace(trace, args.formats, out)
         save_run_artifacts(trace, out)
@@ -106,13 +107,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"evaluations={s.total_evaluations} iterations={s.iterations} "
           f"wall_time={s.wall_time:.2f}s status={s.status}")
     if config.task == "grids":
-        metrics = compute_metrics(trace.archive.entries, build_task(config))
+        metrics = compute_metrics(trace.archive.entries, task)
         print(f"pass_at_2={metrics.pass_at_2} oracle={metrics.oracle}")
     return 0 if s.status == "ok" else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    base = _config_from_args(args)
+    base = _search_from_args(args)[0]
     try:
         grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]

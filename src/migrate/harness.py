@@ -2,8 +2,9 @@
 
 Every run is a pure function of its config (seed included): one master seed
 fans out to named sub-streams for task synthesis, sampling, and island
-selection, and all emitted trace files are byte-reproducible. Wall time is
-reported in the in-memory summary only, never written to files.
+selection, and all emitted trace files are byte-reproducible. Wall time
+(of the search, not of the task build before it) is reported in the
+in-memory summary only, never written to files.
 """
 
 from __future__ import annotations
@@ -245,6 +246,8 @@ class IterationRecord:
 
 @dataclass
 class RunSummary:
+    """How a search ended; ``wall_time`` times :func:`search`, not the task build."""
+
     found: bool
     best_score: float
     best_text: str
@@ -304,11 +307,16 @@ def initial_params(config: RunConfig, task: SearchTask) -> PolicyParams:
 
 
 def run_any(config: RunConfig) -> Trace:
-    """Run one search; with an update (the test-time-training methods) the
-    policy is updated after every group, otherwise it stays the initial one."""
-    started = time.perf_counter()
+    """Build the config's task and first params, and :func:`search` them."""
     task = build_task(config)
-    params = initial_params(config, task)
+    return search(config, task, initial_params(config, task))
+
+
+def search(config: RunConfig, task: SearchTask, params: PolicyParams) -> Trace:
+    """Search ``task`` from ``params`` within the config's budget; with an
+    update (the test-time-training methods) the policy is updated after every
+    group, otherwise it stays ``params``."""
+    started = time.perf_counter()
     sampling_rng = _rng(config.seed, _STREAM_SAMPLING)
     island_rng = _rng(config.seed, _STREAM_ISLANDS)
     mix, update, islands = config.mix, config.update, config.islands

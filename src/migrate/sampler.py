@@ -56,13 +56,6 @@ class GroupDraft:
     greedy: list[Completion]
     local: list[Completion]
 
-    @property
-    def members(self) -> list[Completion]:
-        return self.online + self.greedy + self.local
-
-    def __len__(self) -> int:
-        return len(self.online) + len(self.greedy) + len(self.local)
-
 
 def sample_online(params: PolicyParams, context: ContextKind, alpha: int, temperature: float,
                   rng: np.random.Generator, *, born_iteration: int = 0) -> list[Completion]:

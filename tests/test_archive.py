@@ -12,6 +12,11 @@ def scored(score, tokens=(0,), provenance=ONLINE, born=0, text=""):
                       text=text or f"s{score}", score=score)
 
 
+def island_members(archive, island):
+    """The island's entry indices, ascending, read through the public ``islands_of``."""
+    return [i for i in range(len(archive)) if island in archive.islands_of(i)]
+
+
 def island_archive(count=3, p=0.7, fraction=0.25):
     return Archive(islands=IslandConfig(island_count=count, exploit_prob=p,
                                         migration_fraction=fraction))
@@ -59,7 +64,7 @@ class TestInsert:
             archive.insert([scored(0.5)], island=island)
         assert len(archive) == 0
         archive.insert([scored(0.5)], island=3)
-        assert archive.island_members(3) == [0]
+        assert island_members(archive, 3) == [0]
 
 
 class TestTopK:
@@ -177,8 +182,8 @@ class TestMigrate:
         archive.insert([scored(s, text=f"b{s}") for s in (0.5, 0.6, 0.7, 0.8)], island=1)
         archive.migrate()
         assert len(archive) == 8
-        island0 = [archive.entries[i].text for i in archive.island_members(0)]
-        island1 = [archive.entries[i].text for i in archive.island_members(1)]
+        island0 = [archive.entries[i].text for i in island_members(archive, 0)]
+        island1 = [archive.entries[i].text for i in island_members(archive, 1)]
         assert sorted(island0)[:2] == ["a0.1", "a0.2"]  # originals stay
         assert "b0.8" in island0 and "b0.7" in island0  # top members arrive
         assert "a0.4" in island1 and "a0.3" in island1
@@ -195,7 +200,7 @@ class TestMigrate:
         archive = island_archive(count=3, fraction=1.0)
         archive.insert([scored(0.9, text="last")], island=2)
         archive.migrate()
-        island0 = [archive.entries[i].text for i in archive.island_members(0)]
+        island0 = [archive.entries[i].text for i in island_members(archive, 0)]
         assert island0 == ["last"]
 
     def test_migration_preserves_entries(self):
@@ -286,7 +291,7 @@ def assert_ranked_like_reference(archive, members):
     for k in range(1, len(archive) + 2):
         assert list(map(id, archive.topk(k))) == expected[:k]
     for isl in range(archive.islands.island_count):
-        assert archive.island_members(isl) == sorted(members[isl])
+        assert island_members(archive, isl) == sorted(members[isl])
         ranked = list(archive._ranked(isl))
         assert ranked == brute_ranked(archive.entries, members[isl])
     for i in range(len(archive)):

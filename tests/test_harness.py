@@ -334,7 +334,8 @@ class TestIslandMembership:
         assert len(archive) == archive.evaluated_count
         for island in range(cfg.islands.island_count):
             ranked = list(archive._ranked(island))
-            assert len(ranked) == len(set(ranked)) == len(archive.island_members(island))
+            held = [i for i in range(len(archive)) if island in archive.islands_of(i)]
+            assert len(ranked) == len(set(ranked)) == len(held)
         for k in (1, 3, 10, 50):
             top = archive.topk(k)
             assert len(top) == k and len({id(c) for c in top}) == k
@@ -686,10 +687,10 @@ class TestCli:
     def test_unknown_format_fails_before_the_search(self, tmp_path, capsys, monkeypatch):
         from migrate import cli
 
-        def no_search(config):
+        def no_search(*args):
             raise AssertionError("the search ran before --formats was checked")
 
-        monkeypatch.setattr(cli, "run_any", no_search)
+        monkeypatch.setattr(cli, "search", no_search)
         out = tmp_path / "run"
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--task", "grids", "--budget", "400", "--formats", "csv,xml",
@@ -715,10 +716,10 @@ class TestCli:
     def test_config_error_exits_2_before_the_search(self, argv, message, capsys, monkeypatch):
         from migrate import cli
 
-        def no_search(config):
+        def no_search(*args):
             raise AssertionError("the search ran with a config it should reject")
 
-        monkeypatch.setattr(cli, "run_any", no_search)
+        monkeypatch.setattr(cli, "search", no_search)
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--budget", "30", *argv])
         assert err.value.code == 2
@@ -815,7 +816,7 @@ class TestCli:
         def no_work(*args):
             raise AssertionError(f"migrate {command} worked towards an --out it cannot write")
 
-        for owner, name in ((cli, "run_any"), (harness, "run_any"), (cli, "bootstrap_nearest")):
+        for owner, name in ((cli, "search"), (harness, "run_any"), (cli, "bootstrap_nearest")):
             monkeypatch.setattr(owner, name, no_work)
         existing_file = tmp_path / "taken"
         existing_file.write_text("")
@@ -853,6 +854,56 @@ FLAG_VALUES = {"method": "grpo", "task": "grids", "seed": 5, "budget": 40, "warm
                "opro_depth": 2}
 
 
+class TestCliSearch:
+    """``migrate run`` searches the task and first params its check built: the
+    same search, file for file, as ``run_any`` of its config."""
+
+    @pytest.mark.parametrize("task", ["words", "molecules", "grids"])
+    def test_run_builds_its_task_and_reads_its_params_once(self, task, tmp_path, monkeypatch):
+        from migrate import cli, harness
+        config = default_config(task, "migrate", budget=40)
+        params_file = tmp_path / "params.mgp"
+        params_file.write_bytes(save_params(initial_params(config, build_task(config))))
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        for owner, name in ((harness, "build_task"), (cli, "build_task"),
+                            (harness, "load_params")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        for argv, loads in (([], 0), (["--bootstrap-params", str(params_file)], 1)):
+            calls.clear()
+            assert cli.main(["run", "--task", task, "--budget", "40", *argv]) == 0
+            assert (calls.count("build_task"), calls.count("load_params")) == (1, loads)
+
+    @pytest.mark.parametrize("task,budget,seeds", [
+        ("words", 60, (1,)), ("molecules", 40, (1,)), ("grids", 200, (1, 3, 0))])
+    def test_run_writes_the_files_of_run_any(self, task, budget, seeds, tmp_path, capsys):
+        from migrate.cli import main
+        from migrate.tasks import compute_metrics
+        printed = set()
+        for seed in seeds:
+            out = tmp_path / str(seed)
+            assert main(["run", "--task", task, "--seed", str(seed), "--budget", str(budget),
+                         "--out", str(out)]) == 0
+            config = default_config(task, "migrate", seed=seed, budget=budget)
+            trace = run_any(config)
+            assert (out / "trace.csv").read_bytes() == trace_csv(trace).encode()
+            assert (out / "trace.jsonl").read_bytes() == trace_jsonl(trace).encode()
+            assert (out / "params.mgp").read_bytes() == save_params(trace.final_params)
+            if task == "grids":
+                metrics = compute_metrics(trace.archive.entries, build_task(config))
+                line = f"pass_at_2={metrics.pass_at_2} oracle={metrics.oracle}"
+                assert capsys.readouterr().out.splitlines()[-1] == line
+                printed.add(line)
+        # Seeds 3 and 0 differ in pass_at_2 and oracle, so the grids check is not vacuous.
+        assert task != "grids" or len(printed) > 1
+
+
 class TestFlags:
     def flag_base(self, key, tmp_path) -> list[str]:
         """``--config`` with the base keys for ``key``'s flag, writing the file
@@ -877,27 +928,27 @@ class TestFlags:
     def test_each_key_has_a_flag_that_lands_in_config_json(self, key, command, tmp_path,
                                                            monkeypatch):
         # optimizer, migration_interval, migration_fraction and opro_depth had no flag.
-        from migrate.cli import _config_from_args, build_parser, main
+        from migrate.cli import _search_from_args, build_parser, main
         monkeypatch.chdir(tmp_path)
         base = self.flag_base(key, tmp_path)
         value = FLAG_VALUES[key]
         flag = ["--" + key.replace("_", "-"), *([] if value is True else [str(value)])]
-        assert json.loads(_config_from_args(build_parser().parse_args(
-            ["run", *base])).to_json()).get(key) != value
+        assert json.loads(_search_from_args(build_parser().parse_args(
+            ["run", *base]))[0].to_json()).get(key) != value
         if command == "run":
             assert main(["run", *base, *flag, "--out", "out"]) == 0
             written = json.loads((tmp_path / "out" / "config.json").read_text())
         else:
             args = build_parser().parse_args(["sweep", *base, *flag, "--grid", "g.json",
                                               "--seeds", "1"])
-            written = json.loads(_config_from_args(args).to_json())
+            written = json.loads(_search_from_args(args)[0].to_json())
         assert written[key] == value
 
     def test_old_spellings_still_parse(self):
-        from migrate.cli import _config_from_args, build_parser
+        from migrate.cli import _search_from_args, build_parser
         old = ["--topk", "2", "--lr", "0.1", "--warmstart", "2"]
         new = ["--top-k", "2", "--learning-rate", "0.1", "--warmstart-count", "2"]
-        configs = [_config_from_args(build_parser().parse_args(["run", "--budget", "30", *argv]))
+        configs = [_search_from_args(build_parser().parse_args(["run", "--budget", "30", *argv]))[0]
                    for argv in (old, new)]
         assert configs[0] == configs[1] == default_config(
             "words", "migrate", budget=30, top_k=2, learning_rate=0.1, warmstart_count=2)
@@ -937,13 +988,13 @@ class TestConfigFile:
         assert RunConfig.from_json((out / "config.json").read_text()) == cfg
 
     def test_partial_config_file_takes_task_defaults(self, tmp_path):
-        from migrate.cli import _config_from_args, build_parser, main
+        from migrate.cli import _search_from_args, build_parser, main
         partial = {**PARTIAL_WORDS, "budget": 60, "task_options": SMALL_WORDS}
         cfg_path = tmp_path / "partial.json"
         cfg_path.write_text(json.dumps(partial))
         expected = default_config("words", "migrate", budget=60, task_options=SMALL_WORDS)
         args = build_parser().parse_args(["run", "--config", str(cfg_path)])
-        assert _config_from_args(args) == expected
+        assert _search_from_args(args)[0] == expected
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert json.loads((out / "config.json").read_text()) == json.loads(expected.to_json())
@@ -1015,10 +1066,10 @@ class TestConfigFile:
                                                            capsys, monkeypatch):
         from migrate import cli
 
-        def no_search(config):
+        def no_search(*args):
             raise AssertionError("the search ran with a config it should reject")
 
-        monkeypatch.setattr(cli, "run_any", no_search)
+        monkeypatch.setattr(cli, "search", no_search)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(keys))
         with pytest.raises(SystemExit) as err:
@@ -1072,8 +1123,8 @@ class TestConfigFile:
         def no_search(*args):
             raise AssertionError("a search ran with a file that does not load")
 
-        for owner in (cli, harness):
-            monkeypatch.setattr(owner, "run_any", no_search)
+        monkeypatch.setattr(cli, "search", no_search)
+        monkeypatch.setattr(harness, "run_any", no_search)
         monkeypatch.setattr(cli, "bootstrap_nearest", no_search)
         short = tmp_path / "short.mgp"
         short.write_bytes(b"MGP1abc")
@@ -1101,10 +1152,10 @@ class TestConfigFile:
             self, data, message, tmp_path, capsys, monkeypatch):
         from migrate import cli
 
-        def no_search(config):
+        def no_search(*args):
             raise AssertionError("the search ran on a grid task file it should reject")
 
-        monkeypatch.setattr(cli, "run_any", no_search)
+        monkeypatch.setattr(cli, "search", no_search)
         task_file = tmp_path / "t.json"
         task_file.write_text(json.dumps(data))
         with pytest.raises(SystemExit) as err:
@@ -1120,10 +1171,10 @@ class TestConfigFile:
             self, rows, message, tmp_path, capsys, monkeypatch):
         from migrate import cli
 
-        def no_search(config):
+        def no_search(*args):
             raise AssertionError("the search ran on a words task file it should reject")
 
-        monkeypatch.setattr(cli, "run_any", no_search)
+        monkeypatch.setattr(cli, "search", no_search)
         table = tmp_path / "table.txt"
         table.write_text("\n".join([f"{len(rows)} 2", *rows]) + "\n")
         with pytest.raises(SystemExit) as err:
@@ -1159,9 +1210,9 @@ class TestConfigFile:
             capsys.readouterr().err
 
     def test_without_config_file_defaults_to_words_migrate_seed_0(self):
-        from migrate.cli import _config_from_args, build_parser
+        from migrate.cli import _search_from_args, build_parser
         args = build_parser().parse_args(["run", "--budget", "30"])
-        assert _config_from_args(args) == default_config("words", "migrate", seed=0, budget=30)
+        assert _search_from_args(args)[0] == default_config("words", "migrate", seed=0, budget=30)
 
 
 class TestMaxLen:
@@ -1175,10 +1226,10 @@ class TestMaxLen:
         # start, which the policy cannot score.
         from migrate import cli
 
-        def no_search(config):
+        def no_search(*args):
             raise AssertionError("the search ran with a max_len below a seed fragment")
 
-        monkeypatch.setattr(cli, "run_any", no_search)
+        monkeypatch.setattr(cli, "search", no_search)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"task_options": {"max_len": 7}}))
         with pytest.raises(SystemExit) as err:
@@ -1200,10 +1251,10 @@ class TestMaxLen:
                                                                         monkeypatch):
         from migrate import cli
 
-        def no_search(config):
+        def no_search(*args):
             raise AssertionError("the search ran with params of another max_len")
 
-        monkeypatch.setattr(cli, "run_any", no_search)
+        monkeypatch.setattr(cli, "search", no_search)
         task = build_task(default_config("molecules", "migrate"))
         params_file = tmp_path / "short.mgp"
         params_file.write_bytes(save_params(init_params(task.vocab, max_len=5)))

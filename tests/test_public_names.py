@@ -67,3 +67,5 @@ def test_score_new_span_counts_every_new_evaluation(monkeypatch):
     new_evals = sum(r.new_count for r in search.trace.records)
     assert new_evals == search.new_evals > 0
     assert tracer.counts["tasks.score_new.completions"] == new_evals
+    # setup_s and harness.build_task.ms see the search's one task build.
+    assert [span[0] for span in tracer.spans].count("harness.build_task") == 1

@@ -201,8 +201,9 @@ class TestConstructGroup:
         mix = MixSpec(0, 1, 4, top_k=3)
         draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(0))
-        assert len(draft) == 5
-        assert [c.provenance for c in draft.members] == [GREEDY] + [NS] * 4
+        assert len(draft.online + draft.greedy + draft.local) == 5
+        provs = [c.provenance for c in draft.online + draft.greedy + draft.local]
+        assert provs == [GREEDY] + [NS] * 4
 
     def test_large_mix(self):
         params = make_params()
@@ -210,8 +211,8 @@ class TestConstructGroup:
         mix = MixSpec(11, 1, 4, top_k=1)
         draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(1))
-        assert len(draft) == 16
-        provs = [c.provenance for c in draft.members]
+        assert len(draft.online + draft.greedy + draft.local) == 16
+        provs = [c.provenance for c in draft.online + draft.greedy + draft.local]
         assert provs == [ONLINE] * 11 + [GREEDY] + [NS] * 4
 
     def test_cold_start_backfills_online(self):
@@ -219,8 +220,8 @@ class TestConstructGroup:
         mix = MixSpec(2, 1, 2, top_k=3)
         draft = construct_group(mix, params, Archive(), 1.0,
                                 np.random.default_rng(2))
-        assert len(draft) == 5
-        assert all(c.provenance == ONLINE for c in draft.members)
+        assert len(draft.online + draft.greedy + draft.local) == 5
+        assert all(c.provenance == ONLINE for c in draft.online + draft.greedy + draft.local)
 
     def test_ns_without_greedy_uses_topk_exemplar(self):
         params = make_params()
@@ -228,8 +229,8 @@ class TestConstructGroup:
         mix = MixSpec(0, 0, 5, top_k=1)
         draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(3))
-        assert len(draft) == 5
-        assert all(c.provenance == NS for c in draft.members)
+        assert len(draft.online + draft.greedy + draft.local) == 5
+        assert all(c.provenance == NS for c in draft.online + draft.greedy + draft.local)
 
     def test_opro_local_kind(self):
         params = make_params()
@@ -237,7 +238,7 @@ class TestConstructGroup:
         mix = MixSpec(1, 0, 4, top_k=1)
         draft = construct_group(mix, params, archive, 1.0,
                                 np.random.default_rng(4), opro_depth=2)
-        provs = [c.provenance for c in draft.members]
+        provs = [c.provenance for c in draft.online + draft.greedy + draft.local]
         assert provs == [ONLINE] + [OPRO] * 4
 
     def test_island_archive_needs_island_rng(self):
@@ -248,7 +249,8 @@ class TestConstructGroup:
             construct_group(mix, make_params(), archive, 1.0, np.random.default_rng(0))
         draft = construct_group(mix, make_params(), archive, 1.0, np.random.default_rng(0),
                                 island_rng=np.random.default_rng(1))
-        assert [c.provenance for c in draft.members] == [GREEDY] + [NS] * 4
+        provs = [c.provenance for c in draft.online + draft.greedy + draft.local]
+        assert provs == [GREEDY] + [NS] * 4
 
     def test_new_member_accounting(self):
         params = make_params()
@@ -258,4 +260,4 @@ class TestConstructGroup:
             draft = construct_group(mix, params, archive, 1.0,
                                     np.random.default_rng(alpha))
             assert len(draft.online + draft.local) == alpha + gamma
-            assert len(draft) == mix.group_size
+            assert len(draft.online + draft.greedy + draft.local) == mix.group_size

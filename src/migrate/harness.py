@@ -10,6 +10,7 @@ in-memory summary only, never written to files.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -25,8 +26,8 @@ from .archive import Archive, IslandConfig
 from .grpo import Adam, ClipConfig, GrpoDiagnostics, UpdateSpec, make_group, update_policy
 from .policy import PolicyIOError, PolicyParams, init_params, load_params, save_params
 from .sampler import MixSpec, construct_group
-from .tasks import (GridTask, SearchTask, TwoObjectiveTask, WordSearchTask, eval_program,
-                    load_embedding_table, load_grid_task, parse_program,
+from .tasks import (EmbeddingTable, GridTask, SearchTask, TwoObjectiveTask, WordSearchTask,
+                    eval_program, load_embedding_table, load_grid_task, parse_program,
                     synthesize_embedding_table, synthesize_grid_task)
 
 logger = logging.getLogger(__name__)
@@ -271,21 +272,41 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
+@functools.lru_cache(maxsize=1)
+def _synthesized_words(seed: int, options: tuple) -> tuple[EmbeddingTable, str]:
+    """The words table that the task stream of ``seed`` synthesizes from the
+    sorted ``(key, value)`` synthesis ``options``, and the hidden word it then
+    draws. The last one is kept: the table is frozen and read-only."""
+    rng = _rng(seed, _STREAM_TASK)
+    table = synthesize_embedding_table(rng, **dict(options))
+    return table, table.words[int(rng.integers(0, table.size))]
+
+
 def build_task(config: RunConfig) -> SearchTask:
     """Materialize the task from the config's task-synthesis stream.
 
     ``task_options`` are keyword arguments of the task's constructor (RunConfig checks
     their keys, and which of them a ``task_file`` leaves unread).
+
+    Every call returns a fresh task, but a synthesized words table (the most
+    costly part of a words build) is shared: the last one built is kept,
+    keyed on the seed and the synthesis options (every option but
+    ``hidden_word``), so searches of one seed build it once. One search per
+    process, as in ``migrate run``, gains nothing. A words ``task_file`` is
+    read on every call.
     """
     opts = dict(config.task_options)
-    rng = _rng(config.seed, _STREAM_TASK)
     if config.task == "words":
         hidden = opts.pop("hidden_word", None)
-        table = (load_embedding_table(config.task_file) if config.task_file
-                 else synthesize_embedding_table(rng, **opts))
-        if hidden is None:
-            hidden = table.words[int(rng.integers(0, table.size))]
+        if config.task_file:
+            table = load_embedding_table(config.task_file)
+            if hidden is None:
+                hidden = table.words[int(_rng(config.seed, _STREAM_TASK).integers(0, table.size))]
+        else:
+            table, drawn = _synthesized_words(config.seed, tuple(sorted(opts.items())))
+            hidden = drawn if hidden is None else hidden
         return WordSearchTask(table, hidden, warmstart_count=config.warmstart_count)
+    rng = _rng(config.seed, _STREAM_TASK)
     if config.task == "molecules":
         return TwoObjectiveTask(rng, **opts)
     if config.task_file:
@@ -539,7 +560,8 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
             configs.append(default_config(**{**keys, **point}))
         except ValueError as exc:
             logger.warning("skipping sweep point %s: %s", point, exc)
-    jobs = [replace(config, seed=seed) for config in configs for seed in seeds]
+    # Seed-major, so that build_task synthesizes each seed's words table once.
+    jobs = [replace(config, seed=seed) for seed in seeds for config in configs]
 
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -550,7 +572,7 @@ def sweep(base: RunConfig, grid: list[dict], seeds: list[int]) -> list[dict]:
 
     rows: list[dict] = []
     for p_idx, config in enumerate(configs):
-        group = traces[p_idx * len(seeds): (p_idx + 1) * len(seeds)]
+        group = traces[p_idx::len(configs)]
         point_keys = config.flat()
         row: dict = {name: point_keys.get(name) for name in SWEEP_KEYS}
         row["seeds"] = len(seeds)

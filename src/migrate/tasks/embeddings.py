@@ -9,6 +9,7 @@ smoothness that local, mutation-driven search relies on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,16 @@ class EmbeddingTable:
     @property
     def size(self) -> int:
         return len(self.words)
+
+    @functools.cached_property
+    def alphabet(self) -> tuple[str, ...]:
+        """The distinct characters of the words, sorted."""
+        return tuple(sorted({ch for word in self.words for ch in word}))
+
+    @functools.cached_property
+    def max_word_length(self) -> int:
+        """The length of the longest word."""
+        return max(map(len, self.words))
 
     @property
     def dim(self) -> int:

@@ -40,14 +40,14 @@ class WordSearchTask(SearchTask):
         if warmstart_count > table.size:
             raise ValueError(f"warmstart_count {warmstart_count} exceeds the table's "
                              f"{table.size} words")
-        chars = sorted({ch for word in table.words for ch in word})
-        if SEPARATOR in chars or any(not w for w in table.words):
+        chars = table.alphabet
+        if SEPARATOR in chars or "" in table:
             raise ValueError("table words must be non-empty and contain no spaces")
         self.table = table
         self.hidden_word = hidden_word
         self.warmstart_count = warmstart_count
-        self.word_cap = max(len(w) for w in table.words)
-        self.vocab = Vocabulary(tuple(chars) + (SEPARATOR, END), end_token=len(chars) + 1)
+        self.word_cap = table.max_word_length
+        self.vocab = Vocabulary(chars + (SEPARATOR, END), end_token=len(chars) + 1)
         self.max_len = WORDS_PER_COMPLETION * (self.word_cap + 1) - 1
         self._char_index = {ch: i for i, ch in enumerate(self.vocab.tokens[:-1])}
         self._rewards: dict[str, float] = {}

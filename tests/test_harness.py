@@ -51,6 +51,24 @@ def words_config(method, **overrides):
     return default_config("words", method, **overrides)
 
 
+@pytest.fixture
+def synthesized(monkeypatch):
+    """The options of each words table the harness synthesizes, counted from
+    an empty table memo."""
+    from migrate import harness
+    synthesize = harness.synthesize_embedding_table
+    calls = []
+
+    def counted(rng, **options):
+        calls.append(options)
+        return synthesize(rng, **options)
+
+    harness._synthesized_words.cache_clear()
+    monkeypatch.setattr(harness, "synthesize_embedding_table", counted)
+    yield calls
+    harness._synthesized_words.cache_clear()
+
+
 class TestRunConfig:
     @pytest.mark.parametrize("overrides", [{"mutation_rate": 0.0},
                                            {"alpha": -1, "beta": 2, "gamma": 4},
@@ -312,6 +330,72 @@ class TestDeterminism:
         assert a.summary.best_score == b.summary.best_score
 
 
+class TestWordsTableMemo:
+    """``build_task`` keeps the last words table it synthesized, keyed on the
+    seed and the synthesis options; every build is still a fresh task."""
+
+    def test_builds_share_the_table_but_not_the_scores(self, synthesized):
+        config = words_config("migrate", seed=4, stop_threshold=None)
+        first, second = build_task(config), build_task(config)
+        assert len(synthesized) == 1
+        assert first is not second and first.table is second.table
+        search_task(config, first)
+        assert first._rewards and second._rewards == {}
+
+    def test_search_on_a_shared_table_matches_a_cold_build(self, synthesized):
+        from migrate import harness
+        config = words_config("migrate", seed=4, stop_threshold=None)
+        build_task(config)
+        warm = search_task(config, build_task(config))
+        harness._synthesized_words.cache_clear()
+        cold = run_any(config)
+        assert len(synthesized) == 2
+        assert trace_csv(warm) + trace_jsonl(warm) == trace_csv(cold) + trace_jsonl(cold)
+        assert warm.final_params.W.tobytes() == cold.final_params.W.tobytes()
+
+    @pytest.mark.parametrize("seeds,tables", [((0, 1, 0), 3), ((0, 0), 1)])
+    def test_the_memo_holds_one_table(self, synthesized, seeds, tables):
+        for seed in seeds:
+            build_task(words_config("random", seed=seed))
+        assert len(synthesized) == tables
+
+    def test_synthesis_options_key_the_memo_and_hidden_word_does_not(self, synthesized):
+        build_task(words_config("random"))
+        build_task(words_config("random", task_options={**SMALL_WORDS, "clusters": 5}))
+        assert [options["clusters"] for options in synthesized] == [6, 5]
+        reordered = dict(reversed({**SMALL_WORDS, "clusters": 5}.items()))
+        task = build_task(words_config("random", task_options=reordered))
+        hidden = next(word for word in task.table.words if word != task.hidden_word)
+        chosen = build_task(words_config("random", task_options={**reordered,
+                                                                 "hidden_word": hidden}))
+        assert len(synthesized) == 2
+        assert chosen.hidden_word == hidden and chosen.table is task.table
+
+    def test_a_words_task_file_is_read_on_every_build(self, synthesized, tmp_path):
+        from migrate.tasks import save_embedding_table, synthesize_embedding_table
+        path = tmp_path / "table.txt"
+        config = words_config("random", task_file=str(path), task_options={})
+        sizes = []
+        for size in (50, 40):
+            save_embedding_table(synthesize_embedding_table(
+                np.random.default_rng(size), vocab_size=size, dim=4, clusters=5), path)
+            sizes.append(build_task(config).table.size)
+        assert sizes == [50, 40] and synthesized == []
+
+    def test_a_failed_synthesis_is_not_kept(self, synthesized):
+        config = words_config("random", task_options={**SMALL_WORDS, "clusters": 0})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="clusters"):
+                build_task(config)
+        assert len(synthesized) == 2
+
+
+def search_task(config, task):
+    """:func:`harness.search` of ``task`` from the config's first params."""
+    from migrate.harness import search
+    return search(config, task, initial_params(config, task))
+
+
 class TestIslandMembership:
     """Migration adds island membership, never archive entries."""
 
@@ -520,17 +604,29 @@ class TestSweep:
 
     def test_means_match_single_run_replays(self):
         # Replay oracle: the sweep's aggregates must equal statistics of
-        # independently re-run traces.
+        # independently re-run traces, row by row.
         base = words_config("migrate", budget=40, warmstart_count=5)
-        point = {"alpha": 0, "beta": 1, "gamma": 4}
+        grid = [{"alpha": 0, "beta": 1, "gamma": 4}, {"alpha": 4, "beta": 1, "gamma": 0}]
         seeds = [7, 8]
-        (row,) = sweep(base, [point], seeds=seeds)
-        finals = []
-        for seed in seeds:
-            cfg = default_config(**{**base.flat(), **point, "seed": seed})
-            finals.append(run_any(cfg).records[-1].best_so_far)
-        assert row["best_at_100_mean"] == pytest.approx(np.mean(finals), abs=1e-15)
-        assert row["best_at_100_std"] == pytest.approx(np.std(finals), abs=1e-15)
+        rows = sweep(base, grid, seeds=seeds)
+        assert len(rows) == len(grid)
+        for point, row in zip(grid, rows):
+            finals = []
+            for seed in seeds:
+                cfg = default_config(**{**base.flat(), **point, "seed": seed})
+                finals.append(run_any(cfg).records[-1].best_so_far)
+            assert row["best_at_100_mean"] == pytest.approx(np.mean(finals), abs=1e-15)
+            assert row["best_at_100_std"] == pytest.approx(np.std(finals), abs=1e-15)
+
+    def test_serial_sweep_synthesizes_one_words_table_per_seed(self, synthesized,
+                                                               monkeypatch):
+        # Jobs run seed-major; in point-major order this sweep synthesized 6.
+        monkeypatch.delenv("MIGRATE_WORKERS", raising=False)
+        base = words_config("migrate", budget=40, warmstart_count=5)
+        grid = [{"alpha": 0, "beta": 1, "gamma": 4}, {"alpha": 4, "beta": 1, "gamma": 0},
+                {"alpha": 3, "beta": 1, "gamma": 4}]
+        assert len(sweep(base, grid, seeds=[1, 2])) == 3
+        assert len(synthesized) == 2
 
     def test_csv_emission(self, tmp_path):
         base = words_config("migrate", budget=40, warmstart_count=5)

@@ -114,6 +114,18 @@ class TestVocabulary:
     def test_max_len_fits_two_capped_words(self, task):
         assert task.max_len == 2 * (task.word_cap + 1) - 1
 
+    def test_tokens_and_word_cap_match_a_scan_of_the_words(self, task, table):
+        # The table computes both once; a scan of every word is the reference.
+        assert tuple(task.vocab.tokens[:-2]) == tuple(sorted({ch for w in table.words
+                                                              for ch in w}))
+        assert task.word_cap == max(len(w) for w in table.words)
+
+    @pytest.mark.parametrize("words", [("ab", ""), ("ab", "a b")])
+    def test_empty_or_spaced_words_rejected(self, words):
+        table = EmbeddingTable(words, np.eye(2))
+        with pytest.raises(ValueError, match="non-empty and contain no spaces"):
+            WordSearchTask(table, "ab", warmstart_count=1)
+
 
 class TestWarmstart:
     def test_more_warm_starts_than_words_rejected_at_construction(self):

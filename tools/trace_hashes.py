@@ -8,17 +8,24 @@ line repeats its default line. Each line hashes the
 trace CSV and JSONL, every archive entry's (text, score, provenance,
 born_iteration) and the bytes of the final weight matrix.
 
-To check that a change keeps behaviour, run it in two checkouts and diff
-the outputs:
+The lines are pinned in ``tools/trace_hashes.txt``. To check that a change
+keeps behaviour, regenerate them and compare; each config whose line
+differs is printed, and the exit status is 1:
 
-    python3 tools/trace_hashes.py > after.txt
+    python3 tools/trace_hashes.py --check tools/trace_hashes.txt
+
+A change that is meant to alter behaviour re-pins by rewriting the file:
+
+    python3 tools/trace_hashes.py > tools/trace_hashes.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -49,16 +56,54 @@ def trace_hash(task: str, method: str, seed: int, overrides: dict) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def lines() -> Iterator[str]:
+    """One ``"<sha256>  <task> <method> seed=<seed> <variant>"`` line per config."""
     for task in TASK_DEFAULTS:
-        for method in METHODS:
-            for seed in SEEDS:
+        # Run a task's configs seed-major, so that build_task synthesizes each
+        # seed's words table once; the lines keep their method-major order.
+        digests = {}
+        for seed in SEEDS:
+            for method in METHODS:
                 for name, overrides in VARIANTS.items():
                     if name == "adam-mu3" and method not in TTT_METHODS:
                         overrides = {}
-                    digest = trace_hash(task, method, seed, overrides)
-                    print(f"{digest}  {task} {method} seed={seed} {name}", flush=True)
+                    digests[method, seed, name] = trace_hash(task, method, seed, overrides)
+        for method in METHODS:
+            for seed in SEEDS:
+                for name in VARIANTS:
+                    yield f"{digests[method, seed, name]}  {task} {method} seed={seed} {name}"
+
+
+def differences(pinned: str, produced: Iterable[str]) -> Iterator[str]:
+    """One message per config whose ``produced`` line is not its line in the
+    ``pinned`` text, then one per pinned config that ``produced`` lacks."""
+    expected = {config: digest for digest, config in
+                (line.split("  ", 1) for line in pinned.splitlines())}
+    for line in produced:
+        digest, config = line.split("  ", 1)
+        old = expected.pop(config, "not pinned")
+        if old != digest:
+            yield f"{config}: {old} -> {digest}"
+    for config, old in expected.items():
+        yield f"{config}: {old} -> not run"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Print one behaviour hash per fixed-seed "
+                                                 "config, or check them against a file.")
+    parser.add_argument("--check", metavar="FILE",
+                        help="print each config whose line differs from FILE's; exit 1 if any")
+    args = parser.parse_args(argv)
+    if args.check is None:
+        for line in lines():
+            print(line, flush=True)
+        return 0
+    differing = 0
+    for message in differences(Path(args.check).read_text(encoding="utf-8"), lines()):
+        print(message, flush=True)
+        differing += 1
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

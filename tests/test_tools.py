@@ -1,11 +1,15 @@
-"""Tests of the behaviour-hash tool: every pinned line holds in tier-1, and a
-name it imports cannot disappear without a failure."""
+"""Tests of the behaviour-hash tool, the one behaviour pin: every pinned line
+holds in tier-1, island membership is part of the hash, a pin file that is
+not one exits 2, and a name the tool imports cannot disappear without a
+failure."""
 
 import importlib.util
 import re
 from pathlib import Path
 
 import pytest
+
+from migrate.archive import Archive
 
 TRACE_HASHES = Path(__file__).resolve().parents[1] / "tools" / "trace_hashes.py"
 PINNED = TRACE_HASHES.with_suffix(".txt")
@@ -37,8 +41,46 @@ def test_differences_name_each_moved_unpinned_and_missing_config(tool):
               "cc  grids ns seed=1 t0.6\n")
     produced = ["aa  words random seed=1 default", "bx  words random seed=2 default",
                 "dd  grids ns seed=2 t0.6"]
-    assert list(tool.differences(pinned, produced)) == [
+    assert list(tool.differences(tool.pins(pinned, "pins"), produced)) == [
         "words random seed=2 default: bb -> bx",
         "grids ns seed=2 t0.6: not pinned -> dd",
         "grids ns seed=1 t0.6: cc -> not run"]
-    assert list(tool.differences(pinned, pinned.splitlines())) == []
+    assert list(tool.differences(tool.pins(pinned, "pins"), pinned.splitlines())) == []
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("aa  words random seed=1 default\n\nbb  words random seed=2 default\n",
+     ":2: not a '<sha256>  <config>' line: ''"),
+    ("aa  words random seed=1 default\nbb words random seed=2 default\n",
+     ":2: not a '<sha256>  <config>' line: 'bb words random seed=2 default'"),
+    ("  words random seed=1 default\n",
+     ":1: not a '<sha256>  <config>' line: '  words random seed=1 default'"),
+    ("aa  words random seed=1 default\nbb  grids ns seed=1 t0.6\n"
+     "cc  words random seed=1 default\n", ":3: words random seed=1 default is pinned twice"),
+    (None, ": No such file or directory"),
+], ids=["blank-line", "one-space", "no-digest", "pinned-twice", "missing"])
+def test_a_bad_pin_file_exits_2_naming_its_line(tool, tmp_path, capsys, monkeypatch, text,
+                                                problem):
+    # Exit 1 means lines differ; a file that is not a pin file exits 2 before any run.
+    monkeypatch.setattr(tool, "lines", lambda: pytest.fail("ran the configs"))
+    pinned = tmp_path / "pins.txt"
+    if text is not None:
+        pinned.write_text(text, encoding="utf-8")
+    assert tool.main(["--check", str(pinned)]) == 2
+    assert capsys.readouterr() == ("", f"{pinned}{problem}\n")
+
+
+def test_island_membership_is_pinned(tool, monkeypatch):
+    # The heavy-migration case's elites belong to several islands, so listing
+    # each entry's islands in reverse moves its line; a run without islands
+    # has no membership to hash.
+    heavy = next(config for config in tool.CONFIGS if config[3] == "heavy-migration")
+    task, method, seed, _, overrides = heavy
+    before = (tool.trace_hash(task, method, seed, overrides),
+              tool.trace_hash("words", "migrate", 1, {}))
+    islands_of = Archive.islands_of
+    monkeypatch.setattr(Archive, "islands_of", lambda self, index: islands_of(self, index)[::-1])
+    after = (tool.trace_hash(task, method, seed, overrides),
+             tool.trace_hash("words", "migrate", 1, {}))
+    assert after[0] != before[0]
+    assert after[1] == before[1]

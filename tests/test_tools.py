@@ -35,6 +35,36 @@ def test_every_pinned_trace_hash_holds(tool, capsys):
     assert capsys.readouterr().out == ""
 
 
+# The ten former golden cases, each with its seed, budget and overrides:
+# name -> (task, method, seed, overrides).
+GOLDEN_CASES = {
+    "words-migrate-mu2": ("words", "migrate", 3, dict(mu=2, budget=600)),
+    "words-ns": ("words", "ns", 4, dict(budget=300)),
+    "grids-migrate-islands": ("grids", "migrate", 5, dict(islands=True, budget=960)),
+    "grids-migrate-opro": ("grids", "migrate-opro", 6, dict(budget=480)),
+    "grids-grpo-greedy-t07": ("grids", "grpo-greedy", 7, dict(temperature=0.7, budget=480)),
+    "molecules-grpo": ("molecules", "grpo", 8, dict(budget=300)),
+    "molecules-opro": ("molecules", "opro", 9, dict(budget=400)),
+    "molecules-migrate-adam": ("molecules", "migrate", 10, dict(optimizer="adam", budget=300)),
+    "grids-grpo-adam-mu3": ("grids", "grpo", 12, dict(optimizer="adam", mu=3, budget=480)),
+    "heavy-migration": ("grids", "migrate", 11, dict(islands=True, island_count=3,
+                                                      migration_interval=3,
+                                                      migration_fraction=0.5, budget=300)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_case_is_pinned(tool, name):
+    # Each former golden config runs as its own named line of the pin file, so
+    # re-pinning after editing its seed, budget or overrides fails here.
+    task, method, seed, overrides = GOLDEN_CASES[name]
+    [config] = [config for config in tool.CONFIGS if config[3] == name]
+    assert config[:3] == (task, method, seed)
+    assert {"budget": 300, **config[4]} == overrides  # trace_hash's default budget is 300
+    pinned = tool.pins(PINNED.read_text(encoding="utf-8"), str(PINNED))
+    assert f"{task} {method} seed={seed} {name}" in pinned
+
+
 def test_differences_name_each_moved_unpinned_and_missing_config(tool):
     pinned = ("aa  words random seed=1 default\n"
               "bb  words random seed=2 default\n"

@@ -10,7 +10,7 @@ baselines, and a reproducible experiment harness are included.
 
 from .archive import Archive, IslandConfig
 from .completion import Completion
-from .grpo import (Adam, ClipConfig, GrpoDiagnostics, Group, UpdateSpec, compute_advantages,
+from .grpo import (Adam, GrpoDiagnostics, Group, UpdateSpec, compute_advantages,
                    grpo_loss_and_grad, make_group, update_policy)
 from .harness import (RunConfig, Trace, bootstrap_nearest, build_task, default_config,
                       emit_trace, run_any, sweep)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Archive", "IslandConfig", "Completion",
-    "Adam", "ClipConfig", "GrpoDiagnostics", "Group", "UpdateSpec",
+    "Adam", "GrpoDiagnostics", "Group", "UpdateSpec",
     "compute_advantages", "grpo_loss_and_grad", "make_group", "update_policy",
     "RunConfig", "Trace", "bootstrap_nearest", "build_task", "default_config",
     "emit_trace", "run_any", "sweep",

@@ -2,9 +2,10 @@
 
 One group = N scored completions. Advantages are mean-centered rewards
 (no standard-deviation scaling), applied uniformly to every token of a
-completion. The loss is the clipped importance-ratio surrogate, normalized
-by the total token count of the group, with no KL term; new log-probs are
-always taken under the task context regardless of how a member was sampled.
+completion. One :class:`UpdateSpec` is the whole update: ``mu`` steps at its
+rate on the importance-ratio surrogate clipped to its edges, normalized by
+the group's total token count, with no KL term; new log-probs are always
+taken under the task context regardless of how a member was sampled.
 
 :func:`make_group` flattens the group to its T tokens once. One step
 function, ``_step``, serves :func:`grpo_loss_and_grad` and each of the ``mu``
@@ -46,29 +47,16 @@ class NonFiniteLossError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ClipConfig:
-    """Asymmetric ratio clip; the wider high side leaves room for
-    low-probability tokens to grow."""
-
-    eps_low: float = 0.2
-    eps_high: float = 0.28
-
-    def __post_init__(self) -> None:
-        if not 0 < self.eps_low < 1:
-            raise ValueError("eps_low must be in (0, 1)")
-        if not 0 < self.eps_high < math.inf:
-            raise ValueError(f"eps_high must be finite and > 0, got {self.eps_high!r}")
-
-
-@dataclass(frozen=True)
 class UpdateSpec:
     """The update a test-time-training run takes after every group: ``mu``
-    clipped steps of ``optimizer`` ("sgd" or "adam") at ``learning_rate``."""
+    steps of ``optimizer`` ("sgd" or "adam") at ``learning_rate``, ratios clipped
+    to [1 - eps_low, 1 + eps_high], wider above so rare tokens can grow."""
 
     learning_rate: float
     mu: int
     optimizer: str = "sgd"
-    clip: ClipConfig = ClipConfig()
+    eps_low: float = 0.2
+    eps_high: float = 0.28
 
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate < math.inf:
@@ -77,6 +65,10 @@ class UpdateSpec:
             raise ValueError("mu must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
+        if not 0 < self.eps_low < 1:
+            raise ValueError("eps_low must be in (0, 1)")
+        if not 0 < self.eps_high < math.inf:
+            raise ValueError(f"eps_high must be finite and > 0, got {self.eps_high!r}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +77,9 @@ class GrpoDiagnostics:
     mean_ratio: float
     clip_low_frac: float
     clip_high_frac: float
+
+
+NOOP_DIAGNOSTICS = GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -170,7 +165,7 @@ def _gradient(index: np.ndarray, probs: np.ndarray, coeffs: np.ndarray, F: int) 
     return grad.reshape(F, V)
 
 
-def grpo_loss_and_grad(params: PolicyParams, group: Group, clip: ClipConfig,
+def grpo_loss_and_grad(params: PolicyParams, group: Group, update: UpdateSpec,
                        old: np.ndarray | None = None
                        ) -> tuple[float, np.ndarray, GrpoDiagnostics]:
     """Loss, exact dense gradient w.r.t. W, and step diagnostics, against
@@ -184,12 +179,12 @@ def grpo_loss_and_grad(params: PolicyParams, group: Group, clip: ClipConfig,
     if old is not None and len(old) != group.tokens.size:
         raise ValueError(f"old has {len(old)} log-probs for a group of {group.tokens.size} tokens")
     V = params.vocab.size
-    grad, diag, _ = _step(params.W, group, clip, old, _token_picks(group.tokens, V),
+    grad, diag, _ = _step(params.W, group, update, old, _token_picks(group.tokens, V),
                           _gradient_index(group, V))
     return diag.loss, grad, diag
 
 
-def _step(W: np.ndarray, group: Group, clip: ClipConfig, old: np.ndarray | None,
+def _step(W: np.ndarray, group: Group, update: UpdateSpec, old: np.ndarray | None,
           picks: np.ndarray, index: np.ndarray
           ) -> tuple[np.ndarray, GrpoDiagnostics, np.ndarray]:
     """One GRPO step at the weights ``W``: :func:`grpo_loss_and_grad`'s
@@ -200,9 +195,9 @@ def _step(W: np.ndarray, group: Group, clip: ClipConfig, old: np.ndarray | None,
     old = new if old is None else old
     total_len = new.size
     if total_len == 0:
-        return np.zeros_like(W), GrpoDiagnostics(0.0, 1.0, 0.0, 0.0), old
+        return np.zeros_like(W), NOOP_DIAGNOSTICS, old
     ratios = np.exp(new - old)
-    low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
+    low_edge, high_edge = 1.0 - update.eps_low, 1.0 + update.eps_high
     unclipped = ratios * group.token_advantages
     clipped = np.minimum(np.maximum(ratios, low_edge), high_edge) * group.token_advantages
     live = unclipped <= clipped
@@ -225,12 +220,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class Adam:
-    lr: float
+    """Adam's moments and step count, kept across updates; the rate is the update's."""
+
     _m: np.ndarray | None = field(default=None, repr=False)
     _v: np.ndarray | None = field(default=None, repr=False)
     _t: int = field(default=0, repr=False)
 
-    def apply(self, W: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def apply(self, W: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
         if self._m is None:
             self._m = np.zeros_like(W)
             self._v = np.zeros_like(W)
@@ -239,28 +235,30 @@ class Adam:
         self._v = ADAM_BETA2 * self._v + (1 - ADAM_BETA2) * grad * grad
         m_hat = self._m / (1 - ADAM_BETA1 ** self._t)
         v_hat = self._v / (1 - ADAM_BETA2 ** self._t)
-        return W - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        return W - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def update_policy(params: PolicyParams, group: Group, clip: ClipConfig, lr: float,
-                  mu: int, optimizer: Adam | None = None) -> tuple[PolicyParams, list[GrpoDiagnostics]]:
-    """Run ``mu`` gradient steps against the old log-probs of ``params``,
-    the weights that sampled the group, taken from the first step's rows.
+def update_policy(params: PolicyParams, group: Group, update: UpdateSpec,
+                  adam: Adam | None = None) -> tuple[PolicyParams, list[GrpoDiagnostics]]:
+    """Run ``update.mu`` steps against the old log-probs of ``params``, the
+    weights that sampled the group, taken from the first step's rows.
 
-    Each step is plain SGD, ``W - lr * grad``, unless an ``optimizer`` is
-    given, on the weight array alone; the new params are built (and their
+    Each step, at ``update.learning_rate``, is plain SGD or, for an "adam"
+    spec, a step of ``adam`` (ValueError unless ``adam`` is given exactly
+    then), on the weight array alone; the new params are built (and their
     weights checked finite) once, at the end. An all-equal reward group
     returns the input params unchanged (silent no-op).
     """
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
+    if (adam is None) == (update.optimizer == "adam"):
+        raise ValueError(f"an {update.optimizer!r} update takes "
+                         f"{'an' if adam is None else 'no'} Adam")
     if (group.advantages == 0.0).all():
-        return params, [GrpoDiagnostics(0.0, 1.0, 0.0, 0.0)]
-    V = params.vocab.size
+        return params, [NOOP_DIAGNOSTICS]
+    V, lr = params.vocab.size, update.learning_rate
     picks, index = _token_picks(group.tokens, V), _gradient_index(group, V)
     W, old, diags = params.W, None, []
-    for _ in range(mu):
-        grad, diag, old = _step(W, group, clip, old, picks, index)
+    for _ in range(update.mu):
+        grad, diag, old = _step(W, group, update, old, picks, index)
         diags.append(diag)
-        W = W - lr * grad if optimizer is None else optimizer.apply(W, grad)
+        W = W - lr * grad if adam is None else adam.apply(W, grad, lr)
     return params.with_weights(W), diags

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .archive import Archive, IslandConfig
-from .grpo import Adam, ClipConfig, GrpoDiagnostics, UpdateSpec, make_group, update_policy
+from .grpo import Adam, GrpoDiagnostics, UpdateSpec, make_group, update_policy
 from .policy import PolicyIOError, PolicyParams, init_params, load_params, save_params
 from .sampler import MixSpec, construct_group
 from .tasks import (EmbeddingTable, GridTask, SearchTask, TwoObjectiveTask, WordSearchTask,
@@ -81,8 +81,8 @@ CONFIG_KEYS: dict[str, tuple[str | None, str]] = {
     "alpha": ("mix", "an integer"), "beta": ("mix", "an integer"), "gamma": ("mix", "an integer"),
     "top_k": ("mix", "an integer"), "mutation_rate": ("mix", "a number"),
     "learning_rate": ("update", "a number"), "mu": ("update", "an integer"),
-    "optimizer": ("update", "a string"), "eps_low": ("clip", "a number"),
-    "eps_high": ("clip", "a number"), "island_count": ("islands", "an integer"),
+    "optimizer": ("update", "a string"), "eps_low": ("update", "a number"),
+    "eps_high": ("update", "a number"), "island_count": ("islands", "an integer"),
     "exploit_prob": ("islands", "a number"), "migration_interval": ("islands", "an integer"),
     "migration_fraction": ("islands", "a number"), "opro_depth": ("opro_depth", "an integer"),
 }
@@ -107,8 +107,8 @@ def _check_keys(keys: dict, task: str, method: str, islands: bool, accepted=CONF
     """Raise ValueError on a key outside ``accepted``, a value not of its key's
     kind (or a ``task_options`` key the task lacks), or a key for a part that a
     ``method`` config with or without ``islands`` does not have."""
-    lacks = {"update": method not in TTT_METHODS, "clip": method not in TTT_METHODS,
-             "islands": not islands, "opro_depth": method not in OPRO_METHODS}
+    lacks = {"update": method not in TTT_METHODS, "islands": not islands,
+             "opro_depth": method not in OPRO_METHODS}
     for key, value in keys.items():
         if key not in accepted:
             raise ValueError(f"unknown config key {key!r}; accepted keys: {', '.join(accepted)}")
@@ -132,10 +132,10 @@ class RunConfig:
     """One search run: its settings and the parts its method reads, built by
     ``default_config``, which checks each key and its kind; this class checks
     ranges and how fields fit together. ``update`` is present exactly for
-    TTT_METHODS, ``islands`` when the archive has islands, and ``opro_depth``
-    (how many top entries trajectory proposals recombine) exactly for
-    OPRO_METHODS. A words ``task_file`` takes only the ``hidden_word`` task
-    option; molecules reads no ``task_file``."""
+    TTT_METHODS (whose groups need two members), ``islands`` when the archive
+    has islands, and ``opro_depth`` (how many top entries trajectory proposals
+    recombine) exactly for OPRO_METHODS. A words ``task_file`` takes only the
+    ``hidden_word`` task option; molecules reads no ``task_file``."""
 
     method: str
     task: str
@@ -170,6 +170,9 @@ class RunConfig:
                 or (self.opro_depth is None) == (self.method in OPRO_METHODS)):
             raise ValueError(f"a {self.method!r} config must have an update exactly when it is "
                              f"in TTT_METHODS, and an opro_depth exactly when in OPRO_METHODS")
+        if self.update is not None and self.mix.group_size < 2:
+            raise ValueError(f"a {self.method!r} update needs a group of at least 2 members "
+                             f"(alpha + beta + gamma), got {self.mix.group_size}")
         if self.opro_depth is not None and self.opro_depth < 1:
             raise ValueError("opro_depth must be >= 1")
         if self.task_file and self.task == "molecules":
@@ -189,8 +192,7 @@ class RunConfig:
 
     def flat(self) -> dict:
         """This config in the flat keys of ``default_config``; a part it lacks adds none."""
-        holders = {"run": self, "mix": self.mix, "update": self.update,
-                   "clip": self.update and self.update.clip, "islands": self.islands,
+        holders = {"run": self, "mix": self.mix, "update": self.update, "islands": self.islands,
                    "opro_depth": None if self.opro_depth is None else self}
         keys = {"islands": self.islands is not None}
         for key, (part, _) in CONFIG_KEYS.items():
@@ -221,13 +223,12 @@ def default_config(task: str, method: str, seed: int = 0, **overrides) -> RunCon
     defaults = TASK_DEFAULTS[task]
     keys = {**dict(zip(("alpha", "beta", "gamma"), defaults["mixes"][method])), **defaults,
             "method": method, "task": task, "seed": seed, **overrides}
-    parts: dict[str, dict] = {"clip": {}, "islands": {}}
+    parts: dict[str, dict] = {"islands": {}}
     for key, (part, _) in CONFIG_KEYS.items():
         if part and key in keys:
             parts.setdefault(part, {})[key] = keys[key]
 
-    update = (UpdateSpec(**parts["update"], clip=ClipConfig(**parts["clip"]))
-              if method in TTT_METHODS else None)
+    update = UpdateSpec(**parts["update"]) if method in TTT_METHODS else None
     return RunConfig(**parts["run"], mix=MixSpec(**parts["mix"]), update=update,
                      islands=IslandConfig(**parts["islands"]) if keys.get("islands") else None,
                      opro_depth=keys["opro_depth"] if method in OPRO_METHODS else None)
@@ -347,9 +348,7 @@ def search(config: RunConfig, task: SearchTask, params: PolicyParams) -> Trace:
     for i, c in enumerate(warm):
         archive.insert([c], island=i % islands.island_count if islands else None)
 
-    optimizer = None
-    if update is not None and update.optimizer == "adam":
-        optimizer = Adam(update.learning_rate)
+    adam = Adam() if update is not None and update.optimizer == "adam" else None
 
     records: list[IterationRecord] = []
     found = config.stop_threshold is not None and archive.best_score >= config.stop_threshold
@@ -377,8 +376,7 @@ def search(config: RunConfig, task: SearchTask, params: PolicyParams) -> Trace:
                 break
             if update is not None:
                 group = make_group(params, group_members)
-                params, diags = update_policy(params, group, update.clip, update.learning_rate,
-                                              update.mu, optimizer=optimizer)
+                params, diags = update_policy(params, group, update, adam)
                 last: GrpoDiagnostics = diags[-1]
                 record.loss = last.loss
                 record.clip_low_frac = last.clip_low_frac

@@ -87,6 +87,7 @@ class TwoObjectiveTask(SearchTask):
         return 1.0 / (1.0 + np.exp(-2.0 * raw))
 
     def warmstart(self, rng: np.random.Generator) -> list[Completion]:
+        self.seen.clear()  # a search starts here, so each search on this task is the same
         out = []
         for text in SEED_FRAGMENTS:
             tokens = tuple(self._char_index[ch] for ch in text)
@@ -104,8 +105,8 @@ class TwoObjectiveTask(SearchTask):
 def scalarized_reward(task: TwoObjectiveTask, text: str) -> float:
     """Scalarized two-objective score; 0 for invalid or repeated strings.
 
-    Every scored string (valid or not) is marked seen for the rest of the
-    run, mirroring the no-score-on-repeat rule.
+    Every scored string (valid or not) is marked seen until the next
+    ``warmstart``, mirroring the no-score-on-repeat rule.
     """
     repeat = text in task.seen
     task.seen.add(text)

@@ -11,7 +11,7 @@ import numpy as np
 
 from migrate.archive import Archive, IslandConfig
 from migrate.completion import ONLINE, Completion
-from migrate.grpo import ClipConfig, grpo_loss_and_grad, make_group, update_policy
+from migrate.grpo import UpdateSpec, grpo_loss_and_grad, make_group, update_policy
 from migrate.harness import default_config, run_any, trace_csv, trace_jsonl
 from migrate.policy import TASK_CONTEXT, Vocabulary, init_params, logprobs
 from migrate.tasks import (DslProgram, GridTask, compute_metrics, eval_program,
@@ -19,7 +19,7 @@ from migrate.tasks import (DslProgram, GridTask, compute_metrics, eval_program,
 from migrate.tasks.grids import OFFSETS, OPS, OP_TOKENS
 
 MODULE_START = time.perf_counter()
-CLIP = ClipConfig()
+UPDATE = UpdateSpec(learning_rate=0.15, mu=2)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -66,7 +66,7 @@ def test_criterion_1_gradient_correctness():
             params.with_weights(params.W + rng.normal(scale=0.5, size=params.W.shape))
         group = random_group(params, rng, n=int(rng.integers(2, 7)))
         old = old_logprobs(old_params, group)
-        _, grad, diag = grpo_loss_and_grad(params, group, CLIP, old)
+        _, grad, diag = grpo_loss_and_grad(params, group, UPDATE, old)
         saturated += diag.clip_low_frac > 0 or diag.clip_high_frac > 0
         fd = np.zeros_like(grad)
         for f in range(grad.shape[0]):
@@ -74,7 +74,7 @@ def test_criterion_1_gradient_correctness():
                 for sign in (1.0, -1.0):
                     W = params.W.copy()
                     W[f, v] += sign * h
-                    loss, _, _ = grpo_loss_and_grad(params.with_weights(W), group, CLIP, old)
+                    loss, _, _ = grpo_loss_and_grad(params.with_weights(W), group, UPDATE, old)
                     fd[f, v] += sign * loss / (2 * h)
         scale = max(1e-8, np.abs(grad).max(), np.abs(fd).max())
         worst = max(worst, np.abs(grad - fd).max() / scale)
@@ -93,16 +93,16 @@ def test_criterion_2_structural_checks():
         params = random_params(rng, size=6)
         group = random_group(params, rng, n=5)
         ok &= abs(group.advantages.sum()) <= 1e-12
-        loss, _, diag = grpo_loss_and_grad(params, group, CLIP)
+        loss, _, diag = grpo_loss_and_grad(params, group, UPDATE)
         lens = np.array([len(c.tokens) for c in group.completions])
         unclipped = -(lens * group.advantages).sum() / lens.sum()
         ok &= diag.mean_ratio == 1.0
         ok &= abs(loss - unclipped) <= 1e-12
-        lr = 0.15
-        auto, _ = update_policy(params, group, CLIP, lr=lr, mu=2)
-        _, g1, _ = grpo_loss_and_grad(params, group, CLIP)
+        lr = UPDATE.learning_rate
+        auto, _ = update_policy(params, group, UPDATE)
+        _, g1, _ = grpo_loss_and_grad(params, group, UPDATE)
         step1 = params.with_weights(params.W - lr * g1)
-        _, g2, _ = grpo_loss_and_grad(step1, group, CLIP, old_logprobs(params, group))
+        _, g2, _ = grpo_loss_and_grad(step1, group, UPDATE, old_logprobs(params, group))
         manual = step1.W - lr * g2
         ok &= auto.W.tobytes() == manual.tobytes()
     report(2, ok, "sum(adv)<=1e-12, ratio-1 objectives agree <=1e-12, "

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from migrate.completion import Completion
-from migrate.grpo import (Adam, ClipConfig, DegenerateGroupError, NonFiniteLossError,
+from migrate.grpo import (Adam, DegenerateGroupError, NonFiniteLossError, UpdateSpec,
                           compute_advantages, grpo_loss_and_grad, make_group,
                           update_policy)
 from migrate.policy import TASK_CONTEXT, PolicyParams, Vocabulary, init_params, logprobs
 
-CLIP = ClipConfig()
+# The loss tests read only its clip edges.
+UPDATE = UpdateSpec(learning_rate=0.3, mu=1)
 
 
 def make_vocab(size):
@@ -30,6 +31,12 @@ def random_group(params, rng, n=4, max_tokens=4):
         comps.append(Completion(tokens=tokens, provenance="online", born_iteration=1,
                                 text=str(i), score=float(rng.normal())))
     return make_group(params, comps)
+
+
+def sgd_or_adam(learning_rate, mu, adam):
+    """An update's spec and the Adam it takes: an "adam" spec and a fresh
+    Adam, or an "sgd" spec and None."""
+    return UpdateSpec(learning_rate, mu, "adam" if adam else "sgd"), Adam() if adam else None
 
 
 def old_logprobs(old_params, group):
@@ -77,7 +84,7 @@ class TestLoss:
         for _ in range(20):
             params = random_params(rng)
             group = random_group(params, rng)
-            loss, grad, diag = grpo_loss_and_grad(params, group, CLIP)
+            loss, grad, diag = grpo_loss_and_grad(params, group, UPDATE)
             lens = np.array([len(c.tokens) for c in group.completions])
             expected = -(lens * group.advantages).sum() / lens.sum()
             assert abs(loss - expected) <= 1e-12
@@ -91,12 +98,12 @@ class TestLoss:
         comp = Completion(tokens=(1,), provenance="online", text="x", score=1.0)
         other = Completion(tokens=(2,), provenance="online", text="y", score=0.0)
         group = make_group(params, [comp, other])
-        rho = 1 + CLIP.eps_high + 0.5
+        rho = 1 + UPDATE.eps_high + 0.5
         old = old_logprobs(params, group) + np.array([-1.0, 1.0]) * np.log(rho)
-        loss, grad, diag = grpo_loss_and_grad(params, group, CLIP, old)
+        loss, grad, diag = grpo_loss_and_grad(params, group, UPDATE, old)
         # token 1: adv +0.5 at ratio ~1.78 -> clipped high; token 2: adv -0.5
         # at ratio ~0.56 -> clipped low. Both gradients vanish.
-        expected = -((1 + CLIP.eps_high) * 0.5 + (1 - CLIP.eps_low) * -0.5) / 2
+        expected = -((1 + UPDATE.eps_high) * 0.5 + (1 - UPDATE.eps_low) * -0.5) / 2
         assert loss == pytest.approx(expected, abs=1e-12)
         assert np.all(grad == 0.0)
         assert diag.clip_high_frac == 0.5 and diag.clip_low_frac == 0.5
@@ -114,7 +121,7 @@ class TestLoss:
                 params.with_weights(params.W + rng.normal(scale=0.4, size=params.W.shape))
             group = random_group(params, rng, n=int(rng.integers(2, 5)))
             old = old_logprobs(old_params, group)
-            loss, grad, diag = grpo_loss_and_grad(params, group, CLIP, old)
+            loss, grad, diag = grpo_loss_and_grad(params, group, UPDATE, old)
             checked_clipped += diag.clip_low_frac > 0 or diag.clip_high_frac > 0
             fd = np.zeros_like(grad)
             for f in range(grad.shape[0]):
@@ -122,7 +129,7 @@ class TestLoss:
                     for sign in (1.0, -1.0):
                         W = params.W.copy()
                         W[f, v] += sign * h
-                        l2, _, _ = grpo_loss_and_grad(params.with_weights(W), group, CLIP, old)
+                        l2, _, _ = grpo_loss_and_grad(params.with_weights(W), group, UPDATE, old)
                         fd[f, v] += sign * l2 / (2 * h)
             scale = max(1e-8, np.abs(grad).max(), np.abs(fd).max())
             assert np.abs(grad - fd).max() / scale <= 1e-6
@@ -132,10 +139,10 @@ class TestLoss:
         rng = np.random.default_rng(3)
         params = random_params(rng)
         group = random_group(params, rng, n=5)
-        loss, _, _ = grpo_loss_and_grad(params, group, CLIP)
+        loss, _, _ = grpo_loss_and_grad(params, group, UPDATE)
         perm = rng.permutation(5)
         shuffled = make_group(params, [group.completions[i] for i in perm])
-        loss_p, _, _ = grpo_loss_and_grad(params, shuffled, CLIP)
+        loss_p, _, _ = grpo_loss_and_grad(params, shuffled, UPDATE)
         assert loss == pytest.approx(loss_p, abs=1e-12)
 
     def test_non_finite_old_logprobs_rejected(self):
@@ -145,7 +152,7 @@ class TestLoss:
         old = old_logprobs(params, group)
         old[0] = -np.inf  # ratio -> exp(+inf)
         with pytest.raises(NonFiniteLossError) as err:
-            grpo_loss_and_grad(params, group, CLIP, old)
+            grpo_loss_and_grad(params, group, UPDATE, old)
         assert err.value.diagnostics is not None
 
 
@@ -156,7 +163,7 @@ class TestUpdate:
         comps = [Completion(tokens=(0, 1), provenance="online", text="a", score=0.4),
                  Completion(tokens=(2,), provenance="online", text="b", score=0.4)]
         group = make_group(params, comps)
-        new, diags = update_policy(params, group, CLIP, lr=0.5, mu=3)
+        new, diags = update_policy(params, group, UpdateSpec(0.5, 3))
         assert new.W.tobytes() == params.W.tobytes()
         assert diags[0].loss == 0.0
 
@@ -168,7 +175,7 @@ class TestUpdate:
             bad = Completion(tokens=(3,), provenance="online", text="b", score=0.0)
             group = make_group(params, [good, bad])
             before = logprobs(params, TASK_CONTEXT, good.tokens).sum()
-            new, _ = update_policy(params, group, CLIP, lr=0.1, mu=1)
+            new, _ = update_policy(params, group, UpdateSpec(0.1, 1))
             after = logprobs(new, TASK_CONTEXT, good.tokens).sum()
             assert after > before
 
@@ -180,10 +187,10 @@ class TestUpdate:
             params = random_params(rng)
             group = random_group(params, rng)
             lr = 0.2
-            auto, _ = update_policy(params, group, CLIP, lr=lr, mu=2)
-            _, g1, _ = grpo_loss_and_grad(params, group, CLIP)
+            auto, _ = update_policy(params, group, UpdateSpec(lr, 2))
+            _, g1, _ = grpo_loss_and_grad(params, group, UPDATE)
             step1 = params.with_weights(params.W - lr * g1)
-            _, g2, _ = grpo_loss_and_grad(step1, group, CLIP, old_logprobs(params, group))
+            _, g2, _ = grpo_loss_and_grad(step1, group, UPDATE, old_logprobs(params, group))
             step2 = step1.with_weights(step1.W - lr * g2)
             assert auto.W.tobytes() == step2.W.tobytes()
 
@@ -195,9 +202,8 @@ class TestUpdate:
             params = random_params(rng, size=int(rng.integers(3, 9)))
             group = random_group(random_params(rng, size=params.vocab.size), rng,
                                  n=int(rng.integers(2, 7)))
-            _, _, diag = grpo_loss_and_grad(params, group, CLIP)
-            _, (first, _) = update_policy(params, group, CLIP, lr=0.3, mu=2,
-                                          optimizer=Adam(0.3) if trial % 2 else None)
+            _, _, diag = grpo_loss_and_grad(params, group, UPDATE)
+            _, (first, _) = update_policy(params, group, *sgd_or_adam(0.3, 2, trial % 2))
             assert [float.hex(v) for v in astuple(first)] == [float.hex(v) for v in astuple(diag)]
             assert first.mean_ratio == 1.0
             assert first.clip_low_frac == first.clip_high_frac == 0.0
@@ -207,15 +213,14 @@ class TestUpdate:
         params = random_params(rng)
         snapshot = params.W.copy()
         group = random_group(params, rng)
-        update_policy(params, group, CLIP, lr=0.3, mu=2)
+        update_policy(params, group, UpdateSpec(0.3, 2))
         assert np.array_equal(params.W, snapshot)
 
     def test_adam_optimizer_path(self):
         rng = np.random.default_rng(9)
         params = random_params(rng)
         group = random_group(params, rng)
-        new, diags = update_policy(params, group, CLIP, lr=0.05, mu=2,
-                                   optimizer=Adam(0.05))
+        new, diags = update_policy(params, group, UpdateSpec(0.05, 2, "adam"), Adam())
         assert new.W.shape == params.W.shape
         assert len(diags) == 2
         assert not np.array_equal(new.W, params.W)
@@ -232,8 +237,7 @@ class TestUpdate:
         check = PolicyParams.__post_init__
         monkeypatch.setattr(PolicyParams, "__post_init__",
                             lambda self: (built.append(self), check(self)))
-        new, diags = update_policy(params, group, CLIP, lr=0.3, mu=mu,
-                                   optimizer=Adam(0.3) if adam else None)
+        new, diags = update_policy(params, group, *sgd_or_adam(0.3, mu, adam))
         assert len(diags) == mu
         assert len(built) == 1 and built[0] is new
 
@@ -241,8 +245,19 @@ class TestUpdate:
         rng = np.random.default_rng(10)
         params = random_params(rng)
         group = random_group(params, rng)
-        with pytest.raises(ValueError):
-            update_policy(params, group, CLIP, lr=0.1, mu=0)
+        with pytest.raises(ValueError, match="mu must be >= 1"):
+            update_policy(params, group, UpdateSpec(0.1, 0))
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_adam_is_given_exactly_for_an_adam_spec(self, optimizer):
+        # An Adam beside an sgd spec, or an adam spec without one, would step
+        # otherwise than the spec says.
+        rng = np.random.default_rng(14)
+        params = random_params(rng)
+        group = random_group(params, rng)
+        with pytest.raises(ValueError, match=f"an '{optimizer}' update takes"):
+            update_policy(params, group, UpdateSpec(0.3, 2, optimizer),
+                          Adam() if optimizer == "sgd" else None)
 
 
 class TestDiagnosticsTypes:
@@ -258,7 +273,7 @@ class TestDiagnosticsTypes:
         rng = np.random.default_rng(11)
         params = random_params(rng)
         group = random_group(params, rng)
-        loss, _, diag = grpo_loss_and_grad(params, group, CLIP)
+        loss, _, diag = grpo_loss_and_grad(params, group, UPDATE)
         assert type(loss) is float
         self.assert_plain_floats([diag])
 
@@ -267,8 +282,7 @@ class TestDiagnosticsTypes:
         rng = np.random.default_rng(12)
         params = random_params(rng)
         group = random_group(params, rng)
-        _, diags = update_policy(params, group, CLIP, lr=0.05, mu=2,
-                                 optimizer=Adam(0.05) if adam else None)
+        _, diags = update_policy(params, group, *sgd_or_adam(0.05, 2, adam))
         assert len(diags) == 2
         self.assert_plain_floats(diags)
 
@@ -284,7 +298,7 @@ class TestGroupInvariants:
         comps = [Completion(tokens=(0, 1), provenance="online", text="a", score=1.0),
                  Completion(tokens=(2,), provenance="online", text="b", score=0.0)]
         with pytest.raises(ValueError):
-            grpo_loss_and_grad(params, make_group(params, comps), CLIP, old=np.zeros(1))
+            grpo_loss_and_grad(params, make_group(params, comps), UPDATE, old=np.zeros(1))
 
     @pytest.mark.parametrize("tokens", [(0, 1, 2, 0), (4,), (-1,)],
                              ids=["too-long", "too-large", "negative"])

@@ -72,7 +72,8 @@ def synthesized(monkeypatch):
 class TestRunConfig:
     @pytest.mark.parametrize("overrides", [{"mutation_rate": 0.0},
                                            {"alpha": -1, "beta": 2, "gamma": 4},
-                                           {"top_k": 0}])
+                                           {"top_k": 0},
+                                           {"alpha": 1, "beta": 0, "gamma": 0}])
     def test_invalid_mix_fails_at_construction(self, overrides):
         with pytest.raises(ValueError):
             default_config("words", "migrate", **overrides)
@@ -328,6 +329,17 @@ class TestDeterminism:
         a, b = run_any(cfg), run_any(cfg)
         assert trace_csv(a) == trace_csv(b)
         assert a.summary.best_score == b.summary.best_score
+
+    @pytest.mark.parametrize("task", ["words", "molecules", "grids"])
+    def test_a_built_task_gives_every_search_the_same_result(self, task):
+        # A task's score memo or repeat set must not leak from one search
+        # into the next.
+        config = default_config(task, "migrate", seed=1, budget=300, stop_threshold=None)
+        built = build_task(config)
+        first, second = search_task(config, built), search_task(config, built)
+        assert trace_jsonl(first) == trace_jsonl(second)
+        assert first.archive.entries == second.archive.entries
+        assert first.final_params.W.tobytes() == second.final_params.W.tobytes()
 
 
 class TestWordsTableMemo:
@@ -808,6 +820,10 @@ class TestCli:
         (["--method", "bogus"], "unknown method 'bogus'; accepted: random, ns, opro, grpo, "
                                 "grpo-greedy, migrate, migrate-opro"),
         (["--task", "bogus"], "unknown task 'bogus'; accepted: words, molecules, grids"),
+        # One member has no group baseline: the update used to fail after
+        # its first iteration.
+        (["--task", "molecules", "--method", "grpo", "--alpha", "1"],
+         "'grpo' update needs a group of at least 2 members"),
     ])
     def test_config_error_exits_2_before_the_search(self, argv, message, capsys, monkeypatch):
         from migrate import cli

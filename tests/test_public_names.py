@@ -7,16 +7,21 @@ import sys
 from pathlib import Path
 
 import migrate
-from migrate.harness import emit_trace, run_any, save_run_artifacts
+from migrate.harness import default_config, emit_trace, run_any, save_run_artifacts
 
 SEARCHBENCH = Path(__file__).resolve().parents[1] / "searchbench"
 SPANS = SEARCHBENCH / "spans.py"
 
 
-def test_benchmark_boundaries_resolve():
+def load_spans():
     spec = importlib.util.spec_from_file_location("searchbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_boundaries_resolve():
+    spans = load_spans()
     assert spans._BOUNDARIES
     for owner, attr, _ in spans._BOUNDARIES:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
@@ -69,3 +74,17 @@ def test_score_new_span_counts_every_new_evaluation(monkeypatch):
     assert tracer.counts["tasks.score_new.completions"] == new_evals
     # setup_s and harness.build_task.ms see the search's one task build.
     assert [span[0] for span in tracer.spans].count("harness.build_task") == 1
+
+
+def test_update_counts_read_the_update_policy_call():
+    # spans.py counts each update from update_policy's second positional
+    # argument, the group, and its returned diagnostics; a signature change
+    # that moves either must fail here, not only in traced benchmark runs.
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        run_any(default_config("words", "migrate", seed=1, budget=200, stop_threshold=None))
+    counts = {key: tracer.counts[key] for key in
+              ("grpo.groups", "grpo.steps", "grpo.tokens", "grpo.clipped_tokens")}
+    assert counts == {"grpo.groups": 45, "grpo.steps": 90, "grpo.tokens": 4530,
+                      "grpo.clipped_tokens": 0}

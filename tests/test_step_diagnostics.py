@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from migrate.completion import Completion
-from migrate.grpo import (ClipConfig, GrpoDiagnostics, NonFiniteLossError, grpo_loss_and_grad,
+from migrate.grpo import (GrpoDiagnostics, NonFiniteLossError, UpdateSpec, grpo_loss_and_grad,
                           make_group, update_policy)
 from migrate.policy import TASK_CONTEXT, Vocabulary, init_params, logprobs, step_rows
 
-CLIP = ClipConfig()
+UPDATE = UpdateSpec(learning_rate=0.3, mu=2)
 
 
 def make_params(rng, V=7, P=3, max_len=6, scale=0.8):
@@ -41,12 +41,12 @@ def old_logprobs(old_params, group):
                            for c in group.completions])
 
 
-def ref_diagnostics(probs, group, old, clip):
+def ref_diagnostics(probs, group, old, update):
     """The step diagnostics by the plain formulas, from the (T, V) rows
     ``probs`` and the old log-probs ``old``."""
     T = group.tokens.size
     ratios = np.exp(np.log(probs[np.arange(T), group.tokens]) - old)
-    low_edge, high_edge = 1.0 - clip.eps_low, 1.0 + clip.eps_high
+    low_edge, high_edge = 1.0 - update.eps_low, 1.0 + update.eps_high
     unclipped = ratios * group.token_advantages
     clipped = np.clip(ratios, low_edge, high_edge) * group.token_advantages
     live = unclipped <= clipped
@@ -74,7 +74,7 @@ def edge_old(lp, ratio):
     return None
 
 
-def edge_group(rng, params, clip):
+def edge_group(rng, params, update):
     """A group and its old log-probs: one token on each clip edge, exactly,
     and the others frozen under perturbed weights, so both clip sides occur too."""
     old_params = params.with_weights(params.W + rng.normal(scale=1.5, size=params.W.shape))
@@ -84,7 +84,7 @@ def edge_group(rng, params, clip):
         probs = step_rows(params.W, TASK_CONTEXT, group.prev, group.buckets)
         lp = np.log(probs[np.arange(group.tokens.size), group.tokens])
         free = list(range(group.tokens.size))
-        for edge in (1.0 - clip.eps_low, 1.0 + clip.eps_high):
+        for edge in (1.0 - update.eps_low, 1.0 + update.eps_high):
             hit = next((t for t in free if edge_old(lp[t], edge) is not None), None)
             if hit is None:
                 break
@@ -100,22 +100,23 @@ class TestDiagnostics:
         clipped_low = clipped_high = off_policy = 0
         for _ in range(40):
             params = make_params(rng, V=int(rng.integers(2, 12)), P=int(rng.integers(1, 5)))
-            group, old = edge_group(rng, params, CLIP)
+            group, old = edge_group(rng, params, UPDATE)
             probs = step_rows(params.W, TASK_CONTEXT, group.prev, group.buckets)
-            ref = ref_diagnostics(probs, group, old, CLIP)
-            _, _, diag = grpo_loss_and_grad(params, group, CLIP, old)
+            ref = ref_diagnostics(probs, group, old, UPDATE)
+            _, _, diag = grpo_loss_and_grad(params, group, UPDATE, old)
             assert bits(diag) == bits(ref)
             # The update's second step, against the first step's log-probs.
-            _, (_, second) = update_policy(params, group, CLIP, 0.3, 2)
-            _, grad, _ = grpo_loss_and_grad(params, group, CLIP)
-            step1 = params.with_weights(params.W - 0.3 * grad)
+            _, (_, second) = update_policy(params, group, UPDATE)
+            _, grad, _ = grpo_loss_and_grad(params, group, UPDATE)
+            step1 = params.with_weights(params.W - UPDATE.learning_rate * grad)
             ref_second = ref_diagnostics(step_rows(step1.W, TASK_CONTEXT, group.prev,
                                                    group.buckets),
-                                         group, old_logprobs(params, group), CLIP)
+                                         group, old_logprobs(params, group), UPDATE)
             assert bits(second) == bits(ref_second)
             off_policy += second.mean_ratio != 1.0
             ratios = np.exp(np.log(probs[np.arange(group.tokens.size), group.tokens]) - old)
-            assert (ratios == 1.0 - CLIP.eps_low).any() and (ratios == 1.0 + CLIP.eps_high).any()
+            assert (ratios == 1.0 - UPDATE.eps_low).any()
+            assert (ratios == 1.0 + UPDATE.eps_high).any()
             clipped_low += diag.clip_low_frac > 0
             clipped_high += diag.clip_high_frac > 0
         assert clipped_low and clipped_high and off_policy >= 30
@@ -128,9 +129,9 @@ class TestDiagnostics:
             old = old_logprobs(params, group)
             old[0] = -np.inf
             probs = step_rows(params.W, TASK_CONTEXT, group.prev, group.buckets)
-            ref = ref_diagnostics(probs, group, old, CLIP)
+            ref = ref_diagnostics(probs, group, old, UPDATE)
             with pytest.raises(NonFiniteLossError) as err:
-                grpo_loss_and_grad(params, group, CLIP, old)
+                grpo_loss_and_grad(params, group, UPDATE, old)
             assert bits(err.value.diagnostics) == bits(ref)
             assert err.value.diagnostics.mean_ratio == np.inf
             # Under weights where the first token's probability underflows
@@ -142,7 +143,7 @@ class TestDiagnostics:
             assert probs[0, group.tokens[0]] == 0.0
             with np.errstate(divide="ignore", invalid="ignore"), \
                     pytest.raises(NonFiniteLossError) as err:
-                ref = ref_diagnostics(probs, group, old_logprobs(underflow, group), CLIP)
-                update_policy(underflow, group, CLIP, 0.3, 2)
+                ref = ref_diagnostics(probs, group, old_logprobs(underflow, group), UPDATE)
+                update_policy(underflow, group, UPDATE)
             assert bits(err.value.diagnostics) == bits(ref)
             assert math.isnan(err.value.diagnostics.mean_ratio)

@@ -12,13 +12,15 @@ import pytest
 
 from migrate import harness
 from migrate.completion import NS, Completion
-from migrate.grpo import Adam, ClipConfig, grpo_loss_and_grad, make_group, update_policy
+from migrate.grpo import Adam, UpdateSpec, grpo_loss_and_grad, make_group, update_policy
 from migrate.policy import (TASK_CONTEXT, ContextKind, PolicyParams, Vocabulary, init_params,
                             logprobs, mutate_tokens, sample_tokens, step_rows)
 from migrate.sampler import propose_neighborhood, sample_online
 from migrate.tasks.grids import GRID_VOCAB
 
 NS_CONTEXT = ContextKind.NEIGHBORHOOD
+# The loss and gradient tests read only its clip edges.
+UPDATE = UpdateSpec(learning_rate=0.4, mu=3)
 
 
 def make_params(rng, V, P=4, max_len=6, scale=1.5):
@@ -291,12 +293,12 @@ def test_frozen_group_logprobs_equal_per_member_logprobs():
         # The update's old log-probs: its first step's rows, at its tokens.
         probs = step_rows(params.W, TASK_CONTEXT, group.prev, group.buckets)
         assert np.log(probs[np.arange(ref.size), group.tokens]).tobytes() == ref.tobytes()
-        _, _, diag = grpo_loss_and_grad(params, group, ClipConfig())
-        assert grpo_loss_and_grad(params, group, ClipConfig(), ref)[2] == diag
+        _, _, diag = grpo_loss_and_grad(params, group, UPDATE)
+        assert grpo_loss_and_grad(params, group, UPDATE, ref)[2] == diag
         assert diag.mean_ratio == 1.0
 
 
-def ref_loss_and_grad(params, group, old, clip):
+def ref_loss_and_grad(params, group, old, update):
     """Per-token loop against old log-probs ``old``: running objective sum
     and per-row gradient updates."""
     V, P, F = params.vocab.size, params.position_buckets, params.feature_dim
@@ -310,7 +312,7 @@ def ref_loss_and_grad(params, group, old, clip):
         for pos, tok in enumerate(comp.tokens):
             p = ref_step(params, 0, prev, pos, 1.0)
             rho = np.exp(np.log(p[tok]) - old[pos])
-            clipped = min(max(rho, 1.0 - clip.eps_low), 1.0 + clip.eps_high)
+            clipped = min(max(rho, 1.0 - update.eps_low), 1.0 + update.eps_high)
             if rho * adv <= clipped * adv:
                 obj_sum += rho * adv
                 scale = adv * rho / total
@@ -326,7 +328,6 @@ def ref_loss_and_grad(params, group, old, clip):
 
 
 def test_gradient_equals_per_token_loop():
-    clip = ClipConfig()
     rng = np.random.default_rng(6)
     for trial in range(40):
         V = int(rng.integers(2, 12))
@@ -337,8 +338,8 @@ def test_gradient_equals_per_token_loop():
                  for n in rng.integers(1, 7, size=int(rng.integers(2, 9)))]
         group = make_group(params, comps)
         old = old_logprobs(old_params if trial % 2 else params, group)
-        loss, grad, _ = grpo_loss_and_grad(params, group, clip, old if trial % 2 else None)
-        ref_loss, ref_grad = ref_loss_and_grad(params, group, old, clip)
+        loss, grad, _ = grpo_loss_and_grad(params, group, UPDATE, old if trial % 2 else None)
+        ref_loss, ref_grad = ref_loss_and_grad(params, group, old, UPDATE)
         assert float(loss) == float(ref_loss)
         assert grad.tobytes() == ref_grad.tobytes()
 
@@ -354,29 +355,30 @@ def random_group(rng, params):
 @pytest.mark.parametrize("adam", [False, True], ids=["sgd", "adam"])
 def test_update_equals_per_step_reference_loop(adam):
     # mu=3: steps 2 and 3 read rows computed from the intermediate weights,
-    # against the first step's log-probs.
-    clip, lr = ClipConfig(), 0.4
+    # against the first step's log-probs. Each step, Adam's too, is at the
+    # spec's rate, whichever it is.
     rng = np.random.default_rng(13 + adam)
     for _ in range(20):
         params = make_params(rng, int(rng.integers(2, 12)), P=int(rng.integers(1, 5)),
                              max_len=6, scale=0.8)
         group = random_group(rng, params)
-        new, diags = update_policy(params, group, clip, lr, 3, Adam(lr) if adam else None)
-        optimizer, current, ref_losses = Adam(lr), params, []
         old = old_logprobs(params, group)
-        for _ in range(3):
-            loss, grad = ref_loss_and_grad(current, group, old, clip)
-            ref_losses.append(float(loss))
-            W = optimizer.apply(current.W, grad) if adam else current.W - lr * grad
-            current = current.with_weights(W)
-        assert [d.loss for d in diags] == ref_losses
-        assert new.W.tobytes() == current.W.tobytes()
+        for lr in (0.4, 0.05):
+            update = UpdateSpec(lr, 3, "adam" if adam else "sgd")
+            new, diags = update_policy(params, group, update, Adam() if adam else None)
+            optimizer, current, ref_losses = Adam(), params, []
+            for _ in range(3):
+                loss, grad = ref_loss_and_grad(current, group, old, update)
+                ref_losses.append(float(loss))
+                W = optimizer.apply(current.W, grad, lr) if adam else current.W - lr * grad
+                current = current.with_weights(W)
+            assert [d.loss for d in diags] == ref_losses
+            assert new.W.tobytes() == current.W.tobytes()
 
 
 def test_dead_tokens_leave_the_gradient_unchanged():
     # Scores 1, 0, 0.5, 0.5: the last two members have advantage exactly 0,
     # and old log-probs far from the current ones clip many tokens.
-    clip = ClipConfig()
     rng = np.random.default_rng(14)
     seen_clipped = 0
     for _ in range(20):
@@ -387,9 +389,9 @@ def test_dead_tokens_leave_the_gradient_unchanged():
         group = make_group(params, comps)
         old = old_logprobs(old_params, group)
         assert (group.advantages[2:] == 0.0).all()
-        _, grad, diag = grpo_loss_and_grad(params, group, clip, old)
+        _, grad, diag = grpo_loss_and_grad(params, group, UPDATE, old)
         seen_clipped += diag.clip_low_frac + diag.clip_high_frac > 0
-        assert grad.tobytes() == ref_loss_and_grad(params, group, old, clip)[1].tobytes()
+        assert grad.tobytes() == ref_loss_and_grad(params, group, old, UPDATE)[1].tobytes()
         assert not np.signbit(grad[grad == 0.0]).any()
     assert seen_clipped == 20
 

@@ -155,6 +155,10 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
                 raise ValueError("must hold an object whose 'tokens' is a list of integers")
         except (ValueError, OSError) as err:
             _exit_2(args, f"{best_file}: {err}")
+        try:  # the check a run from this donor makes
+            initial_params(replace(base, bootstrap_params=str(params_file)), unsolved)
+        except (PolicyIOError, OSError) as err:
+            _exit_2(args, f"{params_file}: {err}")
         runs.append(SolvedRun(name=sub.name, program_tokens=tuple(tokens),
                               params_path=str(params_file)))
     if not runs:

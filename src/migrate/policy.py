@@ -1,20 +1,20 @@
 """Feature-linear softmax token policy with exact, cheap log-prob gradients.
 
 The policy is first-order Markov: a step's logits are a linear function of
-three one-hot features (conditioning context kind, previous token, clamped
-position bucket), so a completion's log-probability and its gradient with
-respect to the weight matrix are available in closed form.
+one-hot features (task context, previous token, clamped position bucket), so
+a completion's log-probability and its gradient with respect to the weight
+matrix are available in closed form.
 
-Feature layout of the weight matrix W (shape F x V, F = 2 + V + P):
-  row 0..1        context kind (0 = task, 1 = neighborhood)
-  row 2..2+V-1    previous token (the end token's row doubles as "start")
-  row 2+V..F-1    position bucket, min(pos * P // max_len, P - 1)
+Feature layout of the weight matrix W (shape F x V, F = 1 + V + P):
+  row 0           task context (the neighborhood context adds no row)
+  row 1..V        previous token (the end token's row doubles as "start")
+  row 1+V..F-1    position bucket, min(pos * P // max_len, P - 1)
 
 :func:`feature_dim` states F and :func:`feature_rows` that layout, for the
 sampler, the GRPO gradient and the params file alike. No sequence is longer
 than ``max_len``: a draw stops there, and the functions that read given
 sequences raise ValueError on a longer one. A step's logits are the sum
-of its three active rows, formed in one place, :func:`step_rows`, which
+of its active rows, formed in one place, :func:`step_rows`, which
 reads only the weight array W (so the GRPO update steps on plain arrays)
 and softmaxes just the ``(prev, bucket)`` steps it is asked for. The
 running sum of a context's step distributions is built once per weight
@@ -32,6 +32,7 @@ gradient gather with.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import struct
 from bisect import bisect_right
@@ -41,7 +42,7 @@ import numpy as np
 
 from .completion import ONLINE, Completion
 
-PARAMS_MAGIC = b"MGP1"
+PARAMS_MAGIC = b"MGP2"
 _HEADER = struct.Struct("<4sIIII")
 
 
@@ -50,7 +51,7 @@ class PolicyIOError(Exception):
 
 
 class ContextKind(enum.IntEnum):
-    """Conditioning context of a step; its value is the context feature row."""
+    """Conditioning context of a step: only the task context has a row of W."""
 
     TASK = 0
     NEIGHBORHOOD = 1
@@ -83,7 +84,7 @@ class Vocabulary:
 class PolicyParams:
     """Immutable weight matrix plus the feature layout it is defined over.
 
-    ``W`` has shape (F, V) with F = 2 + V + position_buckets; see the module
+    ``W`` has shape (F, V) with F = 1 + V + position_buckets; see the module
     docstring for the row layout. Updates always build a new instance, so
     params can be shared freely across readers, and the CDFs cached on an
     instance live exactly as long as it does.
@@ -253,30 +254,29 @@ def token_steps(params: PolicyParams, sequences: list[tuple[int, ...]]
 
 def feature_dim(V: int, P: int) -> int:
     """F, the row count of W for V tokens and P position buckets."""
-    return 2 + V + P
+    return 1 + V + P
 
 
 def feature_rows(V: int, context: ContextKind, prev, buckets):
     """The rows of W active at the steps ``(prev, buckets)`` of ``context``,
-    for a vocabulary of V tokens: ``(context row, previous-token rows,
-    bucket rows)``. This is the one statement of W's row layout."""
-    return int(context), 2 + prev, 2 + V + buckets
+    for a vocabulary of V tokens: ``(previous-token rows, bucket rows)``, after
+    row 0 in the task context. This is the one statement of W's row layout."""
+    return ((0,) if context == ContextKind.TASK else ()) + (1 + prev, 1 + V + buckets)
 
 
 def step_rows(W: np.ndarray, context: ContextKind, prev: np.ndarray,
               buckets: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """The step distributions under the ``(F, V)`` weights ``W`` of ``context``
     at the steps ``(prev, buckets)``, whose shapes broadcast together, with a
-    last axis of length V: the softmax at ``temperature`` of the sum
-    ``(context row + previous-token row) + bucket row`` of
-    :func:`feature_rows`, formed only here.
+    last axis of length V: the softmax at ``temperature`` of the sum, in
+    order, of the rows of :func:`feature_rows`, formed only here.
 
     The max shift comes before the temperature divide, so near-zero
     temperatures stay finite and keep the argmax token; at temperature 1.0
     the divide is skipped, since ``x / 1.0 == x`` exactly.
     """
-    ctx, prev_rows, bucket_rows = feature_rows(W.shape[1], context, prev, buckets)
-    p = (W[ctx] + W.take(prev_rows, axis=0)) + W.take(bucket_rows, axis=0)
+    rows = feature_rows(W.shape[1], context, prev, buckets)
+    p = functools.reduce(np.add, [W.take(r, axis=0) for r in rows])
     p -= p.max(axis=-1, keepdims=True)
     if temperature != 1.0:
         p /= temperature
@@ -292,7 +292,7 @@ def logprobs(params: PolicyParams, context: ContextKind, tokens: tuple[int, ...]
 
 
 def save_params(params: PolicyParams) -> bytes:
-    """Serialize to the little-endian "MGP1" format (header + row-major W)."""
+    """Serialize to the little-endian "MGP2" format (header + row-major W)."""
     v = params.vocab
     header = _HEADER.pack(PARAMS_MAGIC, v.size, params.feature_dim,
                           params.position_buckets, params.max_len)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -1222,12 +1223,17 @@ class TestConfigFile:
          "No such file or directory: '{missing}.mgp'"),
         (["run", "--task", "molecules", "--bootstrap-params", "{short}"],
          "bootstrap_params {short}: stream has 7 bytes, header needs 20"),
+        (["run", "--task", "molecules", "--bootstrap-params", "{retired}"],
+         "bootstrap_params {retired}: unsupported magic/version b'MGP1', expected b'MGP2'"),
         (["sweep", "--task", "molecules", "--grid", "{missing}.json", "--seeds", "1"],
          "No such file or directory: '{missing}.json'"),
         (["bootstrap", "--solved-dir", "{tmp}", "--task", "{missing}.json"],
          "No such file or directory: '{missing}.json'"),
+        (["bootstrap", "--solved-dir", "{solved}", "--task", "{grid_task}"],
+         "{solved}/taskA/params.mgp: stream has 8 bytes, header needs 20"),
     ], ids=["run-config", "grids-task-file", "words-task-file", "bootstrap-params",
-            "truncated-bootstrap-params", "sweep-grid", "bootstrap-task"])
+            "truncated-bootstrap-params", "retired-format-bootstrap-params", "sweep-grid",
+            "bootstrap-task", "truncated-donor-params"])
     def test_file_that_does_not_load_exits_2_before_any_search(self, argv, message, tmp_path,
                                                               capsys, monkeypatch):
         from migrate import cli, harness
@@ -1239,8 +1245,24 @@ class TestConfigFile:
         monkeypatch.setattr(harness, "run_any", no_search)
         monkeypatch.setattr(cli, "bootstrap_nearest", no_search)
         short = tmp_path / "short.mgp"
-        short.write_bytes(b"MGP1abc")
-        names = dict(missing=tmp_path / "missing", short=short, tmp=tmp_path)
+        short.write_bytes(b"MGP2abc")
+        # A full-length params file of the retired MGP1 layout, whose W had
+        # F = 2 + V + P rows, for the molecules task's vocabulary and max_len.
+        molecules = build_task(default_config("molecules", "migrate"))
+        V, P = molecules.vocab.size, 4
+        retired = tmp_path / "retired.mgp"
+        retired.write_bytes(struct.pack("<4sIIII", b"MGP1", V, 2 + V + P, P, molecules.max_len)
+                            + bytes(8 * (2 + V + P) * V))
+        # A solved run whose params.mgp is cut short, and a grid task to bootstrap.
+        donor = tmp_path / "solved" / "taskA"
+        donor.mkdir(parents=True)
+        (donor / "best.json").write_text('{"tokens": [1]}')
+        (donor / "params.mgp").write_bytes(b"MGP2abcd")
+        grid_task = tmp_path / "task.json"
+        grid_task.write_text(json.dumps({"train": [{"input": [[1]], "output": [[1]]}],
+                                         "test": [{"input": [[1]], "output": [[1]]}]}))
+        names = dict(missing=tmp_path / "missing", short=short, tmp=tmp_path, retired=retired,
+                     solved=tmp_path / "solved", grid_task=grid_task)
         with pytest.raises(SystemExit) as err:
             cli.main([arg.format(**names) for arg in argv])
         assert err.value.code == 2

@@ -136,21 +136,25 @@ class TestLogprobs:
         assert mass <= 1.0 + 1e-12
         assert mass == pytest.approx(1.0, abs=1e-12)
 
-    def test_weight_perturbation_hits_only_active_features(self):
+    @pytest.mark.parametrize("ctx", [TASK_CONTEXT, NS_CONTEXT], ids=["task", "neighborhood"])
+    def test_weight_perturbation_hits_only_active_features(self, ctx):
+        # Only the task context reads row 0; no row belongs to the neighborhood context.
         rng = np.random.default_rng(7)
         params = random_params(rng, size=5, buckets=2, max_len=4)
         tokens = (1, 3, 0)
-        base = logprobs(params, TASK_CONTEXT, tokens)
+        base = logprobs(params, ctx, tokens)
         delta = 1e-6
         for f in range(params.feature_dim):
             W = params.W.copy()
             W[f, 2] += delta
-            bumped = logprobs(params.with_weights(W), TASK_CONTEXT, tokens)
+            bumped = logprobs(params.with_weights(W), ctx, tokens)
             for pos in range(len(tokens)):
                 prev = tokens[pos - 1] if pos else params.vocab.end_token
                 bucket = min(pos * params.position_buckets // params.max_len,
                              params.position_buckets - 1)
-                active = {int(TASK_CONTEXT), 2 + prev, 2 + params.vocab.size + bucket}
+                active = {1 + prev, 1 + params.vocab.size + bucket}
+                if ctx == TASK_CONTEXT:
+                    active.add(0)
                 changed = abs(bumped[pos] - base[pos]) > 0
                 assert changed == (f in active), (f, pos)
 
@@ -252,8 +256,9 @@ class TestSerialization:
     def test_version_mismatch(self):
         params = init_params(make_vocab(4), max_len=3)
         data = bytearray(save_params(params))
-        data[3] = ord("2")  # MGP2
-        with pytest.raises(PolicyIOError, match="unsupported magic/version"):
+        data[3] = ord("1")  # MGP1, the retired layout with a neighborhood-context row
+        with pytest.raises(PolicyIOError,
+                           match=r"unsupported magic/version b'MGP1', expected b'MGP2'"):
             load_params(bytes(data))
 
     def test_non_finite_payload(self):
@@ -284,7 +289,7 @@ class TestImmutability:
 
     def test_rejects_non_finite_weights(self):
         vocab = make_vocab(4)
-        W = np.zeros((2 + 4 + 4, 4))
+        W = np.zeros((1 + 4 + 4, 4))
         W[0, 0] = np.inf
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="W entries must be finite"):
             PolicyParams(W, vocab, 4, 3)

@@ -1,7 +1,7 @@
 """Step rows and draw CDFs against straight per-step references, bit for bit.
 
 Each reference below is the one-step-at-a-time form of an operation: a
-softmax of the three active W rows, one inverse-CDF draw per step with
+softmax of the active W rows, one inverse-CDF draw per step with
 ``searchsorted``, and a per-token loop for the clipped-surrogate terms and
 gradient. The rows ``step_rows`` gathers, the CDFs draws read and the
 update's steps must reproduce every bit of it.
@@ -33,7 +33,10 @@ def ref_step(params, ctx, prev, pos, temperature):
     W, V, P = params.W, params.vocab.size, params.position_buckets
     prev = params.vocab.end_token if prev is None else prev
     bucket = min(pos * P // params.max_len, P - 1)
-    logits = W[ctx] + W[2 + prev] + W[2 + V + bucket]
+    if ctx == TASK_CONTEXT:
+        logits = W[0] + W[1 + prev] + W[1 + V + bucket]
+    else:  # the neighborhood context adds no row of W
+        logits = W[1 + prev] + W[1 + V + bucket]
     p = np.exp((logits - logits.max()) / temperature)
     return p / p.sum()
 
@@ -318,7 +321,7 @@ def ref_loss_and_grad(params, group, old, update):
                 scale = adv * rho / total
                 bucket = min(pos * P // params.max_len, P - 1)
                 end = params.vocab.end_token if prev is None else prev
-                for row in (0, 2 + end, 2 + V + bucket):
+                for row in (0, 1 + end, 1 + V + bucket):
                     grad[row] += scale * p
                     grad[row, tok] -= scale
             else:

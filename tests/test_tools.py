@@ -3,8 +3,9 @@ holds in tier-1, island membership is part of the hash, a pin file that is
 not one exits 2, and a name the tool imports cannot disappear without a
 failure."""
 
-import importlib.util
+import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,11 @@ PINNED = TRACE_HASHES.with_suffix(".txt")
 
 @pytest.fixture(scope="module")
 def tool():
-    spec = importlib.util.spec_from_file_location("trace_hashes", TRACE_HASHES)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    # The tool's worker processes start afresh and import it by name, from sys.path.
+    sys.path.insert(0, str(TRACE_HASHES.parent))
+    yield importlib.import_module(TRACE_HASHES.stem)
+    sys.path.remove(str(TRACE_HASHES.parent))
+    del sys.modules[TRACE_HASHES.stem]
 
 
 def test_trace_hash_is_a_stable_sha256(tool):

@@ -12,7 +12,8 @@ final weight matrix and, when the archive has islands, each entry's island
 membership. So a one-ulp change to any emitted value (a sampled token, a
 score, a loss, a weight, an archive entry or an island membership) moves a
 line. A value that only shifts a draw probability moves none unless some
-draw flips.
+draw flips. The configs run in worker processes, one (task, seed) group at
+a time each; the lines do not depend on which worker ran them.
 
 The lines are pinned in ``tools/trace_hashes.txt``. To check that a change
 keeps behaviour, regenerate them and compare; each config whose line
@@ -33,8 +34,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import sys
 from collections.abc import Iterable, Iterator
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -91,14 +94,26 @@ def trace_hash(task: str, method: str, seed: int, overrides: dict) -> str:
     return h.hexdigest()
 
 
+def group_digests(configs: list[tuple[str, str, int, str, dict]]) -> dict[tuple, str]:
+    """The digest of each of ``configs``, by ``(task, method, seed, name)``."""
+    return {(task, method, seed, name): trace_hash(task, method, seed, overrides)
+            for task, method, seed, name, overrides in configs}
+
+
 def lines() -> Iterator[str]:
     """One ``"<sha256>  <task> <method> seed=<seed> <name>"`` line per config,
     in ``CONFIGS`` order."""
-    # Run the configs in (task, seed) order, so that build_task synthesizes
-    # each seed's words table once.
-    digests = {(task, method, seed, name): trace_hash(task, method, seed, overrides)
-               for task, method, seed, name, overrides
-               in sorted(CONFIGS, key=lambda config: (config[0], config[2]))}
+    # One worker process runs all of a (task, seed) group's configs, so that
+    # build_task synthesizes each seed's words table once; the largest groups
+    # start first.
+    groups: dict[tuple[str, int], list] = {}
+    for config in CONFIGS:
+        groups.setdefault((config[0], config[2]), []).append(config)
+    digests = {}
+    # Spawned, not forked: the calling process (a test runner, say) may hold threads.
+    with ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn")) as pool:
+        for done in pool.map(group_digests, sorted(groups.values(), key=len, reverse=True)):
+            digests.update(done)
     for task, method, seed, name, _ in CONFIGS:
         yield f"{digests[task, method, seed, name]}  {task} {method} seed={seed} {name}"
 
